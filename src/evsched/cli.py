@@ -272,6 +272,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "robust_objective": robust.objective,
                 "cutting_plane_gap": robust.gap,
                 "cuts": robust.cuts,
+                "master_pivots": robust.pivots,
             }
     except InfeasibleScenario as exc:
         print(f"evsched: {exc}", file=sys.stderr)
@@ -286,6 +287,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"{scenario.scenario_id} {method.value}: cost {cost.total_cost:.6f}, "
         f"energy {cost.total_energy_delivered:.3f} kWh"
     )
+    if "cuts" in extras:
+        print(f"cutting planes: {extras['cuts']} cuts, "
+              f"{extras['master_pivots']} master pivots, "
+              f"gap {extras['cutting_plane_gap']:.3e}")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -155,6 +155,8 @@ def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
             energy = float(row[idx["energy_kwh"]].strip())
         except (IndexError, ValueError) as exc:
             raise MalformedRow(line_no, f"unparseable row: {exc}") from None
+        if not math.isfinite(energy):
+            raise MalformedRow(line_no, f"non-finite energy {energy}")
         if departure <= arrival:
             raise MalformedRow(line_no, "departure is not after arrival")
         if energy < 0:
@@ -186,6 +188,8 @@ def parse_prices(stream: IO[str], unit: PriceUnit = PriceUnit.PER_KWH) -> PriceS
             raise MalformedRow(line_no, f"unparseable row: {exc}") from None
         if not 0 <= hour <= 23:
             raise MalformedRow(line_no, f"hour {hour} outside 0..23")
+        if not math.isfinite(price):
+            raise MalformedRow(line_no, f"non-finite price {price}")
         series.add(day, hour, price * scale)
     return series
 

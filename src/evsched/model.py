@@ -68,8 +68,8 @@ class Scenario:
         T = int(self.horizon_steps)
         if T <= 0:
             raise ValueError("horizon_steps must be positive")
-        if not self.step_hours > 0:
-            raise ValueError("step_hours must be positive")
+        if not 0 < self.step_hours < np.inf:
+            raise ValueError("step_hours must be positive and finite")
         occ = np.asarray(self.occupancy)
         if occ.ndim != 2 or occ.shape[0] != T:
             raise ValueError(f"occupancy must be {T} x N, got shape {occ.shape}")
@@ -92,6 +92,9 @@ class Scenario:
             if vec.shape != (T,):
                 raise ValueError(f"{name} must have length {T}, got {vec.shape}")
             object.__setattr__(self, name, _freeze(vec))
+        for name in ("load", "capacity", "socket_limit", "waste", "prices"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if (load < 0).any():
             raise ValueError("load must be nonnegative")
         for name in ("capacity", "socket_limit", "waste"):

@@ -96,6 +96,7 @@ class RobustResult:
     norm_value: float
     gap: float
     cuts: int
+    pivots: int  # simplex pivots over every cutting-plane master
     converged: bool
 
 
@@ -147,6 +148,7 @@ def optimize_robust_price(
             norm_value=0.0,
             gap=0.0,
             cuts=0,
+            pivots=0,
             converged=True,
         )
 
@@ -212,5 +214,6 @@ def _package(scenario, result: NormAugmentedResult, M, var_index, method) -> Rob
         norm_value=float(result.norm_value),
         gap=float(result.gap),
         cuts=result.cuts,
+        pivots=result.pivots,
         converged=result.status is NormAugmentedStatus.OPTIMAL,
     )

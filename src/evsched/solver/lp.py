@@ -145,7 +145,8 @@ _BASIC = 0
 
 
 class _Simplex:
-    """Working state for one solve; columns are [structural | slack | artificial]."""
+    """Working state for one solve, which `add_inequality` can extend row by
+    row; columns are [structural | slack | artificial]."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -381,7 +382,81 @@ class _Simplex:
     def solve(self) -> LpSolution:
         self.build_initial_basis()
         self.enterable = np.ones(self.n_total, dtype=bool)
-        max_iter = max(2000, 60 * (self.m + self.n_total))
+        return self._optimize()
+
+    def add_inequality(self, g: np.ndarray, h: float) -> LpSolution:
+        """Append the row g . x <= h to the solved program and re-optimize
+        from the current basis.
+
+        The new slack rests at zero and a new artificial, signed so that it
+        starts nonnegative, becomes basic in the new row; phase one drives
+        it out from the warm basis, then phase two and certification run
+        against the grown program exactly as in a cold solve.  Returns
+        INFEASIBLE when no point satisfies the grown program.
+        """
+        g = np.asarray(g, dtype=float)
+        lp = self.lp
+        self.lp = LinearProgram(c=lp.c, G=np.vstack([lp.G, g]), h=np.append(lp.h, h),
+                                E=lp.E, b=lp.b, lo=lp.lo, up=lp.up)
+        # The new row goes after the last inequality row and its slack after
+        # the last slack column, so slacks stay contiguous before the
+        # artificials; the new artificial is the last column.
+        m, n_total = self.m, self.n_total
+        r = self.m_ineq
+        s = self.n_struct + r
+        old_rows = np.arange(m + 1) != r
+        old_cols = np.ones(n_total + 2, dtype=bool)
+        old_cols[[s, -1]] = False
+        resid = h - float(g @ self.values[: self.n_struct])
+        sign = 1.0 if resid >= 0.0 else -1.0
+
+        def grown(vec, slack, art):
+            out = np.empty(n_total + 2, dtype=vec.dtype)
+            out[old_cols] = vec
+            out[s] = slack
+            out[-1] = art
+            return out
+
+        A = np.zeros((m + 1, n_total + 2))
+        A[np.ix_(old_rows, old_cols)] = self.A
+        A[r, : self.n_struct] = g
+        A[r, s] = 1.0
+        A[r, -1] = sign
+        self.A = A
+        self.lo = grown(self.lo, 0.0, 0.0)
+        self.up = grown(self.up, np.inf, np.inf)
+        self.cost = grown(self.cost, 0.0, 0.0)
+        self.values = grown(self.values, 0.0, abs(resid))
+        self.state = grown(self.state, _AT_LO, _BASIC)
+        self.enterable = grown(self.enterable, True, True)
+        basis = np.empty(m + 1, dtype=self.basis.dtype)
+        basis[old_rows] = np.where(self.basis >= s, self.basis + 1, self.basis)
+        basis[r] = n_total + 1
+        rhs = np.empty(m + 1)
+        rhs[old_rows] = self.rhs
+        rhs[r] = h
+        xB = np.empty(m + 1)
+        xB[old_rows] = self.xB
+        xB[r] = abs(resid)
+        # Bordered inverse: with the new row and basic column moved last the
+        # basis is [[B, 0], [rho, sign]], whose inverse is
+        # [[B^-1, 0], [-sign * rho B^-1, sign]].
+        B_inv = np.zeros((m + 1, m + 1))
+        B_inv[np.ix_(old_rows, old_rows)] = self.B_inv
+        B_inv[r, old_rows] = -sign * (A[r, basis[old_rows]] @ self.B_inv)
+        B_inv[r, r] = sign
+        self.basis, self.rhs, self.xB, self.B_inv = basis, rhs, xB, B_inv
+        self.m += 1
+        self.m_ineq += 1
+        self.n_total += 2
+        self.n_art += 1
+        self.art_start += 1
+        return self._optimize()
+
+    def _optimize(self) -> LpSolution:
+        """Phase one when artificials exist, then phase two and the
+        certificate; the iteration budget counts from the current total."""
+        max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
 
         if self.n_art:
             c1 = np.zeros(self.n_total)
@@ -459,7 +534,8 @@ class _Simplex:
         gap = primal - dual
 
         scale = max(1.0, abs(primal))
-        if resid > FEASIBILITY_TOL or abs(gap) > GAP_REL_TOL * scale:
+        # written so that a NaN residual or gap fails certification
+        if not (resid <= FEASIBILITY_TOL and abs(gap) <= GAP_REL_TOL * scale):
             raise NumericalFailure(
                 f"certification failed: residual={resid:.3e}, gap={gap:.3e}"
             )

@@ -7,6 +7,12 @@ Each master LP is a relaxation, so its optimum is a valid lower bound;
 evaluating the true objective at the iterate gives an upper bound, and the
 loop stops once the best upper bound meets the lower bound at tolerance.
 
+One simplex serves the whole loop (Kelley 1960): the first master is
+solved cold, and each cut is appended to it as one more row and
+re-optimized from the previous optimal basis, which is near-optimal for
+the grown master.  Every master is still certified against its full
+constraint set, and `pivots` counts the simplex pivots over all masters.
+
 With weight 0 the problem is the plain LP and we short-circuit.
 """
 
@@ -17,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, _Simplex, solve_lp
 
 # Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
 # Tight defaults keep the returned iterate close to the true minimizer, not
@@ -44,6 +50,7 @@ class NormAugmentedResult:
     lower_bound: float | None = None
     gap: float | None = None
     cuts: int = 0
+    pivots: int = 0  # simplex pivots over every master LP
     lp_solution: LpSolution | None = None
 
 
@@ -89,7 +96,9 @@ def solve_norm_augmented(
         sol = solve_lp(lp)
         if sol.status is not LpStatus.OPTIMAL:
             return NormAugmentedResult(
-                status=NormAugmentedStatus(sol.status.value), lp_solution=sol
+                status=NormAugmentedStatus(sol.status.value),
+                pivots=sol.iterations,
+                lp_solution=sol,
             )
         nv = float(np.linalg.norm(M @ sol.x))
         return NormAugmentedResult(
@@ -101,22 +110,25 @@ def solve_norm_augmented(
             lower_bound=sol.objective_value,
             gap=0.0,
             cuts=0,
+            pivots=sol.iterations,
             lp_solution=sol,
         )
 
-    cuts: list[np.ndarray] = []
+    # One simplex lives for the whole loop: the first master is solved cold
+    # and every cut is appended to it and re-optimized from the last basis.
+    master = _Simplex(_augmented(lp, weight, np.zeros((0, lp.num_vars))))
+    sol = master.solve()
+    dirs = np.empty((max_cuts, M.shape[0]))
     best: NormAugmentedResult | None = None
     best_upper = np.inf
     lower = -np.inf
 
     for k in range(max_cuts + 1):
-        cut_rows = (
-            np.vstack([u @ M for u in cuts]) if cuts else np.zeros((0, lp.num_vars))
-        )
-        sol = solve_lp(_augmented(lp, weight, cut_rows))
         if sol.status is not LpStatus.OPTIMAL:
             return NormAugmentedResult(
-                status=NormAugmentedStatus(sol.status.value), lp_solution=sol
+                status=NormAugmentedStatus(sol.status.value),
+                pivots=master.iterations,
+                lp_solution=sol,
             )
         x = sol.x[:-1]
         lower = max(lower, float(sol.objective_value))
@@ -132,7 +144,6 @@ def solve_norm_augmented(
                 objective=upper,
                 linear_part=linear,
                 norm_value=nv,
-                cuts=k,
                 lp_solution=sol,
             )
         gap = best_upper - lower
@@ -140,18 +151,21 @@ def solve_norm_augmented(
             best.lower_bound = lower
             best.gap = float(gap)
             best.cuts = k
+            best.pivots = master.iterations
             return best
         if k == max_cuts:
             break
         u = v / nv if nv > 0.0 else _unit_axis(M.shape[0])
-        if cuts and min(float(np.max(np.abs(u - c))) for c in cuts) < 1e-14:
+        if k and np.abs(dirs[:k] - u).max(axis=1).min() < 1e-14:
             break  # duplicate support direction: the master cannot improve
-        cuts.append(u)
+        dirs[k] = u
+        sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
 
     best.status = NormAugmentedStatus.CUT_LIMIT
     best.lower_bound = lower
     best.gap = float(best_upper - lower)
-    best.cuts = len(cuts)
+    best.cuts = k
+    best.pivots = master.iterations
     return best
 
 

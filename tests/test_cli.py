@@ -12,7 +12,7 @@ from evsched.cli import (
     main,
     parse_args,
 )
-from evsched.ingest import save_scenario
+from evsched.ingest import save_scenario, scenario_to_dict
 from evsched.synth import random_scenario, write_synthetic_corpus
 
 from conftest import make_scenario
@@ -106,6 +106,21 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert "line 5" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "simulate"])
+    @pytest.mark.parametrize("bad_file", ["sessions", "prices"])
+    def test_non_finite_inputs_exit_code(self, tmp_path, capsys, command, bad_file):
+        s, p = write_inputs(tmp_path)
+        if bad_file == "sessions":
+            s.write_text(SESSIONS.replace("12.5", "nan"), encoding="utf-8")
+        else:
+            lines = p.read_text(encoding="utf-8").splitlines()
+            lines[4] = "2018-04-25,3,inf"
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([command, "--sessions", str(s), "--prices", str(p),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INGEST
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         code = main(["ingest", "--sessions", str(tmp_path / "nope.csv"),
                      "--prices", str(tmp_path / "nope2.csv"),
@@ -140,6 +155,20 @@ class TestSolveCommand:
         assert main(["solve", "--scenario", str(path), "--method", "robust-load",
                      "--load-scale", "1.1"]) == EXIT_OK
 
+    def test_robust_solve_reports_master_pivots(self, tmp_path, capsys):
+        rng = np.random.default_rng(62)
+        sc = random_scenario(rng, horizon_steps=5, max_vehicles=3,
+                             scenario_id="day")
+        path = tmp_path / "day.json"
+        save_scenario(sc, path)
+        out = tmp_path / "out"
+        assert main(["solve", "--scenario", str(path), "--method", "robust-price",
+                     "--radius", "0.2", "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "schedule_day_robust-price.json").read_text())
+        assert doc["master_pivots"] >= doc["cuts"] > 0
+        printed = capsys.readouterr().out
+        assert f"{doc['cuts']} cuts, {doc['master_pivots']} master pivots" in printed
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         sc = make_scenario([(1, 1)], [15.0], [1.0], socket=7.0,
                            scenario_id="bad")
@@ -148,6 +177,14 @@ class TestSolveCommand:
         code = main(["solve", "--scenario", str(path)])
         assert code == EXIT_INFEASIBLE
         assert "feasibility report" in capsys.readouterr().err
+
+    def test_non_finite_scenario_exit_code(self, tmp_path):
+        sc = make_scenario([(1, 2)], [5.0], [1.0, 2.0], scenario_id="nan")
+        doc = scenario_to_dict(sc)
+        doc["prices"][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", "--scenario", str(path)]) == EXIT_INGEST
 
     def test_unreadable_scenario(self, tmp_path):
         path = tmp_path / "junk.json"

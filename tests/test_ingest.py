@@ -57,6 +57,12 @@ class TestParseSessions:
         with pytest.raises(MalformedRow):
             sessions_from("s1,2018-04-25T08:00:00,2018-04-25T09:00:00,-2\n")
 
+    @pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_rejected(self, energy):
+        with pytest.raises(MalformedRow, match="non-finite energy") as err:
+            sessions_from(f"s1,2018-04-25T08:00:00,2018-04-25T09:00:00,{energy}\n")
+        assert err.value.line_no == 2
+
     def test_header_only_gives_empty_list(self):
         assert sessions_from("") == []
 
@@ -101,6 +107,12 @@ class TestParsePrices:
             io.StringIO("date,hour,price\n2018-04-25,3,-5.0\n"), PriceUnit.PER_MWH
         )
         assert series.get(date(2018, 4, 25), 3) == pytest.approx(-0.005)
+
+    @pytest.mark.parametrize("price", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(MalformedRow, match="non-finite price") as err:
+            parse_prices(io.StringIO(f"date,hour,price\n2018-04-25,0,{price}\n"))
+        assert err.value.line_no == 2
 
     def test_hour_out_of_range(self):
         with pytest.raises(MalformedRow):

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from evsched.solver import LinearProgram, LpStatus, solve_lp
+from evsched.solver import LinearProgram, LpStatus, NumericalFailure, solve_lp
+from evsched.solver import lp as lp_module
 
 
 def enumerate_optimum(lp, grid=None):
@@ -227,3 +228,69 @@ class TestDegeneracy:
         sol = solve_lp(LinearProgram(c=c, G=G, h=h, lo=np.zeros(4)))
         assert_certified(sol)
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_cost_fails_certification(self, bad):
+        # a NaN objective or gap must not pass as a certified optimum
+        lp = LinearProgram(c=[bad, 1.0], G=[[-1.0, -1.0]], h=[-2.0],
+                           lo=[0, 0], up=[5, 5])
+        with pytest.raises(NumericalFailure, match="certification failed"):
+            solve_lp(lp)
+
+
+class TestAddInequality:
+    """Rows appended to a solved simplex must give the cold solve's optimum."""
+
+    def base(self):
+        # equality rows sit after the inequality rows, so the new row and its
+        # slack are inserted mid-matrix rather than appended
+        return LinearProgram(c=[-1.0, -2.0, 0.5], G=[[1.0, 1.0, 0.0]], h=[4.0],
+                             E=[[1.0, 0.0, -1.0]], b=[1.0], lo=[0, 0, 0], up=[5, 3, 5])
+
+    def grown(self, g, h):
+        lp = self.base()
+        return LinearProgram(c=lp.c, G=np.vstack([lp.G, g]), h=np.append(lp.h, h),
+                             E=lp.E, b=lp.b, lo=lp.lo, up=lp.up)
+
+    @pytest.mark.parametrize("g, h", [
+        ([0.0, 1.0, 0.0], 1.5),  # violated at the first optimum
+        ([1.0, 0.0, 0.0], 5.0),  # already satisfied
+        ([-1.0, -1.0, 1.0], -1.0),
+    ])
+    def test_matches_cold_solve(self, g, h):
+        simplex = lp_module._Simplex(self.base())
+        assert_certified(simplex.solve())
+        warm = simplex.add_inequality(np.array(g), h)
+        cold = solve_lp(self.grown(g, h))
+        assert_certified(warm)
+        assert_certified(cold)
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert warm.dual_ineq.shape == (2,)
+        assert warm.dual_eq.shape == (1,)
+
+    def test_satisfied_row_keeps_the_optimum(self):
+        simplex = lp_module._Simplex(self.base())
+        first = simplex.solve()
+        warm = simplex.add_inequality(np.array([1.0, 0.0, 0.0]), 5.0)
+        assert warm.objective_value == pytest.approx(first.objective_value, abs=1e-12)
+
+    def test_infeasible_row(self):
+        simplex = lp_module._Simplex(self.base())
+        simplex.solve()
+        warm = simplex.add_inequality(np.array([-1.0, 0.0, 0.0]), -6.0)
+        assert warm.status is LpStatus.INFEASIBLE
+
+    def test_repeated_rows(self):
+        simplex = lp_module._Simplex(self.base())
+        simplex.solve()
+        for k in range(4):
+            warm = simplex.add_inequality(np.array([0.0, 1.0, 0.0]), 2.5 - 0.5 * k)
+            assert_certified(warm)
+        cold = solve_lp(LinearProgram(
+            c=[-1.0, -2.0, 0.5], G=[[1.0, 1.0, 0.0]] + [[0.0, 1.0, 0.0]] * 4,
+            h=[4.0, 2.5, 2.0, 1.5, 1.0], E=[[1.0, 0.0, -1.0]], b=[1.0],
+            lo=[0, 0, 0], up=[5, 3, 5]))
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)

@@ -50,6 +50,22 @@ class TestScenarioInvariants:
         with pytest.raises(ValueError):
             make_scenario([(1, 1)], [1.0, 2.0], [0.1])
 
+    @pytest.mark.parametrize("field", ["load", "capacity", "socket_limit",
+                                       "waste", "prices"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(load=[1.0], capacity=10.0, socket_limit=7.0, waste=0.0,
+                      prices=[0.1, 0.2])
+        values[field] = np.full_like(np.atleast_1d(values[field]), bad, dtype=float)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario(horizon_steps=2, step_hours=1.0, occupancy=np.ones((2, 1)),
+                     **values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_bad_step_hours_rejected(self, bad):
+        with pytest.raises(ValueError, match="step_hours"):
+            make_scenario([(1, 1)], [1.0], [0.1], step_hours=bad)
+
     def test_immutable_arrays(self):
         sc = make_scenario([(1, 2)], [3.0], [1.0, 2.0])
         with pytest.raises(ValueError):

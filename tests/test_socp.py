@@ -7,12 +7,19 @@ segment is an independent oracle for both the minimizer and the value.
 import numpy as np
 import pytest
 
+from evsched.nominal import scheduling_lp
+from evsched.robust import totals_map
 from evsched.solver import (
+    FEASIBILITY_TOL,
     LinearProgram,
+    LpStatus,
     NormAugmentedStatus,
     solve_lp,
     solve_norm_augmented,
 )
+from evsched.solver import lp as lp_module
+from evsched.solver.socp import GAP_REL_TOL, _augmented
+from evsched.synth import random_scenario
 
 
 def segment_scan_oracle(weight, total=6.0, steps=60001):
@@ -104,3 +111,63 @@ class TestCertificates:
         assert res.status is NormAugmentedStatus.OPTIMAL
         assert res.objective == pytest.approx(6.0, abs=1e-8)
         assert res.x == pytest.approx([0.0, 6.0], abs=1e-6)
+
+
+def robust_day(seed):
+    """A seeded small day and its robust-price master data (radius 0.5)."""
+    sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
+                         max_vehicles=3, scenario_id=f"day{seed}")
+    lp, var_index = scheduling_lp(sc)
+    return lp, totals_map(sc, var_index)
+
+
+def assert_master_certified(sol):
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.max_residual <= FEASIBILITY_TOL
+    assert abs(sol.duality_gap) <= lp_module.GAP_REL_TOL * max(1.0, abs(sol.objective_value))
+
+
+class TestWarmMaster:
+    @pytest.mark.parametrize("seed", [2, 3, 8])
+    def test_final_master_matches_cold_solve(self, seed, monkeypatch):
+        # every cut is added to one live simplex; re-solving the final
+        # master from scratch must give the same certified optimum
+        added = []
+        add = lp_module._Simplex.add_inequality
+
+        def record(self, g, h):
+            sol = add(self, g, h)
+            added.append((np.array(g), sol))
+            return sol
+
+        monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
+        lp, M = robust_day(seed)
+        res = solve_norm_augmented(lp, 0.5, M)
+        assert res.status is NormAugmentedStatus.OPTIMAL
+        assert len(added) == res.cuts >= 5
+        cut_rows = np.array([g[:-1] for g, _ in added])
+        assert np.all(np.array([g[-1] for g, _ in added]) == -1.0)
+        warm = added[-1][1]
+        cold = solve_lp(_augmented(lp, 0.5, cut_rows))
+        assert_master_certified(warm)
+        assert_master_certified(cold)
+        scale = max(1.0, abs(cold.objective_value))
+        assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
+
+    def test_counts_repeat_exactly(self):
+        lp, M = robust_day(8)
+        first = solve_norm_augmented(lp, 0.5, M)
+        second = solve_norm_augmented(lp, 0.5, M)
+        assert (first.cuts, first.pivots) == (second.cuts, second.pivots)
+        assert np.array_equal(first.x, second.x)
+        # pinned: a change here means the pivot sequence changed
+        assert (first.cuts, first.pivots) == (39, 323)
+
+    def test_pivots_count_every_master(self):
+        # each violated cut needs at least one pivot to expel its artificial,
+        # and the cold first master needs some too
+        lp, M = robust_day(8)
+        res = solve_norm_augmented(lp, 0.5, M)
+        assert res.pivots > res.cuts
+        plain = solve_norm_augmented(lp, 0.0, M)
+        assert plain.pivots == solve_lp(lp).iterations > 0
