@@ -33,19 +33,14 @@ def fcfs_with_report(scenario: Scenario) -> FcfsResult:
     x = np.zeros((T, n))
     remaining = scenario.load.astype(float).copy()
 
-    # arrival step per vehicle (T+1 for never-present keeps them last)
-    arrivals = np.full(n, T + 1)
-    for i in range(n):
-        steps = np.flatnonzero(occ[:, i])
-        if steps.size:
-            arrivals[i] = steps[0] + 1
+    # service order: arrival step, then vehicle index
+    arrivals = np.where(occ.any(axis=0), occ.argmax(axis=0), T)
+    queue = np.lexsort((np.arange(n), arrivals))
 
     for t in range(T):
         budget = float(scenario.capacity[t])
         socket = float(scenario.socket_limit[t])
-        present = np.flatnonzero(occ[t, :])
-        order = sorted(present, key=lambda i: (arrivals[i], i))
-        for i in order:
+        for i in queue[occ[t, queue] == 1]:
             give = min(socket, remaining[i], budget)
             if give <= 0.0:
                 continue

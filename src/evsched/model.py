@@ -102,16 +102,14 @@ class Scenario:
                 raise ValueError(f"{name} must be nonnegative")
         # Every column must be one contiguous presence interval, and a
         # vehicle with positive demand must be present at least once.
-        for i in range(n):
-            rows = np.flatnonzero(occ[:, i])
-            if rows.size == 0:
-                if load[i] > 0:
-                    raise ValueError(
-                        f"vehicle {i} has demand {load[i]} but is never present"
-                    )
-                continue
-            if rows[-1] - rows[0] + 1 != rows.size:
+        count = occ.sum(axis=0, dtype=int)
+        span = T - occ[::-1].argmax(axis=0) - occ.argmax(axis=0)
+        bad = np.flatnonzero(np.where(count > 0, span != count, load > 0))
+        if bad.size:
+            i = int(bad[0])
+            if count[i]:
                 raise ValueError(f"vehicle {i} has a non-contiguous presence window")
+            raise ValueError(f"vehicle {i} has demand {load[i]} but is never present")
 
     @property
     def num_vehicles(self) -> int:

@@ -3,10 +3,12 @@
 The allocation problem is an LP over the variables Y[t][i] for the
 (step, vehicle) pairs where the vehicle is present: minimize the summed
 step costs subject to demand satisfaction, the station power budget and
-per-socket limits.  `check_feasibility` certifies up front that a
-schedule meeting all demand exists (per-vehicle window capacity plus an
-aggregate max-flow test); infeasible scenarios are a hard error because
-silently under-delivering would corrupt every cost comparison downstream.
+per-socket limits.  Phase one of the simplex decides whether a schedule
+meeting all demand exists.  Only when it finds none does
+`check_feasibility` run (per-vehicle window capacity plus an aggregate
+max-flow test), to explain why in the `InfeasibleScenario` it raises;
+infeasible scenarios are a hard error because silently under-delivering
+would corrupt every cost comparison downstream.
 """
 
 from __future__ import annotations
@@ -58,17 +60,14 @@ class NominalResult:
     lp_solution: LpSolution
 
 
-def variable_index(scenario: Scenario) -> list[tuple[int, int]]:
-    """(step, vehicle) pairs that get an LP variable, vehicle-major.
+def variable_index(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, vehicles) index arrays of the pairs that get an LP variable,
+    vehicle-major.
 
     Only in-window entries are instantiated; everything else is fixed 0.
     """
-    occ = scenario.occupancy
-    return [
-        (t, i)
-        for i in range(scenario.num_vehicles)
-        for t in np.flatnonzero(occ[:, i])
-    ]
+    vehicles, steps = np.nonzero(scenario.occupancy.T)
+    return steps, vehicles
 
 
 def scheduling_network(scenario: Scenario) -> FlowNetwork:
@@ -116,54 +115,59 @@ def check_feasibility(scenario: Scenario, tol: float = FEAS_TOL) -> FeasibilityR
 
 def scheduling_lp(
     scenario: Scenario, prices: np.ndarray | None = None
-) -> tuple[LinearProgram, list[tuple[int, int]]]:
+) -> tuple[LinearProgram, tuple[np.ndarray, np.ndarray]]:
     """Build the allocation LP; `prices` overrides the scenario's own
     price vector (used by the robust price model)."""
     pi = scenario.prices if prices is None else np.asarray(prices, dtype=float)
     if pi.shape != (scenario.horizon_steps,):
         raise ValueError("prices must have length horizon_steps")
-    var_index = variable_index(scenario)
+    var_index = steps, vehicles = variable_index(scenario)
     T, n = scenario.horizon_steps, scenario.num_vehicles
-    nv = len(var_index)
-    delta = scenario.step_hours
-    unit_cost = pi * (1.0 + scenario.waste) * delta
+    k = np.arange(steps.size)
+    unit_cost = pi * (1.0 + scenario.waste) * scenario.step_hours
 
-    c = np.empty(nv)
-    up = np.empty(nv)
-    G = np.zeros((n + T, nv))
-    for k, (t, i) in enumerate(var_index):
-        c[k] = unit_cost[t]
-        up[k] = scenario.socket_limit[t]
-        G[i, k] = -1.0  # demand row, as -sum(Y) <= -L
-        G[n + t, k] = 1.0  # capacity row
+    G = np.zeros((n + T, k.size))
+    G[vehicles, k] = -1.0  # demand row, as -sum(Y) <= -L
+    G[n + steps, k] = 1.0  # capacity row
     h = np.concatenate([-scenario.load, scenario.capacity])
-    lp = LinearProgram(c=c, G=G, h=h, lo=np.zeros(nv), up=up)
+    lp = LinearProgram(c=unit_cost[steps], G=G, h=h, lo=np.zeros(k.size),
+                       up=scenario.socket_limit[steps])
     return lp, var_index
 
 
 def schedule_from_x(
     scenario: Scenario,
     x: np.ndarray,
-    var_index: list[tuple[int, int]],
+    var_index: tuple[np.ndarray, np.ndarray],
     method: Method,
 ) -> Schedule:
+    steps, vehicles = var_index
     y = np.zeros((scenario.horizon_steps, scenario.num_vehicles))
-    for k, (t, i) in enumerate(var_index):
-        y[t, i] = min(max(x[k], 0.0), scenario.socket_limit[t])
+    y[steps, vehicles] = np.clip(x, 0.0, scenario.socket_limit[steps])
     return Schedule(allocation=y, method=method, scenario_id=scenario.scenario_id)
+
+
+def unsolved(scenario: Scenario, detail: str) -> RuntimeError:
+    """The error for a solve that ended without a certified optimum: the
+    max-flow test decides whether the day is infeasible, and if it finds
+    the day feasible the solver failed."""
+    report = check_feasibility(scenario)
+    if report.feasible:
+        return NumericalFailure(
+            f"scenario {scenario.scenario_id!r}: {detail}, but max-flow finds "
+            "it feasible"
+        )
+    return InfeasibleScenario(scenario.scenario_id, report)
 
 
 def optimize_nominal(scenario: Scenario) -> NominalResult:
     """Certified-optimal schedule for one scenario.
 
-    Raises InfeasibleScenario when demand cannot be met, and propagates
-    NumericalFailure from the solver if certification fails.
+    Raises InfeasibleScenario when demand cannot be met, and
+    NumericalFailure when the solver fails on a feasible day.
     """
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise InfeasibleScenario(scenario.scenario_id, report)
-    if not variable_index(scenario):
-        # nothing schedulable: no vehicle is ever present
+    if not variable_index(scenario)[0].size:
+        # nothing schedulable: no vehicle is ever present, so none has demand
         schedule = Schedule(
             allocation=np.zeros((scenario.horizon_steps, scenario.num_vehicles)),
             method=Method.NOMINAL,
@@ -174,13 +178,12 @@ def optimize_nominal(scenario: Scenario) -> NominalResult:
             schedule=schedule, cost=evaluate_cost(schedule, scenario), lp_solution=empty
         )
     lp, var_index = scheduling_lp(scenario)
-    sol = solve_lp(lp)
+    try:
+        sol = solve_lp(lp)
+    except NumericalFailure as exc:
+        raise unsolved(scenario, str(exc)) from exc
     if sol.status is not LpStatus.OPTIMAL:
-        # check_feasibility passed, so this is a numerical problem
-        raise NumericalFailure(
-            f"scenario {scenario.scenario_id!r}: LP reported {sol.status.value} "
-            "after the feasibility check passed"
-        )
+        raise unsolved(scenario, f"LP reported {sol.status.value}")
     schedule = schedule_from_x(scenario, sol.x, var_index, Method.NOMINAL)
     return NominalResult(
         schedule=schedule,

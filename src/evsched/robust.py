@@ -27,13 +27,7 @@ from .model import (
     ShapeMismatch,
     evaluate_cost,
 )
-from .nominal import (
-    InfeasibleScenario,
-    check_feasibility,
-    schedule_from_x,
-    scheduling_lp,
-    variable_index,
-)
+from .nominal import schedule_from_x, scheduling_lp, unsolved, variable_index
 from .solver import (
     NormAugmentedResult,
     NormAugmentedStatus,
@@ -100,13 +94,15 @@ class RobustResult:
     converged: bool
 
 
-def totals_map(scenario: Scenario, var_index: list[tuple[int, int]]) -> np.ndarray:
+def totals_map(
+    scenario: Scenario, var_index: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Linear map from LP variables to the per-step total vector whose
     norm the price ball penalizes: v_t = (1 + waste_t) * dt * sum_i Y[t][i]."""
-    M = np.zeros((scenario.horizon_steps, len(var_index)))
+    steps = var_index[0]
+    M = np.zeros((scenario.horizon_steps, steps.size))
     factor = (1.0 + scenario.waste) * scenario.step_hours
-    for k, (t, i) in enumerate(var_index):
-        M[t, k] = factor[t]
+    M[steps, np.arange(steps.size)] = factor[steps]
     return M
 
 
@@ -129,12 +125,7 @@ def optimize_robust_price(
             f"ball center length {ball.center.size} != horizon "
             f"{scenario.horizon_steps}"
         )
-    report = check_feasibility(scenario)
-    if not report.feasible:
-        raise InfeasibleScenario(scenario.scenario_id, report)
-
-    var_index = variable_index(scenario)
-    if not var_index:
+    if not variable_index(scenario)[0].size:
         schedule = Schedule(
             allocation=np.zeros((scenario.horizon_steps, scenario.num_vehicles)),
             method=Method.ROBUST_PRICE,
@@ -154,21 +145,21 @@ def optimize_robust_price(
 
     lp, var_index = scheduling_lp(scenario, prices=ball.center)
     M = totals_map(scenario, var_index)
-    result = solve_norm_augmented(
-        lp,
-        ball.radius,
-        M,
-        gap_abs_tol=gap_abs_tol,
-        gap_rel_tol=gap_rel_tol,
-        max_cuts=max_cuts,
-    )
-    if result.status is NormAugmentedStatus.INFEASIBLE:
-        raise InfeasibleScenario(scenario.scenario_id, report)
-    if result.status is NormAugmentedStatus.UNBOUNDED:
-        # cannot happen on a valid scenario: the box bounds the feasible set
-        raise NumericalFailure(
-            f"scenario {scenario.scenario_id!r}: robust master reported unbounded"
+    try:
+        result = solve_norm_augmented(
+            lp,
+            ball.radius,
+            M,
+            gap_abs_tol=gap_abs_tol,
+            gap_rel_tol=gap_rel_tol,
+            max_cuts=max_cuts,
         )
+    except NumericalFailure as exc:
+        raise unsolved(scenario, str(exc)) from exc
+    if result.status in (NormAugmentedStatus.INFEASIBLE, NormAugmentedStatus.UNBOUNDED):
+        # phase one of the first master decides feasibility; the box bounds
+        # the feasible set, so unbounded means a numerical failure
+        raise unsolved(scenario, f"robust master reported {result.status.value}")
     return _package(scenario, result, M, var_index, Method.ROBUST_PRICE)
 
 

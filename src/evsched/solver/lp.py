@@ -21,6 +21,7 @@ it raises NumericalFailure instead of mislabeling the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,6 +100,11 @@ class LinearProgram:
         )
         if lo.shape != (n,) or up.shape != (n,):
             raise ValueError("bounds must have length n")
+        for name, arr in (("c", c), ("G", G), ("h", h), ("E", E), ("b", b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if np.isnan(lo).any() or np.isnan(up).any():
+            raise ValueError("bounds must not be NaN")
         if (lo > up).any():
             raise ValueError("lo must be <= up elementwise")
         object.__setattr__(self, "lo", lo)
@@ -142,6 +148,9 @@ _AT_LO = 1
 _AT_UP = 2
 _FREE = 3
 _BASIC = 0
+# Sign that turns a nonbasic column's reduced cost into its pricing
+# violation, by rest state (free columns use |d| instead).
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 
 class _Simplex:
@@ -175,47 +184,29 @@ class _Simplex:
 
     # -- setup -----------------------------------------------------------
 
-    def rest_value(self, j: int) -> float:
-        if np.isfinite(self.lo[j]):
-            return self.lo[j]
-        if np.isfinite(self.up[j]):
-            return self.up[j]
-        return 0.0
-
-    def rest_state(self, j: int) -> int:
-        if np.isfinite(self.lo[j]):
-            return _AT_LO
-        if np.isfinite(self.up[j]):
-            return _AT_UP
-        return _FREE
-
     def build_initial_basis(self):
+        """Every column rests at a finite bound (lower first) or at zero
+        when free; each row starts with its slack basic if that is
+        nonnegative, otherwise with a signed artificial."""
         m = self.m
-        self.state = np.empty(self.n_total, dtype=np.int8)
-        self.values = np.empty(self.n_total)
-        for j in range(self.n_total):
-            self.state[j] = self.rest_state(j)
-            self.values[j] = self.rest_value(j)
+        fin_lo = np.isfinite(self.lo)
+        fin_up = np.isfinite(self.up)
+        self.state = np.where(fin_lo, _AT_LO, np.where(fin_up, _AT_UP, _FREE))
+        self.state = self.state.astype(np.int8)
+        self.values = np.where(fin_lo, self.lo, np.where(fin_up, self.up, 0.0))
 
         residual = self.rhs - self.A @ self.values
-        self.basis = np.empty(m, dtype=int)
-        art_cols = []
-        art_rows = []
-        art_signs = []
-        for r in range(m):
-            slack_col = self.n_struct + r if r < self.m_ineq else None
-            if slack_col is not None and residual[r] >= 0.0:
-                self.basis[r] = slack_col
-            else:
-                art_rows.append(r)
-                art_signs.append(1.0 if residual[r] >= 0.0 else -1.0)
-                art_cols.append(self.n_total + len(art_cols))
-                self.basis[r] = art_cols[-1]
-        self.n_art = len(art_cols)
+        rows = np.arange(m)
+        slack_ok = (rows < self.m_ineq) & (residual >= 0.0)
+        art_rows = np.flatnonzero(~slack_ok)
+        self.n_art = art_rows.size
+        self.basis = np.where(slack_ok, self.n_struct + rows, 0)
+        self.basis[art_rows] = self.n_total + np.arange(self.n_art)
         if self.n_art:
             art_block = np.zeros((m, self.n_art))
-            for k, (r, s) in enumerate(zip(art_rows, art_signs)):
-                art_block[r, k] = s
+            art_block[art_rows, np.arange(self.n_art)] = np.where(
+                residual[art_rows] >= 0.0, 1.0, -1.0
+            )
             self.A = np.hstack([self.A, art_block])
             self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
             self.up = np.concatenate([self.up, np.full(self.n_art, np.inf)])
@@ -226,9 +217,7 @@ class _Simplex:
             self.values = np.concatenate([self.values, np.zeros(self.n_art)])
             self.n_total += self.n_art
         self.art_start = self.n_total - self.n_art
-
-        for r in range(m):
-            self.state[self.basis[r]] = _BASIC
+        self.state[self.basis] = _BASIC
         self.refactorize()
 
     def refactorize(self):
@@ -258,38 +247,29 @@ class _Simplex:
 
     def choose_entering(self, d: np.ndarray, bland: bool) -> int:
         state = self.state
-        viol = np.zeros(self.n_total)
-        at_lo = state == _AT_LO
-        at_up = state == _AT_UP
-        free = state == _FREE
-        viol[at_lo] = -d[at_lo]
-        viol[at_up] = d[at_up]
-        viol[free] = np.abs(d[free])
+        viol = np.where(state == _FREE, np.abs(d), _PRICE_SIGN[state] * d)
         eligible = (viol > _DUAL_TOL) & self.enterable
-        if not eligible.any():
-            return -1
-        if bland:
-            return int(np.flatnonzero(eligible)[0])
-        return int(np.argmax(viol))  # first max wins: deterministic
+        # Bland takes the first eligible column, Dantzig the first largest
+        # violation among them; -1 when none is eligible
+        j = int(np.argmax(eligible if bland else np.where(eligible, viol, 0.0)))
+        return j if eligible[j] else -1
 
     def ratio_test(self, j: int, direction: float, w: np.ndarray, bland: bool):
         """Largest step t moving x_j by `direction * t`; returns
         (t, leaving_row) where leaving_row is -1 for a bound flip."""
         t_flip = np.inf
-        if np.isfinite(self.lo[j]) and np.isfinite(self.up[j]):
+        if math.isfinite(self.lo[j]) and math.isfinite(self.up[j]):
             t_flip = self.up[j] - self.lo[j]
         if self.m == 0:
             return t_flip, -1
         delta = direction * w
         lo_b = self.lo[self.basis]
         up_b = self.up[self.basis]
-        ratios = np.full(self.m, np.inf)
         pos = delta > _PIVOT_TOL
-        if pos.any():
-            ratios[pos] = np.maximum(self.xB[pos] - lo_b[pos], 0.0) / delta[pos]
         neg = (delta < -_PIVOT_TOL) & np.isfinite(up_b)
-        if neg.any():
-            ratios[neg] = np.maximum(up_b[neg] - self.xB[neg], 0.0) / (-delta[neg])
+        room = np.maximum(np.where(pos, self.xB - lo_b, up_b - self.xB), 0.0)
+        ratios = np.divide(room, np.abs(delta), out=np.full(self.m, np.inf),
+                           where=pos | neg)
         rows_min = float(ratios.min(initial=np.inf))
         if rows_min >= t_flip - _RATIO_TIE:
             return t_flip, -1  # bound flip wins ties
@@ -315,7 +295,6 @@ class _Simplex:
             else:
                 self.values[j] = self.lo[j]
                 self.state[j] = _AT_LO
-            self.values[self.basis] = self.xB
             return
         leaving = self.basis[row]
         self.xB -= direction * t * w
@@ -331,13 +310,11 @@ class _Simplex:
         self.state[j] = _BASIC
         self.xB[row] = new_val
         self.values[j] = new_val
-        self.values[self.basis] = self.xB
-        # product-form update of the basis inverse
-        piv = w[row]
-        self.B_inv[row, :] /= piv
-        col = np.delete(np.arange(self.m), row)
-        if col.size:
-            self.B_inv[col, :] -= np.outer(w[col], self.B_inv[row, :])
+        # product-form update of the basis inverse; the basic entries of
+        # `values` stay stale until the phase ends or the basis is refactored
+        pivot_row = self.B_inv[row] / w[row]
+        self.B_inv -= w[:, None] * pivot_row
+        self.B_inv[row] = pivot_row
 
     def run_phase(self, c_work: np.ndarray, max_iter: int) -> LpStatus:
         bland = False
@@ -352,7 +329,8 @@ class _Simplex:
             _, d = self.reduced_costs(c_work)
             j = self.choose_entering(d, bland)
             if j < 0:
-                return LpStatus.OPTIMAL
+                status = LpStatus.OPTIMAL
+                break
             if self.state[j] == _AT_LO:
                 direction = 1.0
             elif self.state[j] == _AT_UP:
@@ -362,7 +340,8 @@ class _Simplex:
             self._w = self.B_inv @ self.A[:, j] if self.m else np.zeros(0)
             t, row = self.ratio_test(j, direction, self._w, bland)
             if not np.isfinite(t):
-                return LpStatus.UNBOUNDED
+                status = LpStatus.UNBOUNDED
+                break
             self.pivot(j, direction, t, row)
             self.iterations += 1
             since_refactor += 1
@@ -376,6 +355,8 @@ class _Simplex:
             if since_refactor >= _REFACTOR_EVERY:
                 self.refactorize()
                 since_refactor = 0
+        self.values[self.basis] = self.xB
+        return status
 
     # -- phases ------------------------------------------------------------
 

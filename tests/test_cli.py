@@ -13,6 +13,7 @@ from evsched.cli import (
     parse_args,
 )
 from evsched.ingest import save_scenario, scenario_to_dict
+from evsched.nominal import check_feasibility
 from evsched.synth import random_scenario, write_synthetic_corpus
 
 from conftest import make_scenario
@@ -177,6 +178,19 @@ class TestSolveCommand:
         code = main(["solve", "--scenario", str(path)])
         assert code == EXIT_INFEASIBLE
         assert "feasibility report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["nominal", "robust-price"])
+    def test_aggregate_shortage_reports_max_flow(self, tmp_path, capsys, method):
+        # each vehicle fits its window; phase one finds the shared budget
+        # short and the max-flow report explains it
+        sc = make_scenario([(1, 1), (1, 1)], [5.0, 5.0], [1.0], socket=7.0,
+                           capacity=8.0, scenario_id="short")
+        path = tmp_path / "short.json"
+        save_scenario(sc, path)
+        code = main(["solve", "--scenario", str(path), "--method", method,
+                     "--radius", "0.5", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INFEASIBLE
+        assert f"feasibility report: {check_feasibility(sc)}" in capsys.readouterr().err
 
     def test_non_finite_scenario_exit_code(self, tmp_path):
         sc = make_scenario([(1, 2)], [5.0], [1.0, 2.0], scenario_id="nan")

@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from evsched import PriceBall, optimize_nominal, optimize_robust_price
 from evsched.solver import LinearProgram, LpStatus, NumericalFailure, solve_lp
 from evsched.solver import lp as lp_module
+from evsched.synth import random_scenario
 
 
 def enumerate_optimum(lp, grid=None):
@@ -234,11 +236,46 @@ class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_cost_fails_certification(self, bad):
-        # a NaN objective or gap must not pass as a certified optimum
-        lp = LinearProgram(c=[bad, 1.0], G=[[-1.0, -1.0]], h=[-2.0],
+        # a NaN objective or gap must not pass as a certified optimum; the
+        # constructor rejects non-finite data, so poke it in afterwards
+        lp = LinearProgram(c=[0.0, 1.0], G=[[-1.0, -1.0]], h=[-2.0],
                            lo=[0, 0], up=[5, 5])
+        lp.c[0] = bad
         with pytest.raises(NumericalFailure, match="certification failed"):
             solve_lp(lp)
+
+
+    def finite_parts(self):
+        return dict(c=[1.0, 1.0], G=[[-1.0, -1.0]], h=[-2.0], E=[[1.0, -1.0]],
+                    b=[0.0], lo=[0.0, 0.0], up=[5.0, 5.0])
+
+    @pytest.mark.parametrize("field", ["c", "G", "h", "E", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, field, bad):
+        parts = self.finite_parts()
+        data = np.array(parts[field], dtype=float)
+        data.flat[0] = bad
+        parts[field] = data
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LinearProgram(**parts)
+
+    @pytest.mark.parametrize("field", ["lo", "up"])
+    def test_nan_bound_rejected(self, field):
+        parts = self.finite_parts()
+        parts[field] = [np.nan, 1.0]
+        with pytest.raises(ValueError, match="bounds must not be NaN"):
+            LinearProgram(**parts)
+
+    def test_nan_rhs_no_longer_reaches_the_ratio_test(self):
+        # used to fail inside the ratio test with a bare reduction error
+        with pytest.raises(ValueError, match="h must be finite"):
+            LinearProgram(c=[1, 1], G=[[-1, -1]], h=[np.nan], lo=[0, 0], up=[5, 5])
+
+    def test_infinite_bounds_allowed(self):
+        sol = solve_lp(LinearProgram(c=[1.0, -1.0], G=[[1.0, 1.0]], h=[3.0],
+                                     lo=[-1.0, -np.inf], up=[np.inf, 2.0]))
+        assert_certified(sol)
+        assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
 
 
 class TestAddInequality:
@@ -294,3 +331,36 @@ class TestAddInequality:
             h=[4.0, 2.5, 2.0, 1.5, 1.0], E=[[1.0, 0.0, -1.0]], b=[1.0],
             lo=[0, 0, 0], up=[5, 3, 5]))
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+
+
+class TestPricing:
+    """Frozen artificials (lo = up = 0 after phase one) may never enter."""
+
+    @pytest.fixture
+    def entering(self, monkeypatch):
+        picks = []
+        choose = lp_module._Simplex.choose_entering
+
+        def record(self, d, bland):
+            j = choose(self, d, bland)
+            if j >= 0:
+                picks.append(bool(self.enterable[j]))
+            return j
+
+        monkeypatch.setattr(lp_module._Simplex, "choose_entering", record)
+        return picks
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nominal_days_never_enter_a_barred_column(self, seed, entering):
+        rng = np.random.default_rng(seed)
+        for k in range(4):
+            optimize_nominal(random_scenario(rng, horizon_steps=24, max_vehicles=30))
+        assert entering and all(entering)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_robust_days_never_enter_a_barred_column(self, seed, entering):
+        sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
+                             max_vehicles=3)
+        res = optimize_robust_price(sc, PriceBall.around(sc, 0.5))
+        assert res.cuts > 0
+        assert entering and all(entering)

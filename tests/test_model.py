@@ -32,6 +32,19 @@ class TestScenarioInvariants:
             Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[1.0],
                      capacity=10.0, socket_limit=7.0, waste=0.0, prices=[1, 1, 1])
 
+    @pytest.mark.parametrize("bad1, bad3, message", [
+        ([1, 0, 1], [0, 0, 0], "vehicle 1 has a non-contiguous presence window"),
+        ([0, 0, 0], [1, 0, 1], "vehicle 1 has demand 2.0 but is never present"),
+    ])
+    def test_first_bad_vehicle_reported(self, bad1, bad3, message):
+        # vehicles 1 and 3 are bad in different ways; the lower index is
+        # reported whichever kind it has
+        occ = np.array([[1, 1, 1], bad1, [0, 1, 1], bad3]).T
+        with pytest.raises(ValueError, match=message):
+            Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ,
+                     load=[1.0, 2.0, 1.0, 2.0], capacity=10.0, socket_limit=7.0,
+                     waste=0.0, prices=[1, 1, 1])
+
     def test_zero_demand_empty_window_ok(self):
         occ = np.zeros((3, 1))
         sc = Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[0.0],

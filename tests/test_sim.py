@@ -51,6 +51,13 @@ class TestCompareScenario:
         assert row.fcfs_shortfall  # FCFS cannot finish either
         assert not row.comparable
 
+    def test_aggregate_shortage_flagged_infeasible(self):
+        sc = make_scenario([(1, 1), (1, 1)], [5.0, 5.0], [1.0],
+                           socket=7.0, capacity=8.0)
+        row = compare_scenario(sc, RunConfig())
+        assert row.infeasible
+        assert row.optimized_cost is None
+
     def test_shortfall_flagged(self):
         sc = make_scenario([(1, 1), (1, 1)], [5.0, 5.0], [1.0],
                            socket=7.0, capacity=8.0)
