@@ -22,21 +22,8 @@ from .model import (
     occupancy_from_windows,
     validate_schedule,
 )
-from .nominal import (
-    FeasibilityReport,
-    InfeasibleScenario,
-    NominalResult,
-    check_feasibility,
-    optimize_nominal,
-)
-from .robust import (
-    LoadInterval,
-    PriceBall,
-    RobustResult,
-    optimize_robust_both,
-    optimize_robust_price,
-    robustify_load,
-)
+from .nominal import FeasibilityReport, InfeasibleScenario, check_feasibility
+from .robust import SolveResult, solve
 
 __all__ = [
     "__version__",
@@ -56,13 +43,7 @@ __all__ = [
     "fcfs_with_report",
     "FeasibilityReport",
     "InfeasibleScenario",
-    "NominalResult",
     "check_feasibility",
-    "optimize_nominal",
-    "LoadInterval",
-    "PriceBall",
-    "RobustResult",
-    "optimize_robust_both",
-    "optimize_robust_price",
-    "robustify_load",
+    "SolveResult",
+    "solve",
 ]

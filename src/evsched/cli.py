@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,8 +38,8 @@ from .ingest import (
     save_scenario,
 )
 from .model import Method, Scenario, evaluate_cost
-from .nominal import InfeasibleScenario, optimize_nominal
-from .robust import LoadInterval, PriceBall, optimize_robust_both, optimize_robust_price
+from .nominal import InfeasibleScenario
+from .robust import solve
 from .sim import (
     RunConfig,
     aggregate,
@@ -59,6 +60,25 @@ EXIT_INFEASIBLE = 4
 EXIT_SOLVER = 5
 
 OUT_DIR_ENV = "EVSCHED_OUT"
+
+
+def _finite_at_least(low: float):
+    """argparse type: a finite float >= low."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {low:g}")
+        return value
+    return number
+
+
+def _thresholds(text: str) -> str:
+    """argparse type: comma-separated integers, kept as written."""
+    try:
+        [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
+    return text
 
 
 def _add_ingest_options(p: argparse.ArgumentParser):
@@ -84,11 +104,8 @@ def _add_ingest_options(p: argparse.ArgumentParser):
 def _add_compare_options(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=["nominal", "robust-price", "robust-load"],
                    default="nominal", help="optimizer compared against FCFS")
-    p.add_argument("--radius", type=float, default=0.0,
-                   help="price uncertainty ball radius (robust methods)")
-    p.add_argument("--load-scale", type=float, default=1.0,
-                   help="worst-case load = scale * nominal load (robust-load)")
-    p.add_argument("--filters", type=str, default="1,10,30",
+    _add_robust_options(p)
+    p.add_argument("--filters", type=_thresholds, default="1,10,30",
                    help="comma-separated vehicle-count thresholds for the "
                         "summary table (default 1,10,30)")
     p.add_argument("--workers", type=int, default=1,
@@ -96,6 +113,13 @@ def _add_compare_options(p: argparse.ArgumentParser):
     p.add_argument("--fig2-day", type=str, default=None,
                    help="scenario id for the daily power profile file "
                         "(default: first scenario)")
+
+
+def _add_robust_options(p: argparse.ArgumentParser):
+    p.add_argument("--radius", type=_finite_at_least(0.0), default=0.0,
+                   help="price uncertainty ball radius (robust methods)")
+    p.add_argument("--load-scale", type=_finite_at_least(1.0), default=1.0,
+                   help="worst-case load = scale * nominal load (robust-load)")
 
 
 def _add_out_option(p: argparse.ArgumentParser, required: bool):
@@ -126,8 +150,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         choices=["nominal", "fcfs", "robust-price", "robust-load"],
         default="nominal",
     )
-    p_solve.add_argument("--radius", type=float, default=0.0)
-    p_solve.add_argument("--load-scale", type=float, default=1.0)
+    _add_robust_options(p_solve)
     _add_out_option(p_solve, required=False)
 
     p_compare = sub.add_parser("compare", help="compare methods across scenario files")
@@ -257,22 +280,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
             result = fcfs_with_report(scenario)
             schedule = result.schedule
             extras = {"shortfall_total": float(result.shortfall.sum())}
-        elif method is Method.NOMINAL:
-            schedule = optimize_nominal(scenario).schedule
-            extras = {}
         else:
-            ball = PriceBall.around(scenario, args.radius)
-            if method is Method.ROBUST_PRICE:
-                robust = optimize_robust_price(scenario, ball)
-            else:
-                interval = LoadInterval(scenario.load, scenario.load * args.load_scale)
-                robust = optimize_robust_both(scenario, ball, interval)
-            schedule = robust.schedule
-            extras = {
-                "robust_objective": robust.objective,
-                "cutting_plane_gap": robust.gap,
-                "cuts": robust.cuts,
-                "master_pivots": robust.pivots,
+            result = solve(scenario, method, radius=args.radius,
+                           load_scale=args.load_scale)
+            schedule = result.schedule
+            extras = {} if method is Method.NOMINAL else {
+                "robust_objective": result.objective,
+                "cutting_plane_gap": result.gap,
+                "cuts": result.cuts,
+                "master_pivots": result.pivots,
             }
     except InfeasibleScenario as exc:
         print(f"evsched: {exc}", file=sys.stderr)

@@ -1,14 +1,15 @@
-"""Nominal cost-minimization for one scenario.
+"""The allocation LP of one scenario and its feasibility diagnostics.
 
 The allocation problem is an LP over the variables Y[t][i] for the
 (step, vehicle) pairs where the vehicle is present: minimize the summed
 step costs subject to demand satisfaction, the station power budget and
-per-socket limits.  Phase one of the simplex decides whether a schedule
-meeting all demand exists.  Only when it finds none does
-`check_feasibility` run (per-vehicle window capacity plus an aggregate
-max-flow test), to explain why in the `InfeasibleScenario` it raises;
-infeasible scenarios are a hard error because silently under-delivering
-would corrupt every cost comparison downstream.
+per-socket limits (`robust.solve` runs it for every method).  Phase one
+of the simplex decides whether a schedule meeting all demand exists.
+Only when it finds none does `check_feasibility` run (per-vehicle window
+capacity plus an aggregate max-flow test), to explain why in the
+`InfeasibleScenario` it raises; infeasible scenarios are a hard error
+because silently under-delivering would corrupt every cost comparison
+downstream.
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_TOL, CostBreakdown, Method, Scenario, Schedule, evaluate_cost
-from .solver import (
-    Arc,
-    FlowNetwork,
-    LinearProgram,
-    LpSolution,
-    LpStatus,
-    NumericalFailure,
-    max_flow_value,
-    solve_lp,
-)
+from .model import FEAS_TOL, Method, Scenario, Schedule
+from .solver import Arc, FlowNetwork, LinearProgram, NumericalFailure, max_flow_value
 
 
 @dataclass(frozen=True)
@@ -51,13 +43,6 @@ class InfeasibleScenario(RuntimeError):
         super().__init__(f"scenario {scenario_id!r} is infeasible ({report})")
         self.scenario_id = scenario_id
         self.report = report
-
-
-@dataclass
-class NominalResult:
-    schedule: Schedule
-    cost: CostBreakdown
-    lp_solution: LpSolution
 
 
 def variable_index(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -114,17 +99,13 @@ def check_feasibility(scenario: Scenario, tol: float = FEAS_TOL) -> FeasibilityR
 
 
 def scheduling_lp(
-    scenario: Scenario, prices: np.ndarray | None = None
+    scenario: Scenario,
 ) -> tuple[LinearProgram, tuple[np.ndarray, np.ndarray]]:
-    """Build the allocation LP; `prices` overrides the scenario's own
-    price vector (used by the robust price model)."""
-    pi = scenario.prices if prices is None else np.asarray(prices, dtype=float)
-    if pi.shape != (scenario.horizon_steps,):
-        raise ValueError("prices must have length horizon_steps")
+    """Build the allocation LP and its variable index."""
     var_index = steps, vehicles = variable_index(scenario)
     T, n = scenario.horizon_steps, scenario.num_vehicles
     k = np.arange(steps.size)
-    unit_cost = pi * (1.0 + scenario.waste) * scenario.step_hours
+    unit_cost = scenario.prices * (1.0 + scenario.waste) * scenario.step_hours
 
     G = np.zeros((n + T, k.size))
     G[vehicles, k] = -1.0  # demand row, as -sum(Y) <= -L
@@ -158,35 +139,3 @@ def unsolved(scenario: Scenario, detail: str) -> RuntimeError:
             "it feasible"
         )
     return InfeasibleScenario(scenario.scenario_id, report)
-
-
-def optimize_nominal(scenario: Scenario) -> NominalResult:
-    """Certified-optimal schedule for one scenario.
-
-    Raises InfeasibleScenario when demand cannot be met, and
-    NumericalFailure when the solver fails on a feasible day.
-    """
-    if not variable_index(scenario)[0].size:
-        # nothing schedulable: no vehicle is ever present, so none has demand
-        schedule = Schedule(
-            allocation=np.zeros((scenario.horizon_steps, scenario.num_vehicles)),
-            method=Method.NOMINAL,
-            scenario_id=scenario.scenario_id,
-        )
-        empty = LpSolution(status=LpStatus.OPTIMAL, x=np.zeros(0), objective_value=0.0)
-        return NominalResult(
-            schedule=schedule, cost=evaluate_cost(schedule, scenario), lp_solution=empty
-        )
-    lp, var_index = scheduling_lp(scenario)
-    try:
-        sol = solve_lp(lp)
-    except NumericalFailure as exc:
-        raise unsolved(scenario, str(exc)) from exc
-    if sol.status is not LpStatus.OPTIMAL:
-        raise unsolved(scenario, f"LP reported {sol.status.value}")
-    schedule = schedule_from_x(scenario, sol.x, var_index, Method.NOMINAL)
-    return NominalResult(
-        schedule=schedule,
-        cost=evaluate_cost(schedule, scenario),
-        lp_solution=sol,
-    )

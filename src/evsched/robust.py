@@ -1,13 +1,15 @@
-"""Robust counterparts of the nominal model.
+"""One solve entry point for every optimizer.
 
-Two uncertainty mechanisms are supported:
+Each method minimizes `prices . v + radius * ||v||` over the per-step
+totals v of the allocation LP, by the cutting-plane kernel:
 
-* prices known only up to a Euclidean ball around a nominal vector: the
-  worst case adds `radius * ||per-step totals||` to the objective, which
-  the cutting-plane kernel minimizes over the unchanged constraint set;
-* per-vehicle demand known only up to an interval: the worst case simply
-  substitutes the upper bounds, then any model (nominal or price-robust)
-  runs on the substituted scenario.
+* nominal is radius 0, where the kernel solves the plain LP;
+* robust-price takes prices known only up to a Euclidean ball of the given
+  radius around the scenario's prices; the norm term is the worst case
+  over that ball (the Ben-Tal & Nemirovski ball counterpart);
+* robust-load takes demand known only up to the interval
+  [load, load * load_scale]; the worst case substitutes the upper bound,
+  then runs the price-ball model.
 
 Only the objective is robustified for prices; constraints are certain, so
 robust schedules remain feasible for the (worst-case-load) scenario.
@@ -15,83 +17,40 @@ robust schedules remain feasible for the (worst-case-load) scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CostBreakdown,
-    Method,
-    Scenario,
-    Schedule,
-    ShapeMismatch,
-    evaluate_cost,
-)
-from .nominal import schedule_from_x, scheduling_lp, unsolved, variable_index
-from .solver import (
-    NormAugmentedResult,
-    NormAugmentedStatus,
-    NumericalFailure,
-    solve_norm_augmented,
-)
-from .solver.socp import GAP_ABS_TOL, GAP_REL_TOL, MAX_CUTS
-
-
-@dataclass(frozen=True)
-class PriceBall:
-    """Euclidean uncertainty ball for the price vector."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if center.ndim != 1:
-            raise ValueError("center must be a vector")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @classmethod
-    def around(cls, scenario: Scenario, radius: float) -> "PriceBall":
-        return cls(center=scenario.prices, radius=radius)
-
-
-@dataclass(frozen=True)
-class LoadInterval:
-    """Elementwise demand bounds 0 <= lower <= upper."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape:
-            raise ShapeMismatch("lower and upper must have the same length")
-        if (lower < 0).any():
-            raise ValueError("lower bounds must be nonnegative")
-        if (lower > upper).any():
-            raise ValueError("interval requires lower <= upper elementwise")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+from .model import CostBreakdown, Method, Scenario, Schedule, evaluate_cost
+from .nominal import schedule_from_x, scheduling_lp, unsolved
+from .solver import NormAugmentedStatus, NumericalFailure, solve_norm_augmented
 
 
 @dataclass
-class RobustResult:
+class SolveResult:
+    """One optimizer run; `cost` is the schedule's cost at the nominal prices."""
+
     schedule: Schedule
+    cost: CostBreakdown
     objective: float  # nominal-price cost + radius * ||per-step totals||
-    nominal_cost: CostBreakdown
-    per_step_totals: np.ndarray
-    norm_value: float
-    gap: float
+    gap: float  # cutting-plane upper minus lower bound (0 for an LP)
     cuts: int
-    pivots: int  # simplex pivots over every cutting-plane master
-    converged: bool
+    pivots: int  # simplex pivots over every LP the solve ran
+    converged: bool  # False when the cut limit stopped the loop
+
+
+def check_options(method: Method | str, radius: float, load_scale: float) -> Method:
+    """The optimizer named by `method`; ValueError on FCFS, a negative or
+    non-finite radius, or a non-finite load scale below 1."""
+    method = Method(method)
+    if method is Method.FCFS:
+        raise ValueError("fcfs is a baseline, not an optimizer")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if not 1.0 <= load_scale < math.inf:
+        raise ValueError(f"load_scale must be finite and >= 1, got {load_scale}")
+    return method
 
 
 def totals_map(
@@ -106,103 +65,47 @@ def totals_map(
     return M
 
 
-def optimize_robust_price(
+def solve(
     scenario: Scenario,
-    ball: PriceBall,
+    method: Method = Method.NOMINAL,
     *,
-    gap_abs_tol: float = GAP_ABS_TOL,
-    gap_rel_tol: float = GAP_REL_TOL,
-    max_cuts: int = MAX_CUTS,
-) -> RobustResult:
-    """Worst-case-price schedule for one scenario.
+    radius: float = 0.0,
+    load_scale: float = 1.0,
+) -> SolveResult:
+    """Optimal schedule for one scenario under `method`.
 
-    The objective is center.v + radius * ||v|| over per-step totals v; the
-    constraint set is the nominal one.  With radius 0 this reduces to the
-    nominal LP exactly.
+    `radius` applies to the robust methods and `load_scale` to robust-load.
+    Raises InfeasibleScenario when demand cannot be met, and
+    NumericalFailure when the solver fails on a feasible day.
     """
-    if ball.center.shape != (scenario.horizon_steps,):
-        raise ShapeMismatch(
-            f"ball center length {ball.center.size} != horizon "
-            f"{scenario.horizon_steps}"
-        )
-    if not variable_index(scenario)[0].size:
+    method = check_options(method, radius, load_scale)
+    if method is Method.NOMINAL:
+        radius = 0.0
+    elif method is Method.ROBUST_LOAD:
+        scenario = scenario.replace_load(scenario.load * load_scale)
+    if not scenario.occupancy.any():
+        # nothing schedulable: no vehicle is ever present, so none has demand
         schedule = Schedule(
             allocation=np.zeros((scenario.horizon_steps, scenario.num_vehicles)),
-            method=Method.ROBUST_PRICE,
+            method=method,
             scenario_id=scenario.scenario_id,
         )
-        return RobustResult(
-            schedule=schedule,
-            objective=0.0,
-            nominal_cost=evaluate_cost(schedule, scenario),
-            per_step_totals=np.zeros(scenario.horizon_steps),
-            norm_value=0.0,
-            gap=0.0,
-            cuts=0,
-            pivots=0,
-            converged=True,
-        )
+        return SolveResult(schedule, evaluate_cost(schedule, scenario), 0.0, 0.0, 0, 0, True)
 
-    lp, var_index = scheduling_lp(scenario, prices=ball.center)
-    M = totals_map(scenario, var_index)
+    lp, var_index = scheduling_lp(scenario)
     try:
-        result = solve_norm_augmented(
-            lp,
-            ball.radius,
-            M,
-            gap_abs_tol=gap_abs_tol,
-            gap_rel_tol=gap_rel_tol,
-            max_cuts=max_cuts,
-        )
+        result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index))
     except NumericalFailure as exc:
         raise unsolved(scenario, str(exc)) from exc
     if result.status in (NormAugmentedStatus.INFEASIBLE, NormAugmentedStatus.UNBOUNDED):
-        # phase one of the first master decides feasibility; the box bounds
-        # the feasible set, so unbounded means a numerical failure
-        raise unsolved(scenario, f"robust master reported {result.status.value}")
-    return _package(scenario, result, M, var_index, Method.ROBUST_PRICE)
-
-
-def robustify_load(scenario: Scenario, interval: LoadInterval) -> Scenario:
-    """Scenario with demand replaced by its worst-case (upper) values.
-
-    The caller is responsible for re-checking feasibility of the result.
-    """
-    if interval.upper.shape != (scenario.num_vehicles,):
-        raise ShapeMismatch(
-            f"interval length {interval.upper.size} != vehicles "
-            f"{scenario.num_vehicles}"
-        )
-    return scenario.replace_load(interval.upper)
-
-
-def optimize_robust_both(
-    scenario: Scenario,
-    ball: PriceBall,
-    interval: LoadInterval,
-    **kwargs,
-) -> RobustResult:
-    """Worst-case load substitution followed by the price-ball model."""
-    worst = robustify_load(scenario, interval)
-    result = optimize_robust_price(worst, ball, **kwargs)
-    schedule = Schedule(
-        allocation=result.schedule.allocation,
-        method=Method.ROBUST_LOAD,
-        scenario_id=scenario.scenario_id,
-    )
-    result.schedule = schedule
-    return result
-
-
-def _package(scenario, result: NormAugmentedResult, M, var_index, method) -> RobustResult:
+        # phase one decides feasibility; the box bounds the feasible set,
+        # so unbounded means a numerical failure
+        raise unsolved(scenario, f"solve reported {result.status.value}")
     schedule = schedule_from_x(scenario, result.x, var_index, method)
-    totals = M @ result.x
-    return RobustResult(
+    return SolveResult(
         schedule=schedule,
+        cost=evaluate_cost(schedule, scenario),
         objective=float(result.objective),
-        nominal_cost=evaluate_cost(schedule, scenario),
-        per_step_totals=totals,
-        norm_value=float(result.norm_value),
         gap=float(result.gap),
         cuts=result.cuts,
         pivots=result.pivots,

@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .baseline import fcfs_with_report
 from .model import FEAS_TOL, Method, Scenario, Schedule, evaluate_cost
-from .nominal import InfeasibleScenario, optimize_nominal
-from .robust import LoadInterval, PriceBall, optimize_robust_both, optimize_robust_price
+from .nominal import InfeasibleScenario
+from .robust import check_options, solve
 from .solver import NumericalFailure
 
 
@@ -44,13 +44,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "method", Method(self.method))
-        if self.method is Method.FCFS:
-            raise ValueError("the optimizer under comparison cannot be fcfs")
-        if self.robust_radius < 0:
-            raise ValueError("robust_radius must be nonnegative")
-        if self.load_upper_scale < 1.0:
-            raise ValueError("load_upper_scale must be >= 1")
+        method = check_options(self.method, self.robust_radius, self.load_upper_scale)
+        object.__setattr__(self, "method", method)
 
 
 @dataclass
@@ -101,13 +96,8 @@ class SummaryTable:
 
 def optimized_schedule(scenario: Scenario, config: RunConfig) -> Schedule:
     """Run the configured optimizer on one scenario."""
-    if config.method is Method.NOMINAL:
-        return optimize_nominal(scenario).schedule
-    ball = PriceBall.around(scenario, config.robust_radius)
-    if config.method is Method.ROBUST_PRICE:
-        return optimize_robust_price(scenario, ball).schedule
-    interval = LoadInterval(scenario.load, scenario.load * config.load_upper_scale)
-    return optimize_robust_both(scenario, ball, interval).schedule
+    return solve(scenario, config.method, radius=config.robust_radius,
+                 load_scale=config.load_upper_scale).schedule
 
 
 def compare_scenario(scenario: Scenario, config: RunConfig) -> ComparisonRow:

@@ -1,13 +1,6 @@
-"""Generic optimization kernels: LP solver, flow oracle, norm cutting planes."""
+"""Generic optimization kernels: LP solver, max-flow, norm cutting planes."""
 
-from .flow import (
-    Arc,
-    FlowNetwork,
-    FlowResult,
-    FlowStatus,
-    max_flow_value,
-    solve_min_cost_flow,
-)
+from .flow import Arc, FlowNetwork, max_flow_value
 from .lp import (
     FEASIBILITY_TOL,
     GAP_REL_TOL,
@@ -26,10 +19,7 @@ from .socp import (
 __all__ = [
     "Arc",
     "FlowNetwork",
-    "FlowResult",
-    "FlowStatus",
     "max_flow_value",
-    "solve_min_cost_flow",
     "FEASIBILITY_TOL",
     "GAP_REL_TOL",
     "LinearProgram",

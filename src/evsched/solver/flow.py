@@ -1,27 +1,20 @@
-"""Min-cost flow and max-flow on small directed networks.
+"""Max-flow on small directed networks.
 
-This is the independent verification oracle for the scheduling LP: the
-daily allocation problem is a transportation problem, so its optimum must
-match a minimum-cost flow of value sum(load) on the equivalent network.
-The implementation is successive shortest paths with Bellman-Ford (arc
-costs may be negative when market prices are), augmenting by the maximum
-amount each round.  Networks here are tiny, so clarity wins over speed.
+The daily allocation problem is a transportation problem; the max-flow of
+its network (Edmonds-Karp) tells whether all demand can be met, and
+explains an infeasible day.  Arcs carry a unit cost as well, so the same
+network serves the tests' min-cost-flow oracle for the LP.  Networks here
+are tiny, so clarity wins over speed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 _CAP_TOL = 1e-12
-
-
-class FlowStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -48,14 +41,6 @@ class FlowNetwork:
                 raise ValueError(f"arc {a} has negative capacity")
 
 
-@dataclass
-class FlowResult:
-    status: FlowStatus
-    value: float
-    cost: float
-    flows: np.ndarray  # per input arc, in arc order
-
-
 class _Residual:
     """Doubled-arc residual graph: edge 2k is arc k, edge 2k+1 its reverse."""
 
@@ -63,51 +48,20 @@ class _Residual:
         self.n = net.num_nodes
         self.heads: list[int] = []
         self.caps: list[float] = []
-        self.costs: list[float] = []
         self.adj: list[list[int]] = [[] for _ in range(self.n)]
-        for k, a in enumerate(net.arcs):
-            self._push(a.tail, a.head, a.capacity, a.cost)
-            self._push(a.head, a.tail, 0.0, -a.cost)
+        for a in net.arcs:
+            self._push(a.tail, a.head, a.capacity)
+            self._push(a.head, a.tail, 0.0)
 
-    def _push(self, tail, head, cap, cost):
+    def _push(self, tail, head, cap):
         idx = len(self.heads)
         self.heads.append(head)
         self.caps.append(cap)
-        self.costs.append(cost)
         self.adj[tail].append(idx)
 
     def tail_of(self, edge: int) -> int:
         # edge 2k leaves net.arcs[k].tail; its mate leaves the head
         return self.heads[edge ^ 1]
-
-    def bellman_ford(self, src: int):
-        """Shortest-cost distances and predecessor edges over residual arcs."""
-        dist = np.full(self.n, np.inf)
-        pred = np.full(self.n, -1, dtype=int)
-        dist[src] = 0.0
-        in_queue = np.zeros(self.n, dtype=bool)
-        queue = deque([src])
-        in_queue[src] = True
-        rounds = 0
-        while queue:
-            u = queue.popleft()
-            in_queue[u] = False
-            rounds += 1
-            if rounds > self.n * len(self.heads) + 16:
-                raise RuntimeError("negative cycle detected in residual graph")
-            du = dist[u]
-            for e in self.adj[u]:
-                if self.caps[e] <= _CAP_TOL:
-                    continue
-                v = self.heads[e]
-                nd = du + self.costs[e]
-                if nd < dist[v] - 1e-15:
-                    dist[v] = nd
-                    pred[v] = e
-                    if not in_queue[v]:
-                        queue.append(v)
-                        in_queue[v] = True
-        return dist, pred
 
     def bfs_path(self, src: int, dst: int):
         """Fewest-hop augmenting path (for max flow)."""
@@ -145,38 +99,6 @@ class _Residual:
         return amount
 
 
-def solve_min_cost_flow(net: FlowNetwork, required_flow: float) -> FlowResult:
-    """Cheapest feasible flow of exactly `required_flow` source -> sink.
-
-    Returns INFEASIBLE (with the best value reached) when the network
-    cannot carry the full amount.
-    """
-    if required_flow < 0:
-        raise ValueError("required_flow must be nonnegative")
-    res = _Residual(net)
-    sent = 0.0
-    guard = 4 * len(res.heads) * net.num_nodes + 64
-    while required_flow - sent > _CAP_TOL:
-        dist, pred = res.bellman_ford(net.source)
-        if not np.isfinite(dist[net.sink]):
-            return FlowResult(
-                status=FlowStatus.INFEASIBLE,
-                value=sent,
-                cost=_flow_cost(net, res),
-                flows=_flows(net, res),
-            )
-        sent += res.augment(pred, net.source, net.sink, required_flow - sent)
-        guard -= 1
-        if guard <= 0:
-            raise RuntimeError("augmentation did not terminate")
-    return FlowResult(
-        status=FlowStatus.OPTIMAL,
-        value=sent,
-        cost=_flow_cost(net, res),
-        flows=_flows(net, res),
-    )
-
-
 def max_flow_value(net: FlowNetwork) -> float:
     """Maximum source -> sink flow value (Edmonds-Karp)."""
     res = _Residual(net)
@@ -186,14 +108,3 @@ def max_flow_value(net: FlowNetwork) -> float:
         if pred is None:
             return total
         total += res.augment(pred, net.source, net.sink, np.inf)
-
-
-def _flows(net: FlowNetwork, res: _Residual) -> np.ndarray:
-    return np.array(
-        [net.arcs[k].capacity - res.caps[2 * k] for k in range(len(net.arcs))]
-    )
-
-
-def _flow_cost(net: FlowNetwork, res: _Residual) -> float:
-    flows = _flows(net, res)
-    return float(sum(f * a.cost for f, a in zip(flows, net.arcs)))

@@ -446,8 +446,9 @@ class _Simplex:
             if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
                 raise NumericalFailure("phase one reported unbounded")
             self.refactorize()
-            phase1 = float(c1 @ self.values)
-            if phase1 > 1e-9 * max(1.0, float(np.abs(self.rhs).max(initial=0.0))):
+            # each artificial bounds its row's violation at the phase-one
+            # point, which certification would hold to FEASIBILITY_TOL
+            if self.values[self.art_start :].max() > FEASIBILITY_TOL:
                 return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
             self._expel_artificials()
             # freeze artificials at zero and bar them from re-entering
@@ -535,43 +536,6 @@ class _Simplex:
         )
 
 
-def _solve_boxed(lp: LinearProgram) -> LpSolution:
-    """No-constraint case: each variable sits at whichever bound its cost
-    prefers."""
-    x = np.zeros(lp.num_vars)
-    for j, cj in enumerate(lp.c):
-        if cj > 0:
-            if not np.isfinite(lp.lo[j]):
-                return LpSolution(status=LpStatus.UNBOUNDED)
-            x[j] = lp.lo[j]
-        elif cj < 0:
-            if not np.isfinite(lp.up[j]):
-                return LpSolution(status=LpStatus.UNBOUNDED)
-            x[j] = lp.up[j]
-        else:
-            x[j] = lp.lo[j] if np.isfinite(lp.lo[j]) else min(lp.up[j], 0.0)
-    mu_lo = np.where(np.isfinite(lp.lo), np.maximum(lp.c, 0.0), 0.0)
-    mu_up = np.where(np.isfinite(lp.up), np.maximum(-lp.c, 0.0), 0.0)
-    primal = float(lp.c @ x)
-    fin_lo = np.isfinite(lp.lo)
-    fin_up = np.isfinite(lp.up)
-    dual = float(mu_lo[fin_lo] @ lp.lo[fin_lo]) - float(mu_up[fin_up] @ lp.up[fin_up])
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        x=x,
-        objective_value=primal,
-        dual_ineq=np.zeros(0),
-        dual_eq=np.zeros(0),
-        dual_lo=mu_lo,
-        dual_up=mu_up,
-        dual_objective=dual,
-        duality_gap=primal - dual,
-        max_residual=0.0,
-    )
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP and certify the result (see module docstring)."""
-    if lp.G.shape[0] == 0 and lp.E.shape[0] == 0:
-        return _solve_boxed(lp)
     return _Simplex(lp).solve()

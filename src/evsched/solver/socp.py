@@ -80,8 +80,6 @@ def solve_norm_augmented(
     weight: float,
     norm_map: np.ndarray,
     *,
-    gap_abs_tol: float = GAP_ABS_TOL,
-    gap_rel_tol: float = GAP_REL_TOL,
     max_cuts: int = MAX_CUTS,
 ) -> NormAugmentedResult:
     if weight < 0:
@@ -147,7 +145,7 @@ def solve_norm_augmented(
                 lp_solution=sol,
             )
         gap = best_upper - lower
-        if gap <= max(gap_abs_tol, gap_rel_tol * max(1.0, abs(best_upper))):
+        if gap <= max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper))):
             best.lower_bound = lower
             best.gap = float(gap)
             best.cuts = k

@@ -10,16 +10,7 @@ import time
 
 import numpy as np
 
-from evsched import (
-    LoadInterval,
-    PriceBall,
-    evaluate_cost,
-    fcfs_with_report,
-    optimize_nominal,
-    optimize_robust_both,
-    optimize_robust_price,
-    validate_schedule,
-)
+from evsched import Method, evaluate_cost, fcfs_with_report, solve, validate_schedule
 from evsched.model import ViolationKind
 from evsched.nominal import scheduling_network
 from evsched.sim import (
@@ -32,11 +23,11 @@ from evsched.sim import (
     write_summary_csv,
     write_summary_json,
 )
-from evsched.solver import FlowStatus, solve_min_cost_flow
 from evsched.synth import random_batch, random_scenario, write_synthetic_corpus
 from evsched.ingest import IngestConfig, build_scenarios, parse_prices, parse_sessions
 
 from conftest import make_scenario
+from flow_oracle import FlowStatus, solve_min_cost_flow
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -56,7 +47,7 @@ def test_criterion_1_oracle_equivalence():
             capacity=float(rng.uniform(8.0, 28.0)),
             scenario_id=f"oracle-{k}",
         )
-        lp_cost = optimize_nominal(sc).cost.total_cost
+        lp_cost = solve(sc).cost.total_cost
         flow = solve_min_cost_flow(scheduling_network(sc), float(sc.load.sum()))
         assert flow.status is FlowStatus.OPTIMAL
         rel = abs(lp_cost - flow.cost) / max(1e-12, abs(flow.cost))
@@ -72,7 +63,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_golden_hand_instance():
     sc = make_scenario([(1, 2)], [5.0], [2.0, 1.0], waste=0.01)
-    nominal = optimize_nominal(sc).cost.total_cost
+    nominal = solve(sc).cost.total_cost
     fcfs = evaluate_cost(fcfs_with_report(sc).schedule, sc).total_cost
     saving = 100.0 * (fcfs - nominal) / fcfs
     ok = (
@@ -100,7 +91,7 @@ def test_criterion_3_flat_price_identity():
             step_hours=delta,
             scenario_id=f"flat-{k}",
         )
-        cost = optimize_nominal(sc).cost.total_cost
+        cost = solve(sc).cost.total_cost
         expected = p * (1.0 + g) * delta * float(sc.load.sum())
         worst = max(worst, abs(cost - expected) / max(1e-12, abs(expected)))
     report(3, worst <= 1e-8, f"50 scenarios, worst relative error {worst:.2e} (tol 1e-8)")
@@ -123,7 +114,7 @@ def test_criterion_4_dominance():
         if (fcfs.shortfall > 1e-9).any():
             continue
         fcfs_cost = evaluate_cost(fcfs.schedule, sc).total_cost
-        opt_cost = optimize_nominal(sc).cost.total_cost
+        opt_cost = solve(sc).cost.total_cost
         worst_excess = max(worst_excess, opt_cost - fcfs_cost)
         checked += 1
     report(
@@ -159,11 +150,11 @@ def test_criterion_5_constraint_satisfaction():
                 if abs(reported.get(i, 0.0) - short) > 1e-8:
                     shortfall_mismatch += 1
 
-        schedules = [optimize_nominal(sc).schedule]
-        ball = PriceBall.around(sc, 0.3)
-        schedules.append(optimize_robust_price(sc, ball).schedule)
-        interval = LoadInterval(sc.load, sc.load)
-        schedules.append(optimize_robust_both(sc, ball, interval).schedule)
+        schedules = [
+            solve(sc).schedule,
+            solve(sc, Method.ROBUST_PRICE, radius=0.3).schedule,
+            solve(sc, Method.ROBUST_LOAD, radius=0.3, load_scale=1.0).schedule,
+        ]
         for schedule in schedules:
             if not validate_schedule(schedule, sc, tol=1e-8).feasible:
                 bad += 1
@@ -186,17 +177,18 @@ def test_criterion_6_robust_consistency():
             max_vehicles=4,
             scenario_id=f"rob-{k}",
         )
-        nominal = optimize_nominal(sc).cost.total_cost
+        nominal = solve(sc).cost.total_cost
         values = []
         for r in (0.0, 0.1, 1.0, 10.0):
-            values.append(optimize_robust_price(sc, PriceBall.around(sc, r)).objective)
+            values.append(solve(sc, Method.ROBUST_PRICE, radius=r).objective)
         rel = abs(values[0] - nominal) / max(1e-12, abs(nominal))
         worst_zero_gap = max(worst_zero_gap, rel)
         monotone_ok &= all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
     sc = make_scenario([(1, 2)], [6.0], [1.0, 1.0], socket=7.0)
-    spread = optimize_robust_price(sc, PriceBall.around(sc, 1.0))
-    totals_err = float(np.abs(spread.per_step_totals - 3.0).max())
+    spread = solve(sc, Method.ROBUST_PRICE, radius=1.0)
+    totals = (1.0 + sc.waste) * sc.step_hours * spread.schedule.allocation.sum(axis=1)
+    totals_err = float(np.abs(totals - 3.0).max())
     target = 6.0 + 3.0 * np.sqrt(2.0)
     obj_err = abs(spread.objective - target) / target
     ok = (
@@ -259,7 +251,7 @@ def test_criterion_8_corpus_properties(tmp_path):
     chosen = built.scenarios[0]
     schedules = {
         "fcfs": fcfs_with_report(chosen).schedule,
-        "nominal": optimize_nominal(chosen).schedule,
+        "nominal": solve(chosen).schedule,
     }
     paths = emit_plot_data(rows, chosen, schedules, out)
 
@@ -302,7 +294,7 @@ def test_criterion_9_performance(tmp_path):
     big = random_scenario(rng, horizon_steps=24, num_vehicles=100,
                           capacity=300.0, scenario_id="big-day")
     start = time.perf_counter()
-    result = optimize_nominal(big)
+    result = solve(big)
     single = time.perf_counter() - start
     assert validate_schedule(result.schedule, big).feasible
 

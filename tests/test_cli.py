@@ -82,6 +82,41 @@ class TestParseArgs:
         args = parse_args(["simulate", "--synthetic", "2"])
         assert str(args.out).endswith("envout")
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "robust-price", "--radius", "-1"],
+        ["--method", "robust-price", "--radius", "nan"],
+        ["--method", "robust-price", "--radius", "inf"],
+        ["--method", "robust-price", "--radius", "x"],
+        ["--method", "robust-load", "--load-scale", "0.5"],
+        ["--method", "robust-load", "--load-scale", "nan"],
+        ["--method", "robust-load", "--load-scale", "inf"],
+    ])
+    def test_bad_robust_values_are_usage_errors(self, tmp_path, capsys, flags):
+        path = tmp_path / "day.json"
+        save_scenario(make_scenario([(1, 2)], [5.0], [1.0, 2.0]), path)
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--scenario", str(path), *flags])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            parse_args(["compare", "--scenarios", str(path), "--out", "x", *flags])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("filters", ["x", "1,ten", "1.5"])
+    def test_non_integer_filters_are_usage_errors(self, tmp_path, capsys, filters):
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--scenarios", str(tmp_path), "--out", str(tmp_path / "r"),
+                  "--filters", filters])
+        assert err.value.code == 2
+        assert "--filters" in capsys.readouterr().err
+
+    def test_boundary_robust_values_accepted(self):
+        args = parse_args(["solve", "--scenario", "d.json", "--radius", "0",
+                           "--load-scale", "1"])
+        assert (args.radius, args.load_scale) == (0.0, 1.0)
+        assert parse_args(["compare", "--scenarios", "d", "--out", "x",
+                           "--filters", " 1, 5,"]).filters == " 1, 5,"
+
 
 class TestIngestCommand:
     def test_writes_scenarios_and_manifest(self, tmp_path, capsys):

@@ -5,10 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from evsched import PriceBall, optimize_nominal, optimize_robust_price
+from evsched import Method, solve
+from evsched.nominal import scheduling_lp
 from evsched.solver import LinearProgram, LpStatus, NumericalFailure, solve_lp
 from evsched.solver import lp as lp_module
 from evsched.synth import random_scenario
+
+from conftest import make_scenario
 
 
 def enumerate_optimum(lp, grid=None):
@@ -105,6 +108,49 @@ class TestExamples:
         sol = solve_lp(lp)
         assert_certified(sol)
         assert sol.objective_value == pytest.approx(oracle_obj, abs=1e-9)
+
+
+class TestConstraintFree:
+    """A program without rows goes through the simplex like any other:
+    each variable ends at the bound its cost prefers."""
+
+    @pytest.mark.parametrize("c, lo, up, objective", [
+        ([1.0, -2.0], [0.0, 0.0], [3.0, 4.0], -8.0),
+        ([0.0, 1.0], [-np.inf, 1.0], [2.0, np.inf], 1.0),
+        ([-1.0, 0.5], [-1.0, -2.0], [1.0, 2.0], -2.0),
+        ([0.0, 0.0], [-np.inf, -np.inf], [np.inf, np.inf], 0.0),
+    ])
+    def test_optimal(self, c, lo, up, objective):
+        sol = solve_lp(LinearProgram(c=c, lo=lo, up=up))
+        assert_certified(sol)
+        assert sol.objective_value == objective
+        assert sol.duality_gap == 0.0
+
+    @pytest.mark.parametrize("c, lo, up", [
+        ([1.0], [-np.inf], [5.0]),
+        ([0.0, -1.0], [0.0, 0.0], [1.0, np.inf]),
+    ])
+    def test_unbounded(self, c, lo, up):
+        assert solve_lp(LinearProgram(c=c, lo=lo, up=up)).status is LpStatus.UNBOUNDED
+
+
+class TestPhaseOneTolerance:
+    """Phase one declares infeasibility at the certificate's own residual
+    tolerance, so a shortage just above it is INFEASIBLE, not a failed
+    certificate."""
+
+    @staticmethod
+    def short_day(excess):
+        return scheduling_lp(make_scenario([(1, 2), (1, 3)], [14.0 + excess, 3.0],
+                                           [1.0, 2.0, 1.0], socket=7.0))[0]
+
+    @pytest.mark.parametrize("excess", [1.1e-8, 2e-8, 1e-7, 1e-6])
+    def test_shortage_above_tolerance_is_infeasible(self, excess):
+        assert solve_lp(self.short_day(excess)).status is LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("excess", [0.0, 5e-9])
+    def test_shortage_within_tolerance_is_certified(self, excess):
+        assert_certified(solve_lp(self.short_day(excess)))
 
 
 class TestRandomized:
@@ -354,13 +400,13 @@ class TestPricing:
     def test_nominal_days_never_enter_a_barred_column(self, seed, entering):
         rng = np.random.default_rng(seed)
         for k in range(4):
-            optimize_nominal(random_scenario(rng, horizon_steps=24, max_vehicles=30))
+            solve(random_scenario(rng, horizon_steps=24, max_vehicles=30))
         assert entering and all(entering)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_robust_days_never_enter_a_barred_column(self, seed, entering):
         sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
                              max_vehicles=3)
-        res = optimize_robust_price(sc, PriceBall.around(sc, 0.5))
+        res = solve(sc, Method.ROBUST_PRICE, radius=0.5)
         assert res.cuts > 0
         assert entering and all(entering)

@@ -1,4 +1,4 @@
-"""Nominal optimizer tests: hand instances, the min-cost-flow oracle, and
+"""Nominal solve tests: hand instances, the min-cost-flow oracle, and
 dominance over FCFS."""
 
 from dataclasses import replace
@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 
 import evsched.nominal as nominal_module
+import evsched.solver.socp as socp_module
 from evsched import (
     InfeasibleScenario,
     Method,
-    PriceBall,
     ViolationKind,
     check_feasibility,
     evaluate_cost,
     fcfs_with_report,
-    optimize_nominal,
-    optimize_robust_price,
+    solve,
     validate_schedule,
 )
 from evsched.nominal import schedule_from_x, scheduling_lp, scheduling_network
 from evsched.robust import totals_map
-from evsched.solver import FlowStatus, NumericalFailure, solve_min_cost_flow
+from evsched.solver import NumericalFailure
 from evsched.synth import random_scenario
 
 from conftest import make_scenario
+from flow_oracle import FlowStatus, solve_min_cost_flow
 
 
 class TestFeasibilityCheck:
@@ -57,29 +57,27 @@ class TestFeasibilityCheck:
 
 class TestHandInstances:
     def test_two_step_instance(self, two_step_vehicle):
-        result = optimize_nominal(two_step_vehicle)
+        result = solve(two_step_vehicle)
         # all power in the cheap second step
         assert result.schedule.allocation[:, 0] == pytest.approx([0.0, 5.0], abs=1e-9)
         assert result.cost.total_cost == pytest.approx(5.05, abs=1e-9)
-        assert result.lp_solution.objective_value == pytest.approx(
-            result.cost.total_cost, abs=1e-9
-        )
+        assert result.objective == pytest.approx(result.cost.total_cost, abs=1e-9)
 
     def test_infeasible_scenario_raises(self):
         sc = make_scenario([(1, 2)], [15.0], [1.0, 1.0], socket=7.0)
         with pytest.raises(InfeasibleScenario) as err:
-            optimize_nominal(sc)
+            solve(sc)
         assert not err.value.report.feasible
 
     def test_empty_scenario(self):
         sc = make_scenario([], [], [1.0, 1.0])
-        result = optimize_nominal(sc)
+        result = solve(sc)
         assert result.cost.total_cost == 0.0
         assert result.schedule.allocation.shape == (2, 0)
 
     def test_zero_demand_vehicle(self):
         sc = make_scenario([(1, 2), None], [4.0, 0.0], [0.5, 0.2])
-        result = optimize_nominal(sc)
+        result = solve(sc)
         assert result.schedule.allocation[:, 1] == pytest.approx([0.0, 0.0])
         assert result.cost.total_cost == pytest.approx(0.2 * 4.0, abs=1e-9)
 
@@ -93,7 +91,7 @@ class TestProperties:
             sc = random_scenario(rng, horizon_steps=int(rng.integers(2, 8)),
                                  max_vehicles=5, waste=g,
                                  price_low=p, price_high=p)
-            result = optimize_nominal(sc)
+            result = solve(sc)
             expected = p * (1.0 + g) * sc.step_hours * sc.load.sum()
             assert result.cost.total_cost == pytest.approx(expected, rel=1e-8)
 
@@ -101,7 +99,7 @@ class TestProperties:
         rng = np.random.default_rng(12)
         for _ in range(20):
             sc = random_scenario(rng, horizon_steps=6, max_vehicles=4)
-            result = optimize_nominal(sc)
+            result = solve(sc)
             delivered = result.schedule.allocation.sum(axis=0)
             assert delivered == pytest.approx(sc.load, rel=1e-6, abs=1e-6)
 
@@ -114,7 +112,7 @@ class TestProperties:
                 max_vehicles=4,
                 capacity=float(rng.uniform(8.0, 25.0)),
             )
-            result = optimize_nominal(sc)
+            result = solve(sc)
             flow = solve_min_cost_flow(scheduling_network(sc), float(sc.load.sum()))
             assert flow.status is FlowStatus.OPTIMAL
             assert result.cost.total_cost == pytest.approx(
@@ -130,7 +128,7 @@ class TestProperties:
             if (fcfs.shortfall > 1e-9).any():
                 continue
             fcfs_cost = evaluate_cost(fcfs.schedule, sc).total_cost
-            opt_cost = optimize_nominal(sc).cost.total_cost
+            opt_cost = solve(sc).cost.total_cost
             assert opt_cost <= fcfs_cost + 1e-9
             checked += 1
         assert checked >= 40
@@ -139,13 +137,13 @@ class TestProperties:
         rng = np.random.default_rng(15)
         for _ in range(20):
             sc = random_scenario(rng, horizon_steps=6, max_vehicles=5)
-            result = optimize_nominal(sc)
+            result = solve(sc)
             assert validate_schedule(result.schedule, sc).feasible
 
     def test_permutation_leaves_cost_unchanged(self):
         rng = np.random.default_rng(16)
         sc = random_scenario(rng, horizon_steps=6, num_vehicles=5)
-        base = optimize_nominal(sc).cost.total_cost
+        base = solve(sc).cost.total_cost
         perm = rng.permutation(5)
         permuted = make_scenario(
             [sc.window(i) for i in perm],
@@ -155,14 +153,14 @@ class TestProperties:
             socket=sc.socket_limit[0],
             waste=sc.waste[0],
         )
-        assert optimize_nominal(permuted).cost.total_cost == pytest.approx(
+        assert solve(permuted).cost.total_cost == pytest.approx(
             base, abs=1e-9, rel=1e-9
         )
 
     def test_negative_prices_stay_bounded(self):
         # negative-price steps attract over-delivery, capped by the socket
         sc = make_scenario([(1, 2)], [3.0], [-0.5, 1.0], socket=7.0)
-        result = optimize_nominal(sc)
+        result = solve(sc)
         report = validate_schedule(result.schedule, sc)
         assert not report.of_kind(ViolationKind.SOCKET_EXCEEDED)
         assert result.schedule.allocation[0, 0] == pytest.approx(7.0, abs=1e-9)
@@ -195,8 +193,8 @@ class TestFeasibilityDecision:
     phase-one failure, and the two must agree."""
 
     @pytest.mark.parametrize("optimize", [
-        optimize_nominal,
-        lambda sc: optimize_robust_price(sc, PriceBall.around(sc, 0.5)),
+        solve,
+        lambda sc: solve(sc, Method.ROBUST_PRICE, radius=0.5),
     ], ids=["nominal", "robust-price"])
     def test_phase_one_agrees_with_max_flow(self, optimize):
         outcomes = set()
@@ -218,18 +216,17 @@ class TestFeasibilityDecision:
         sc = make_scenario([(1, 1), (1, 1)], [5.0, 5.0], [1.0],
                            socket=7.0, capacity=8.0)
         with pytest.raises(InfeasibleScenario) as err:
-            optimize_nominal(sc)
+            solve(sc)
         assert_same_report(err.value.report, check_feasibility(sc))
         assert (err.value.report.per_vehicle_slack >= 0).all()
 
     @pytest.mark.parametrize("excess", [2e-8, 1e-7])
     def test_shortage_below_phase_one_tolerance(self, excess):
-        # phase one accepts an artificial sum this small, certification then
-        # fails, and max-flow still classifies the day as infeasible
+        # a shortage just above the certificate's tolerance: phase one finds
+        # no feasible point, and max-flow agrees that the day is infeasible
         sc = make_scenario([(1, 2), (1, 3)], [14.0 + excess, 3.0], [1.0, 2.0, 1.0],
                            socket=7.0)
-        for optimize in (optimize_nominal,
-                         lambda s: optimize_robust_price(s, PriceBall.around(s, 0.5))):
+        for optimize in (solve, lambda s: solve(s, Method.ROBUST_PRICE, radius=0.5)):
             with pytest.raises(InfeasibleScenario) as err:
                 optimize(sc)
             assert_same_report(err.value.report, check_feasibility(sc))
@@ -240,17 +237,17 @@ class TestFeasibilityDecision:
 
         monkeypatch.setattr(nominal_module, "check_feasibility", refuse)
         sc = random_scenario(np.random.default_rng(5), horizon_steps=6, max_vehicles=4)
-        optimize_nominal(sc)
-        optimize_robust_price(sc, PriceBall.around(sc, 0.5))
+        solve(sc)
+        solve(sc, Method.ROBUST_PRICE, radius=0.5)
 
     def test_solver_failure_on_feasible_day_stays_a_failure(self, monkeypatch):
         def failing(lp):
             raise NumericalFailure("certification failed: injected")
 
-        monkeypatch.setattr(nominal_module, "solve_lp", failing)
+        monkeypatch.setattr(socp_module, "solve_lp", failing)
         sc = make_scenario([(1, 2)], [5.0], [1.0, 2.0])
         with pytest.raises(NumericalFailure, match="max-flow finds it feasible"):
-            optimize_nominal(sc)
+            solve(sc)
 
 
 class TestLpBuild:
@@ -306,7 +303,7 @@ def test_criterion_9_day_pivot_count_pinned():
     # pivot sequence changed (688 since frozen artificials stopped entering)
     big = random_scenario(np.random.default_rng(1009), horizon_steps=24,
                           num_vehicles=100, capacity=300.0, scenario_id="big-day")
-    result = optimize_nominal(big)
-    assert result.lp_solution.iterations == 688
-    assert result.lp_solution.objective_value == 300.7872625388697
+    result = solve(big)
+    assert result.pivots == 688
+    assert result.objective == 300.7872625388697
     assert result.cost.total_cost == 300.78726253886964

@@ -1,21 +1,16 @@
-"""Robust model tests: ball-radius behavior, worst-case load substitution."""
+"""Robust model tests: ball-radius behavior, worst-case load substitution,
+and the argument checks of the one solve entry point."""
 
 import numpy as np
 import pytest
 
 from evsched import (
     InfeasibleScenario,
-    LoadInterval,
-    PriceBall,
-    ShapeMismatch,
+    Method,
     check_feasibility,
-    optimize_nominal,
-    optimize_robust_both,
-    optimize_robust_price,
-    robustify_load,
+    solve,
     validate_schedule,
 )
-from evsched.model import Method
 from evsched.synth import random_scenario
 
 from conftest import make_scenario
@@ -26,26 +21,31 @@ def spreading_scenario():
     return make_scenario([(1, 2)], [6.0], [1.0, 1.0], socket=7.0)
 
 
+def step_totals(result, sc):
+    """The per-step totals v whose norm the price ball penalizes."""
+    return (1.0 + sc.waste) * sc.step_hours * result.schedule.allocation.sum(axis=1)
+
+
 class TestPriceBall:
     def test_radius_zero_matches_nominal(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=4)
-            nominal = optimize_nominal(sc).cost.total_cost
-            robust = optimize_robust_price(sc, PriceBall.around(sc, 0.0))
+            nominal = solve(sc).cost.total_cost
+            robust = solve(sc, Method.ROBUST_PRICE, radius=0.0)
             assert robust.objective == pytest.approx(nominal, rel=1e-6)
             assert robust.converged
 
     def test_spreading_instance(self):
         sc = spreading_scenario()
-        result = optimize_robust_price(sc, PriceBall.around(sc, 1.0))
-        assert result.per_step_totals == pytest.approx([3.0, 3.0], abs=1e-4)
+        result = solve(sc, Method.ROBUST_PRICE, radius=1.0)
+        assert step_totals(result, sc) == pytest.approx([3.0, 3.0], abs=1e-4)
         assert result.objective == pytest.approx(6.0 + 3.0 * np.sqrt(2.0), rel=1e-6)
 
     def test_huge_radius_dominated_by_norm(self):
         sc = spreading_scenario()
-        result = optimize_robust_price(sc, PriceBall.around(sc, 1e6))
-        assert result.per_step_totals == pytest.approx([3.0, 3.0], abs=1e-3)
+        result = solve(sc, Method.ROBUST_PRICE, radius=1e6)
+        assert step_totals(result, sc) == pytest.approx([3.0, 3.0], abs=1e-3)
         assert result.objective == pytest.approx(
             6.0 + 1e6 * 3.0 * np.sqrt(2.0), rel=1e-9
         )
@@ -55,7 +55,7 @@ class TestPriceBall:
         for _ in range(8):
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=4)
             values = [
-                optimize_robust_price(sc, PriceBall.around(sc, r)).objective
+                solve(sc, Method.ROBUST_PRICE, radius=r).objective
                 for r in (0.0, 0.1, 1.0, 10.0)
             ]
             assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
@@ -64,64 +64,58 @@ class TestPriceBall:
         rng = np.random.default_rng(23)
         for _ in range(10):
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=4)
-            result = optimize_robust_price(sc, PriceBall.around(sc, 0.5))
+            result = solve(sc, Method.ROBUST_PRICE, radius=0.5)
             assert validate_schedule(result.schedule, sc).feasible
 
-    def test_ball_shape_checked(self):
-        sc = spreading_scenario()
-        with pytest.raises(ShapeMismatch):
-            optimize_robust_price(sc, PriceBall(center=np.ones(3), radius=1.0))
-
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            PriceBall(center=np.ones(2), radius=-0.1)
+        for radius in (-0.1, -np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                solve(spreading_scenario(), Method.ROBUST_PRICE, radius=radius)
 
     def test_infeasible_scenario_raises(self):
         sc = make_scenario([(1, 1)], [15.0], [1.0], socket=7.0)
         with pytest.raises(InfeasibleScenario):
-            optimize_robust_price(sc, PriceBall.around(sc, 1.0))
+            solve(sc, Method.ROBUST_PRICE, radius=1.0)
 
 
 class TestLoadInterval:
+    """Demand in [load, load * load_scale]: the worst case is the upper end."""
+
     def test_degenerate_interval_is_identity(self):
-        sc = spreading_scenario()
-        out = robustify_load(sc, LoadInterval(sc.load, sc.load))
-        assert np.array_equal(out.load, sc.load)
-        assert np.array_equal(out.occupancy, sc.occupancy)
+        sc = random_scenario(np.random.default_rng(20), horizon_steps=5, max_vehicles=4)
+        result = solve(sc, Method.ROBUST_LOAD, load_scale=1.0)
+        assert np.array_equal(result.schedule.allocation, solve(sc).schedule.allocation)
+        assert result.schedule.method is Method.ROBUST_LOAD
 
     def test_upper_substituted(self):
         sc = make_scenario([(1, 2)], [5.0], [1.0, 1.0])
-        out = robustify_load(sc, LoadInterval([4.0], [8.0]))
-        assert out.load == pytest.approx([8.0])
-        assert np.array_equal(out.prices, sc.prices)
+        result = solve(sc, Method.ROBUST_LOAD, load_scale=1.6)
+        assert result.schedule.allocation.sum() == pytest.approx(8.0)
+        assert result.cost.total_cost == pytest.approx(8.0)
 
     def test_infeasible_worst_case_surfaces_in_check(self):
         sc = make_scenario([(1, 2)], [5.0], [1.0, 1.0], socket=7.0)
-        out = robustify_load(sc, LoadInterval([5.0], [20.0]))
-        assert not check_feasibility(out).feasible
+        assert check_feasibility(sc).feasible
+        with pytest.raises(InfeasibleScenario) as err:
+            solve(sc, Method.ROBUST_LOAD, load_scale=4.0)
+        got, want = err.value.report, check_feasibility(sc.replace_load([20.0]))
+        assert not want.feasible
+        assert (got.max_flow, got.total_load) == (want.max_flow, want.total_load)
+        assert np.array_equal(got.per_vehicle_slack, want.per_vehicle_slack)
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            LoadInterval([2.0], [1.0])
-        with pytest.raises(ValueError):
-            LoadInterval([-1.0], [1.0])
-        with pytest.raises(ShapeMismatch):
-            LoadInterval([1.0, 2.0], [3.0])
-
-    def test_shape_mismatch(self):
-        sc = spreading_scenario()
-        with pytest.raises(ShapeMismatch):
-            robustify_load(sc, LoadInterval([1.0, 1.0], [2.0, 2.0]))
+        # a scale below 1 would put the upper end below the nominal load
+        for scale in (0.5, 0.0, -1.0):
+            with pytest.raises(ValueError, match="load_scale"):
+                solve(spreading_scenario(), Method.ROBUST_LOAD, load_scale=scale)
 
 
 class TestBoth:
     def test_double_degenerate_equals_nominal(self):
         rng = np.random.default_rng(24)
         sc = random_scenario(rng, horizon_steps=5, max_vehicles=4)
-        nominal = optimize_nominal(sc).cost.total_cost
-        result = optimize_robust_both(
-            sc, PriceBall.around(sc, 0.0), LoadInterval(sc.load, sc.load)
-        )
+        nominal = solve(sc).cost.total_cost
+        result = solve(sc, Method.ROBUST_LOAD, radius=0.0, load_scale=1.0)
         assert result.objective == pytest.approx(nominal, rel=1e-6)
         assert result.schedule.method is Method.ROBUST_LOAD
 
@@ -130,19 +124,14 @@ class TestBoth:
         for _ in range(8):
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=3,
                                  load_fraction=0.5, capacity=300.0)
-            nominal = optimize_nominal(sc).cost.total_cost
-            result = optimize_robust_both(
-                sc, PriceBall.around(sc, 0.0),
-                LoadInterval(sc.load, sc.load * 1.3),
-            )
+            nominal = solve(sc).cost.total_cost
+            result = solve(sc, Method.ROBUST_LOAD, radius=0.0, load_scale=1.3)
             assert result.objective > nominal + 1e-9
 
     def test_matches_price_model_on_worked_instance(self):
         base = make_scenario([(1, 2)], [4.0], [1.0, 1.0], socket=7.0)
-        result = optimize_robust_both(
-            base, PriceBall.around(base, 1.0), LoadInterval([4.0], [6.0])
-        )
-        assert result.per_step_totals == pytest.approx([3.0, 3.0], abs=1e-4)
+        result = solve(base, Method.ROBUST_LOAD, radius=1.0, load_scale=1.5)
+        assert step_totals(result, base) == pytest.approx([3.0, 3.0], abs=1e-4)
         assert result.objective == pytest.approx(6.0 + 3.0 * np.sqrt(2.0), rel=1e-6)
 
     def test_schedule_validates_against_worst_case(self):
@@ -150,7 +139,54 @@ class TestBoth:
         for _ in range(8):
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=3,
                                  load_fraction=0.5, capacity=300.0)
-            interval = LoadInterval(sc.load, sc.load * 1.2)
-            result = optimize_robust_both(sc, PriceBall.around(sc, 0.3), interval)
-            worst = robustify_load(sc, interval)
+            result = solve(sc, Method.ROBUST_LOAD, radius=0.3, load_scale=1.2)
+            worst = sc.replace_load(sc.load * 1.2)
             assert validate_schedule(result.schedule, worst).feasible
+
+
+class TestSolve:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nominal_is_the_radius_zero_price_ball(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            sc = random_scenario(rng, horizon_steps=int(rng.integers(2, 12)),
+                                 max_vehicles=8)
+            nominal = solve(sc, Method.NOMINAL)
+            ball = solve(sc, Method.ROBUST_PRICE, radius=0.0)
+            assert nominal.schedule.allocation.tobytes() == ball.schedule.allocation.tobytes()
+            assert nominal.cost.total_cost == ball.cost.total_cost
+            assert nominal.objective == ball.objective
+            assert nominal.pivots == ball.pivots
+            assert (nominal.gap, nominal.cuts, nominal.converged) == (0.0, 0, True)
+
+    def test_nominal_ignores_radius_and_load_scale(self):
+        sc = random_scenario(np.random.default_rng(9), horizon_steps=6, max_vehicles=4)
+        plain = solve(sc)
+        other = solve(sc, Method.NOMINAL, radius=2.0, load_scale=1.5)
+        assert np.array_equal(plain.schedule.allocation, other.schedule.allocation)
+        assert plain.objective == other.objective
+
+    @pytest.mark.parametrize("method", [Method.NOMINAL, Method.ROBUST_PRICE,
+                                        Method.ROBUST_LOAD])
+    def test_empty_day(self, method):
+        sc = make_scenario([None], [0.0], [1.0, 2.0])
+        result = solve(sc, method, radius=0.5, load_scale=1.2)
+        assert result.schedule.allocation.shape == (2, 1)
+        assert not result.schedule.allocation.any()
+        assert result.schedule.method is method
+        assert (result.cost.total_cost, result.objective, result.pivots) == (0.0, 0.0, 0)
+        assert result.converged
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            solve(spreading_scenario(), Method.ROBUST_PRICE, radius=radius)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_load_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="load_scale"):
+            solve(spreading_scenario(), Method.ROBUST_LOAD, load_scale=scale)
+
+    def test_fcfs_rejected(self):
+        with pytest.raises(ValueError, match="fcfs"):
+            solve(spreading_scenario(), Method.FCFS)

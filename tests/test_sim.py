@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from evsched import Method, fcfs_with_report, optimize_nominal
+from evsched import Method, fcfs_with_report, solve
 from evsched.sim import (
     ComparisonRow,
     RunConfig,
@@ -73,7 +73,7 @@ class TestCompareScenario:
         assert row.comparable
         # the robust schedule is feasible for the nominal model, so its
         # actual cost cannot beat the nominal optimum
-        nominal = optimize_nominal(sc).cost.total_cost
+        nominal = solve(sc).cost.total_cost
         assert row.optimized_cost >= nominal - 1e-9
 
 
@@ -181,7 +181,7 @@ class TestReports:
         sc = two_step_vehicle
         schedules = {
             "fcfs": fcfs_with_report(sc).schedule,
-            "nominal": optimize_nominal(sc).schedule,
+            "nominal": solve(sc).schedule,
         }
         header, rows = day_power_profile(sc, schedules)
         assert header == ["hour", "fcfs_kw", "nominal_kw"]
