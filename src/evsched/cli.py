@@ -72,6 +72,24 @@ def _finite_at_least(low: float):
     return number
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def number(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return number
+
+
 def _thresholds(text: str) -> str:
     """argparse type: comma-separated integers, kept as written."""
     try:
@@ -82,15 +100,15 @@ def _thresholds(text: str) -> str:
 
 
 def _add_ingest_options(p: argparse.ArgumentParser):
-    p.add_argument("--horizon", type=int, default=24, metavar="T",
+    p.add_argument("--horizon", type=_int_at_least(1), default=24, metavar="T",
                    help="time steps per day (default 24)")
-    p.add_argument("--step-hours", type=float, default=1.0, metavar="H",
+    p.add_argument("--step-hours", type=_positive_finite, default=1.0, metavar="H",
                    help="hours per step (default 1.0)")
-    p.add_argument("--capacity", type=float, default=300.0, metavar="KW",
+    p.add_argument("--capacity", type=_finite_at_least(0.0), default=300.0, metavar="KW",
                    help="station power budget per step (default 300)")
-    p.add_argument("--socket-limit", type=float, default=7.0, metavar="KW",
+    p.add_argument("--socket-limit", type=_finite_at_least(0.0), default=7.0, metavar="KW",
                    help="per-socket power cap (default 7)")
-    p.add_argument("--waste", type=float, default=0.01, metavar="G",
+    p.add_argument("--waste", type=_finite_at_least(0.0), default=0.01, metavar="G",
                    help="proportional energy overhead (default 0.01)")
     p.add_argument("--price-unit", choices=[u.value for u in PriceUnit],
                    default=PriceUnit.PER_KWH.value,
@@ -162,12 +180,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_sim = sub.add_parser("simulate", help="full pipeline from raw data")
     p_sim.add_argument("--sessions", type=Path)
     p_sim.add_argument("--prices", type=Path)
-    p_sim.add_argument("--synthetic", type=int, metavar="DAYS", default=None,
+    p_sim.add_argument("--synthetic", type=_int_at_least(1), metavar="DAYS", default=None,
                        help="generate DAYS random feasible scenarios instead "
                             "of reading data files (test tooling)")
-    p_sim.add_argument("--seed", type=int, default=0,
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="seed for --synthetic (default 0)")
-    p_sim.add_argument("--max-vehicles", type=int, default=40,
+    p_sim.add_argument("--max-vehicles", type=_int_at_least(1), default=40,
                        help="per-day vehicle cap for --synthetic (default 40)")
     _add_ingest_options(p_sim)
     _add_compare_options(p_sim)

@@ -107,9 +107,14 @@ class IngestConfig:
     midnight_policy: MidnightPolicy = MidnightPolicy.CLAMP
 
     def __post_init__(self):
-        for name in ("horizon_steps", "step_hours", "capacity", "socket_limit", "waste"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        # the rules `Scenario` applies, checked before any file is read
+        if not self.horizon_steps > 0:
+            raise ValueError("horizon_steps must be positive")
+        if not 0 < self.step_hours < math.inf:
+            raise ValueError("step_hours must be positive and finite")
+        for name in ("capacity", "socket_limit", "waste"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         object.__setattr__(self, "price_unit", PriceUnit(self.price_unit))
         object.__setattr__(self, "midnight_policy", MidnightPolicy(self.midnight_policy))
 
@@ -303,22 +308,28 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if data.get("format") != FORMAT_NAME:
+    """The scenario a document describes; ValueError when it is not a JSON
+    object of this format or a field has the wrong type, KeyError when a
+    field is missing."""
+    if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {data.get('version')}")
-    windows = [tuple(w) if w is not None else None for w in data["windows"]]
-    return Scenario(
-        horizon_steps=int(data["horizon_steps"]),
-        step_hours=float(data["step_hours"]),
-        occupancy=occupancy_from_windows(int(data["horizon_steps"]), windows),
-        load=np.asarray(data["load"], dtype=float),
-        capacity=np.asarray(data["capacity"], dtype=float),
-        socket_limit=np.asarray(data["socket_limit"], dtype=float),
-        waste=np.asarray(data["waste"], dtype=float),
-        prices=np.asarray(data["prices"], dtype=float),
-        scenario_id=str(data["scenario_id"]),
-    )
+    try:
+        windows = [tuple(w) if w is not None else None for w in data["windows"]]
+        return Scenario(
+            horizon_steps=int(data["horizon_steps"]),
+            step_hours=float(data["step_hours"]),
+            occupancy=occupancy_from_windows(int(data["horizon_steps"]), windows),
+            load=np.asarray(data["load"], dtype=float),
+            capacity=np.asarray(data["capacity"], dtype=float),
+            socket_limit=np.asarray(data["socket_limit"], dtype=float),
+            waste=np.asarray(data["waste"], dtype=float),
+            prices=np.asarray(data["prices"], dtype=float),
+            scenario_id=str(data["scenario_id"]),
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed {FORMAT_NAME} document: {exc}") from None
 
 
 def save_scenario(scenario: Scenario, path: str | Path):

@@ -83,15 +83,6 @@ def solve(
         radius = 0.0
     elif method is Method.ROBUST_LOAD:
         scenario = scenario.replace_load(scenario.load * load_scale)
-    if not scenario.occupancy.any():
-        # nothing schedulable: no vehicle is ever present, so none has demand
-        schedule = Schedule(
-            allocation=np.zeros((scenario.horizon_steps, scenario.num_vehicles)),
-            method=method,
-            scenario_id=scenario.scenario_id,
-        )
-        return SolveResult(schedule, evaluate_cost(schedule, scenario), 0.0, 0.0, 0, 0, True)
-
     lp, var_index = scheduling_lp(scenario)
     try:
         result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import fcfs_with_report
-from .model import FEAS_TOL, Method, Scenario, Schedule, evaluate_cost
+from .model import COST_REL_TOL, FEAS_TOL, Method, Scenario, Schedule, evaluate_cost
 from .nominal import InfeasibleScenario
 from .robust import check_options, solve
 from .solver import NumericalFailure
@@ -304,7 +304,7 @@ def write_summary_json(
     doc = {
         "tool": "evsched",
         "version": __version__,
-        "tolerances": {"feasibility_abs": FEAS_TOL, "cost_rel": 1e-6},
+        "tolerances": {"feasibility_abs": FEAS_TOL, "cost_rel": COST_REL_TOL},
         "run": run_metadata or {},
         "summary": [asdict(r) for r in table.rows],
         "scenarios_total": len(rows),

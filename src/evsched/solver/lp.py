@@ -52,7 +52,8 @@ class NumericalFailure(RuntimeError):
 @dataclass(frozen=True)
 class LinearProgram:
     """Standard-form LP; G/h and E/b may be omitted, bounds default to
-    [0, +inf)."""
+    [0, +inf).  c may be empty: a program with no variables has the empty
+    vector as its only point."""
 
     c: np.ndarray
     G: np.ndarray | None = None
@@ -64,8 +65,8 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("c must be a nonempty vector")
+        if c.ndim != 1:
+            raise ValueError("c must be a vector")
         n = c.size
         object.__setattr__(self, "c", c)
 
@@ -249,10 +250,11 @@ class _Simplex:
         state = self.state
         viol = np.where(state == _FREE, np.abs(d), _PRICE_SIGN[state] * d)
         eligible = (viol > _DUAL_TOL) & self.enterable
+        if not eligible.any():
+            return -1
         # Bland takes the first eligible column, Dantzig the first largest
-        # violation among them; -1 when none is eligible
-        j = int(np.argmax(eligible if bland else np.where(eligible, viol, 0.0)))
-        return j if eligible[j] else -1
+        # violation among them
+        return int(np.argmax(eligible if bland else np.where(eligible, viol, 0.0)))
 
     def ratio_test(self, j: int, direction: float, w: np.ndarray, bland: bool):
         """Largest step t moving x_j by `direction * t`; returns

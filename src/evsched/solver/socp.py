@@ -13,7 +13,8 @@ re-optimized from the previous optimal basis, which is near-optimal for
 the grown master.  Every master is still certified against its full
 constraint set, and `pivots` counts the simplex pivots over all masters.
 
-With weight 0 the problem is the plain LP and we short-circuit.
+At weight 0 the master is the LP itself, without tau: its optimum is both
+bounds at once, so the loop stops at its first iterate with a zero gap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, LpStatus, _Simplex, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, _Simplex
 
 # Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
 # Tight defaults keep the returned iterate close to the true minimizer, not
@@ -45,7 +46,6 @@ class NormAugmentedResult:
     status: NormAugmentedStatus
     x: np.ndarray | None = None
     objective: float | None = None  # linear part + weight * norm at x
-    linear_part: float | None = None
     norm_value: float | None = None
     lower_bound: float | None = None
     gap: float | None = None
@@ -90,31 +90,10 @@ def solve_norm_augmented(
             f"norm_map has {M.shape[1]} columns, expected {lp.num_vars}"
         )
 
-    if weight == 0.0:
-        sol = solve_lp(lp)
-        if sol.status is not LpStatus.OPTIMAL:
-            return NormAugmentedResult(
-                status=NormAugmentedStatus(sol.status.value),
-                pivots=sol.iterations,
-                lp_solution=sol,
-            )
-        nv = float(np.linalg.norm(M @ sol.x))
-        return NormAugmentedResult(
-            status=NormAugmentedStatus.OPTIMAL,
-            x=sol.x,
-            objective=sol.objective_value,
-            linear_part=sol.objective_value,
-            norm_value=nv,
-            lower_bound=sol.objective_value,
-            gap=0.0,
-            cuts=0,
-            pivots=sol.iterations,
-            lp_solution=sol,
-        )
-
     # One simplex lives for the whole loop: the first master is solved cold
     # and every cut is appended to it and re-optimized from the last basis.
-    master = _Simplex(_augmented(lp, weight, np.zeros((0, lp.num_vars))))
+    # At weight 0 tau would cost nothing, so the master is the LP itself.
+    master = _Simplex(_augmented(lp, weight, np.zeros((0, lp.num_vars))) if weight else lp)
     sol = master.solve()
     dirs = np.empty((max_cuts, M.shape[0]))
     best: NormAugmentedResult | None = None
@@ -128,30 +107,24 @@ def solve_norm_augmented(
                 pivots=master.iterations,
                 lp_solution=sol,
             )
-        x = sol.x[:-1]
+        x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
         v = M @ x
         nv = float(np.linalg.norm(v))
-        linear = float(lp.c @ x)
-        upper = linear + weight * nv
+        upper = float(lp.c @ x) + weight * nv
         if upper < best_upper:
             best_upper = upper
             best = NormAugmentedResult(
                 status=NormAugmentedStatus.OPTIMAL,
                 x=x,
                 objective=upper,
-                linear_part=linear,
                 norm_value=nv,
                 lp_solution=sol,
             )
-        gap = best_upper - lower
-        if gap <= max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper))):
-            best.lower_bound = lower
-            best.gap = float(gap)
-            best.cuts = k
-            best.pivots = master.iterations
-            return best
-        if k == max_cuts:
+        converged = best_upper - lower <= max(
+            GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper))
+        )
+        if converged or k == max_cuts:
             break
         u = v / nv if nv > 0.0 else _unit_axis(M.shape[0])
         if k and np.abs(dirs[:k] - u).max(axis=1).min() < 1e-14:
@@ -159,7 +132,8 @@ def solve_norm_augmented(
         dirs[k] = u
         sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
 
-    best.status = NormAugmentedStatus.CUT_LIMIT
+    if not converged:
+        best.status = NormAugmentedStatus.CUT_LIMIT
     best.lower_bound = lower
     best.gap = float(best_upper - lower)
     best.cuts = k

@@ -1,5 +1,6 @@
 """CLI tests: argument parsing, exit codes, end-to-end runs, manifests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from evsched.cli import (
     EXIT_INFEASIBLE,
     EXIT_INGEST,
     EXIT_OK,
+    EXIT_USAGE,
     main,
     parse_args,
 )
@@ -116,6 +118,43 @@ class TestParseArgs:
         assert (args.radius, args.load_scale) == (0.0, 1.0)
         assert parse_args(["compare", "--scenarios", "d", "--out", "x",
                            "--filters", " 1, 5,"]).filters == " 1, 5,"
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--horizon", "0"],
+        ["--max-vehicles", "0"],
+        ["--synthetic", "0"],
+        ["--seed", "-1"],
+        ["--capacity", "-5"],
+        ["--capacity", "inf"],
+        ["--socket-limit", "nan"],
+        ["--step-hours", "nan"],
+        ["--step-hours", "0"],
+        ["--waste", "nan"],
+        ["--waste", "-0.1"],
+    ])
+    def test_bad_station_values_are_usage_errors(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--synthetic", "3", *flags, "--out", str(tmp_path / "r")])
+        assert err.value.code == EXIT_USAGE
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ingest"])
+    def test_bad_station_values_on_the_file_path(self, tmp_path, capsys, command):
+        s, p = write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([command, "--sessions", str(s), "--prices", str(p),
+                  "--step-hours", "inf", "--out", str(tmp_path / "r")])
+        assert err.value.code == EXIT_USAGE
+        assert "--step-hours" in capsys.readouterr().err
+
+    def test_zero_waste_accepted_on_both_paths(self, tmp_path):
+        s, p = write_inputs(tmp_path)
+        assert main(["simulate", "--sessions", str(s), "--prices", str(p),
+                     "--waste", "0", "--out", str(tmp_path / "files")]) == EXIT_OK
+        assert main(["simulate", "--synthetic", "2", "--waste", "0",
+                     "--out", str(tmp_path / "synthetic")]) == EXIT_OK
 
 
 class TestIngestCommand:
@@ -241,6 +280,37 @@ class TestSolveCommand:
         assert main(["solve", "--scenario", str(path)]) == EXIT_INGEST
 
 
+def malformed_scenario(tmp_path, case):
+    """A scenario file that is not an object, or whose windows have the wrong type."""
+    doc = scenario_to_dict(make_scenario([(1, 2), (2, 2)], [5.0, 1.0], [1.0, 2.0]))
+    if case == "not-an-object":
+        doc = [1, 2]
+    else:
+        doc["windows"] = 5 if case == "windows-number" else ["ab", None]
+    path = tmp_path / "scenarios" / "bad.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+MALFORMED = ["not-an-object", "windows-number", "windows-strings"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_solve_exit_code(tmp_path, capsys, case):
+    path = malformed_scenario(tmp_path, case)
+    assert main(["solve", "--scenario", str(path)]) == EXIT_INGEST
+    assert "cannot read scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_compare_exit_code(tmp_path, capsys, case):
+    path = malformed_scenario(tmp_path, case)
+    code = main(["compare", "--scenarios", str(path.parent), "--out", str(tmp_path / "r")])
+    assert code == EXIT_INGEST
+    assert "cannot read scenarios" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_directory_of_scenarios(self, tmp_path):
         rng = np.random.default_rng(63)
@@ -285,6 +355,50 @@ class TestSimulateCommand:
             assert code == EXIT_OK
             blobs[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
         assert blobs["one"] == blobs["two"]
+
+    # sha256 of the report files of one small synthetic run per method.  The
+    # reports hold costs and allocations to full float precision, so the
+    # digests depend on the BLAS build, as the pinned pivot counts do; a
+    # change here means the reports are no longer byte-identical.
+    REPORT_DIGESTS = {
+        "nominal": {
+            "comparison.csv": "f940dd121fc97ecc3dd1ab6154f67d604eca84c23bfc453755d16d27ef9f82f0",
+            "summary.csv": "432c377b37dae8a51fbf728f851a7246b5d800190d22a8fb44ec3d8a95b940b6",
+            "fig2_day.csv": "b814ec77f51b997e1453dbeabf60f177fc52f4c38aac619d036a492d6e15a761",
+            "fig3_scatter.csv": "caaca3e204aaeab6593062d360734a138608c7a9b81c439c25273d442c466fde",
+            "fig4_cumulative.csv": "e81d9ced36266d3191b8377ea3ec3c52e43f92a0a7a6bcca96e25c16f90a1079",
+        },
+        "robust-price": {
+            "comparison.csv": "9252353d0bccb8f34ce520d1e3630aeda2eb389400c72e3a89a88841d0b32ba7",
+            "summary.csv": "3a23cbf5e86a8130b6dd94f920cdba9f1df19d9b40ecd095dc4bf6c82a89c8a8",
+            "fig2_day.csv": "7e51314479553ec1c583da53ff2472c2f37d33a0e53b6673b28868ba4fbe7ccf",
+            "fig3_scatter.csv": "c89e04b8883683b01c3c848361b52dbd749e185f4aca1171e0c2634a45edf48b",
+            "fig4_cumulative.csv": "b417a5c4675908f95d192599a99221427614782304d58973762a387474e03488",
+        },
+        "robust-load": {
+            "comparison.csv": "b72690efd7954f6556ed9d0c2fe9ba78f58b19327ef245e51d40b9750fe64f93",
+            "summary.csv": "c47d75da5d11b01791b72f962b497f1ee4abe04adce94c3241ec4531e117afd8",
+            "fig2_day.csv": "90c810e215c5cb1019af251489c01f2a1cd90efbc0d57ecec88bb05a16be01e2",
+            "fig3_scatter.csv": "a39fae1148a7e01a861ad952bbf4ba95bd86c52068d68f55d846268eaff7b605",
+            "fig4_cumulative.csv": "96318d743c053d3f99a3e338216a067ef32cfd617a657b6001b4592f7f2376b9",
+        },
+    }
+
+    @pytest.mark.parametrize("method, flags", [
+        ("nominal", []),
+        ("robust-price", ["--radius", "0.5"]),
+        ("robust-load", ["--radius", "0.3", "--load-scale", "1.2"]),
+    ])
+    def test_report_bytes_pinned(self, tmp_path, method, flags):
+        out = tmp_path / "r"
+        code = main(["simulate", "--synthetic", "12", "--seed", "3", "--horizon", "6",
+                     "--max-vehicles", "4", "--method", method, *flags, "--out", str(out)])
+        assert code == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.REPORT_DIGESTS[method]}
+        assert digests == self.REPORT_DIGESTS[method]
+        assert sorted(p.name for p in out.glob("fig*_*.csv")) == sorted(
+            name for name in digests if name.startswith("fig"))
 
     def test_corpus_round_trip(self, tmp_path):
         sessions = tmp_path / "s.csv"

@@ -230,6 +230,25 @@ class TestBuildScenarios:
         assert cfg.socket_limit == 7.0
         assert cfg.waste == 0.01
 
+    @pytest.mark.parametrize("field", ["capacity", "socket_limit", "waste"])
+    def test_config_accepts_zero_as_scenario_does(self, field):
+        assert getattr(IngestConfig(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("field, bad", [
+        ("horizon_steps", 0),
+        ("step_hours", 0.0),
+        ("step_hours", float("nan")),
+        ("step_hours", float("inf")),
+        ("capacity", -5.0),
+        ("capacity", float("inf")),
+        ("socket_limit", float("nan")),
+        ("waste", float("nan")),
+        ("waste", -0.01),
+    ])
+    def test_config_rejects_what_scenario_rejects(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            IngestConfig(**{field: bad})
+
 
 class TestScenarioInterchange:
     def test_round_trip_dict(self):

@@ -134,6 +134,32 @@ class TestConstraintFree:
         assert solve_lp(LinearProgram(c=c, lo=lo, up=up)).status is LpStatus.UNBOUNDED
 
 
+class TestNoVariables:
+    """A program with no variables is valid: its only point is the empty
+    vector, which satisfies every row whose right-hand side allows 0."""
+
+    @pytest.mark.parametrize("rows", [
+        {},
+        {"G": np.zeros((2, 0)), "h": [0.0, 3.0]},
+        {"E": np.zeros((1, 0)), "b": [0.0]},
+        {"G": np.zeros((1, 0)), "h": [1.0], "E": np.zeros((2, 0)), "b": [0.0, 0.0]},
+    ])
+    def test_optimal_at_the_empty_point(self, rows):
+        sol = solve_lp(LinearProgram(c=np.zeros(0), **rows))
+        assert_certified(sol)
+        assert sol.x.shape == (0,)
+        assert sol.objective_value == 0.0
+        assert sol.iterations == 0
+
+    def test_violated_row_is_infeasible(self):
+        lp = LinearProgram(c=[], G=np.zeros((1, 0)), h=[-1.0])
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+    def test_two_dimensional_cost_rejected(self):
+        with pytest.raises(ValueError, match="c must be a vector"):
+            LinearProgram(c=[[1.0, 2.0]])
+
+
 class TestPhaseOneTolerance:
     """Phase one declares infeasibility at the certificate's own residual
     tolerance, so a shortage just above it is INFEASIBLE, not a failed

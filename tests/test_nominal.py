@@ -241,10 +241,10 @@ class TestFeasibilityDecision:
         solve(sc, Method.ROBUST_PRICE, radius=0.5)
 
     def test_solver_failure_on_feasible_day_stays_a_failure(self, monkeypatch):
-        def failing(lp):
+        def failing(simplex):
             raise NumericalFailure("certification failed: injected")
 
-        monkeypatch.setattr(socp_module, "solve_lp", failing)
+        monkeypatch.setattr(socp_module._Simplex, "solve", failing)
         sc = make_scenario([(1, 2)], [5.0], [1.0, 2.0])
         with pytest.raises(NumericalFailure, match="max-flow finds it feasible"):
             solve(sc)

@@ -159,6 +159,14 @@ class TestSolve:
             assert nominal.pivots == ball.pivots
             assert (nominal.gap, nominal.cuts, nominal.converged) == (0.0, 0, True)
 
+    def test_nominal_gap_is_exactly_zero(self):
+        # The LP's certified objective is both bounds at once.  A master with
+        # an epigraph column would sum c.x over one more entry, and on day 26
+        # of this stream that moves the gap off zero by a few ulps.
+        rng = np.random.default_rng(1)
+        for _ in range(27):
+            assert solve(random_scenario(rng)).gap == 0.0
+
     def test_nominal_ignores_radius_and_load_scale(self):
         sc = random_scenario(np.random.default_rng(9), horizon_steps=6, max_vehicles=4)
         plain = solve(sc)

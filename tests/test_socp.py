@@ -61,6 +61,8 @@ class TestWorkedInstances:
         res = solve_norm_augmented(lp, 0.0, np.eye(2))
         assert res.status is NormAugmentedStatus.OPTIMAL
         assert res.cuts == 0
+        assert res.gap == 0.0
+        assert res.pivots == plain.iterations
         assert res.objective == plain.objective_value
         assert np.array_equal(res.x, plain.x)
 
