@@ -126,7 +126,7 @@ def _add_compare_options(p: argparse.ArgumentParser):
     p.add_argument("--filters", type=_thresholds, default="1,10,30",
                    help="comma-separated vehicle-count thresholds for the "
                         "summary table (default 1,10,30)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="parallel scenario workers (default 1)")
     p.add_argument("--fig2-day", type=str, default=None,
                    help="scenario id for the daily power profile file "
@@ -428,16 +428,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.synthetic is not None:
-        scenarios = random_batch(
-            args.seed,
-            args.synthetic,
-            horizon_steps=args.horizon,
-            step_hours=args.step_hours,
-            socket_limit=args.socket_limit,
-            waste=args.waste,
-            max_vehicles=args.max_vehicles,
-            capacity=args.capacity,
-        )
+        try:
+            scenarios = random_batch(
+                args.seed,
+                args.synthetic,
+                horizon_steps=args.horizon,
+                step_hours=args.step_hours,
+                socket_limit=args.socket_limit,
+                waste=args.waste,
+                max_vehicles=args.max_vehicles,
+                capacity=args.capacity,
+            )
+        except ValueError as exc:
+            print(f"evsched: usage error: --capacity: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         return _run_reports(scenarios, args, out_dir, {}, "simulate",
                             {"synthetic_days": args.synthetic, "seed": args.seed})
     try:

@@ -1,15 +1,16 @@
-"""The allocation LP of one scenario and its feasibility diagnostics.
+"""The allocation LP of one scenario and its feasibility report.
 
 The allocation problem is an LP over the variables Y[t][i] for the
 (step, vehicle) pairs where the vehicle is present: minimize the summed
 step costs subject to demand satisfaction, the station power budget and
 per-socket limits (`robust.solve` runs it for every method).  Phase one
-of the simplex decides whether a schedule meeting all demand exists.
-Only when it finds none does `check_feasibility` run (per-vehicle window
-capacity plus an aggregate max-flow test), to explain why in the
-`InfeasibleScenario` it raises; infeasible scenarios are a hard error
-because silently under-delivering would corrupt every cost comparison
-downstream.
+of the simplex decides whether a schedule meeting all demand exists, and
+its optimum says by how much a day falls short: at Y = 0 only the demand
+rows are violated, so the least artificial sum is the least total
+shortfall, and total load minus it is the max-flow of the equivalent
+transportation network (max-flow/min-cut, Ford & Fulkerson 1956).
+Infeasible scenarios are a hard error because silently under-delivering
+would corrupt every cost comparison downstream.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_TOL, Method, Scenario, Schedule
-from .solver import Arc, FlowNetwork, LinearProgram, NumericalFailure, max_flow_value
+from .model import Method, Scenario, Schedule
+from .solver import LinearProgram, LpSolution
+from .solver.lp import _Simplex
 
 
 @dataclass(frozen=True)
@@ -55,45 +57,25 @@ def variable_index(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return steps, vehicles
 
 
-def scheduling_network(scenario: Scenario) -> FlowNetwork:
-    """Equivalent transportation network.
-
-    Node layout: 0 = source, 1..N = vehicles, N+1..N+T = steps, N+T+1 = sink.
-    Source->vehicle arcs carry each demand, vehicle->step arcs the socket
-    limit at the step's unit cost, step->sink arcs the station budget.
-    """
-    T, n = scenario.horizon_steps, scenario.num_vehicles
-    delta = scenario.step_hours
-    step_cost = scenario.prices * (1.0 + scenario.waste) * delta
-    arcs: list[Arc] = []
-    for i in range(n):
-        arcs.append(Arc(0, 1 + i, float(scenario.load[i])))
-    for i in range(n):
-        for t in np.flatnonzero(scenario.occupancy[:, i]):
-            arcs.append(
-                Arc(
-                    1 + i,
-                    1 + n + int(t),
-                    float(scenario.socket_limit[t]),
-                    float(step_cost[t]),
-                )
-            )
-    for t in range(T):
-        arcs.append(Arc(1 + n + t, 1 + n + T, float(scenario.capacity[t])))
-    return FlowNetwork(num_nodes=n + T + 2, source=0, sink=1 + n + T, arcs=tuple(arcs))
+def check_feasibility(scenario: Scenario) -> FeasibilityReport:
+    """Can all demand be met?  Runs phase one of the allocation LP alone,
+    the test that `robust.solve` applies to every day."""
+    simplex = _Simplex(scheduling_lp(scenario)[0])
+    simplex.build_initial_basis()
+    return _phase_one_report(scenario, simplex.phase_one())
 
 
-def check_feasibility(scenario: Scenario, tol: float = FEAS_TOL) -> FeasibilityReport:
-    """Can all demand be met?  Per-vehicle window capacity check plus the
-    aggregate max-flow test on the transportation network."""
+def _phase_one_report(scenario: Scenario,
+                      infeasible: LpSolution | None) -> FeasibilityReport:
+    """The report of a phase one on `scheduling_lp(scenario)` that returned
+    `infeasible`, None when it found a feasible point."""
     slack = scenario.occupancy.T.astype(float) @ scenario.socket_limit - scenario.load
     total = float(scenario.load.sum())
-    flow = max_flow_value(scheduling_network(scenario))
-    feasible = bool(flow >= total - tol and (slack >= -tol).all())
+    shortfall = 0.0 if infeasible is None else infeasible.objective_value
     return FeasibilityReport(
-        feasible=feasible,
+        feasible=infeasible is None,
         per_vehicle_slack=slack,
-        max_flow=flow,
+        max_flow=total - shortfall,
         total_load=total,
     )
 
@@ -126,16 +108,3 @@ def schedule_from_x(
     y = np.zeros((scenario.horizon_steps, scenario.num_vehicles))
     y[steps, vehicles] = np.clip(x, 0.0, scenario.socket_limit[steps])
     return Schedule(allocation=y, method=method, scenario_id=scenario.scenario_id)
-
-
-def unsolved(scenario: Scenario, detail: str) -> RuntimeError:
-    """The error for a solve that ended without a certified optimum: the
-    max-flow test decides whether the day is infeasible, and if it finds
-    the day feasible the solver failed."""
-    report = check_feasibility(scenario)
-    if report.feasible:
-        return NumericalFailure(
-            f"scenario {scenario.scenario_id!r}: {detail}, but max-flow finds "
-            "it feasible"
-        )
-    return InfeasibleScenario(scenario.scenario_id, report)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CostBreakdown, Method, Scenario, Schedule, evaluate_cost
-from .nominal import schedule_from_x, scheduling_lp, unsolved
+from .nominal import InfeasibleScenario, _phase_one_report, schedule_from_x, scheduling_lp
 from .solver import NormAugmentedStatus, NumericalFailure, solve_norm_augmented
 
 
@@ -75,8 +75,9 @@ def solve(
     """Optimal schedule for one scenario under `method`.
 
     `radius` applies to the robust methods and `load_scale` to robust-load.
-    Raises InfeasibleScenario when demand cannot be met, and
-    NumericalFailure when the solver fails on a feasible day.
+    Raises InfeasibleScenario, carrying phase one's report, when demand
+    cannot be met, and NumericalFailure when the solver cannot certify
+    its result.
     """
     method = check_options(method, radius, load_scale)
     if method is Method.NOMINAL:
@@ -84,14 +85,13 @@ def solve(
     elif method is Method.ROBUST_LOAD:
         scenario = scenario.replace_load(scenario.load * load_scale)
     lp, var_index = scheduling_lp(scenario)
-    try:
-        result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index))
-    except NumericalFailure as exc:
-        raise unsolved(scenario, str(exc)) from exc
-    if result.status in (NormAugmentedStatus.INFEASIBLE, NormAugmentedStatus.UNBOUNDED):
-        # phase one decides feasibility; the box bounds the feasible set,
-        # so unbounded means a numerical failure
-        raise unsolved(scenario, f"solve reported {result.status.value}")
+    result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index))
+    if result.status is NormAugmentedStatus.INFEASIBLE:
+        raise InfeasibleScenario(scenario.scenario_id,
+                                 _phase_one_report(scenario, result.lp_solution))
+    if result.status is NormAugmentedStatus.UNBOUNDED:
+        # the box bounds the feasible set
+        raise NumericalFailure(f"scenario {scenario.scenario_id!r}: solve reported unbounded")
     schedule = schedule_from_x(scenario, result.x, var_index, method)
     return SolveResult(
         schedule=schedule,

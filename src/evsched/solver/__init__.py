@@ -1,6 +1,5 @@
-"""Generic optimization kernels: LP solver, max-flow, norm cutting planes."""
+"""Generic optimization kernels: LP solver and norm cutting planes."""
 
-from .flow import Arc, FlowNetwork, max_flow_value
 from .lp import (
     FEASIBILITY_TOL,
     GAP_REL_TOL,
@@ -17,9 +16,6 @@ from .socp import (
 )
 
 __all__ = [
-    "Arc",
-    "FlowNetwork",
-    "max_flow_value",
     "FEASIBILITY_TOL",
     "GAP_REL_TOL",
     "LinearProgram",

@@ -7,11 +7,12 @@ Solves
 
 with a two-phase bounded-variable simplex.  Inequalities get slack
 columns, infeasible starting rows get artificial columns, and phase one
-minimizes the artificial sum.  Pricing is Dantzig (most negative reduced
-cost, ties to the lowest column index); after a run of degenerate pivots
-the solver switches to Bland's smallest-index rule until the objective
-moves again, which prevents cycling.  The pivot sequence is a pure
-function of the instance, so results are bit-reproducible.
+minimizes the artificial sum; an Infeasible result carries that least
+sum.  Pricing is Dantzig (most negative reduced cost, ties to the lowest
+column index); after a run of degenerate pivots the solver switches to
+Bland's smallest-index rule until the objective moves again, which
+prevents cycling.  The pivot sequence is a pure function of the
+instance, so results are bit-reproducible.
 
 Optimal solutions always carry a dual certificate (multipliers for G, E
 and the active bounds) and the solver re-checks primal residuals and the
@@ -128,7 +129,10 @@ class LpSolution:
     with dual_objective <= objective_value (weak duality) and
     duality_gap = objective_value - dual_objective certified at
     <= GAP_REL_TOL relative; max_residual is the worst primal
-    constraint violation (<= FEASIBILITY_TOL).
+    constraint violation (<= FEASIBILITY_TOL).  For Infeasible status
+    objective_value is phase one's optimum, the least sum of the
+    artificials: the least total violation of the rows that x at its
+    starting bounds violates.
     """
 
     status: LpStatus
@@ -219,6 +223,7 @@ class _Simplex:
             self.n_total += self.n_art
         self.art_start = self.n_total - self.n_art
         self.state[self.basis] = _BASIC
+        self.enterable = np.ones(self.n_total, dtype=bool)
         self.refactorize()
 
     def refactorize(self):
@@ -364,7 +369,6 @@ class _Simplex:
 
     def solve(self) -> LpSolution:
         self.build_initial_basis()
-        self.enterable = np.ones(self.n_total, dtype=bool)
         return self._optimize()
 
     def add_inequality(self, g: np.ndarray, h: float) -> LpSolution:
@@ -436,29 +440,43 @@ class _Simplex:
         self.art_start += 1
         return self._optimize()
 
+    def phase_one(self) -> LpSolution | None:
+        """Minimize the artificial sum from the current basis, and set the
+        iteration budget of this phase and the next.
+
+        Returns the INFEASIBLE solution, whose objective_value is the least
+        artificial sum, when an artificial stays above FEASIBILITY_TOL.
+        Otherwise returns None, with the artificials frozen at zero and
+        barred from re-entering, ready for phase two.
+        """
+        self.max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
+        if not self.n_art:
+            return None
+        c1 = np.zeros(self.n_total)
+        c1[self.art_start :] = 1.0
+        status = self.run_phase(c1, self.max_iter)
+        if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
+            raise NumericalFailure("phase one reported unbounded")
+        self.refactorize()
+        # each artificial bounds its row's violation at the phase-one
+        # point, which certification would hold to FEASIBILITY_TOL
+        artificials = self.values[self.art_start :]
+        if artificials.max() > FEASIBILITY_TOL:
+            return LpSolution(status=LpStatus.INFEASIBLE,
+                              objective_value=float(artificials.sum()),
+                              iterations=self.iterations)
+        self._expel_artificials()
+        self.lo[self.art_start :] = 0.0
+        self.up[self.art_start :] = 0.0
+        self.enterable[self.art_start :] = False
+        return None
+
     def _optimize(self) -> LpSolution:
-        """Phase one when artificials exist, then phase two and the
-        certificate; the iteration budget counts from the current total."""
-        max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
-
-        if self.n_art:
-            c1 = np.zeros(self.n_total)
-            c1[self.art_start :] = 1.0
-            status = self.run_phase(c1, max_iter)
-            if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
-                raise NumericalFailure("phase one reported unbounded")
-            self.refactorize()
-            # each artificial bounds its row's violation at the phase-one
-            # point, which certification would hold to FEASIBILITY_TOL
-            if self.values[self.art_start :].max() > FEASIBILITY_TOL:
-                return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
-            self._expel_artificials()
-            # freeze artificials at zero and bar them from re-entering
-            self.lo[self.art_start :] = 0.0
-            self.up[self.art_start :] = 0.0
-            self.enterable[self.art_start :] = False
-
-        status = self.run_phase(self.cost, max_iter)
+        """Phase one, then phase two and the certificate."""
+        infeasible = self.phase_one()
+        if infeasible is not None:
+            return infeasible
+        status = self.run_phase(self.cost, self.max_iter)
         if status is LpStatus.UNBOUNDED:
             return LpSolution(status=LpStatus.UNBOUNDED, iterations=self.iterations)
         self.refactorize()

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, LpStatus, _Simplex
+from .lp import LinearProgram, LpSolution, LpStatus, NumericalFailure, _Simplex
 
 # Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
 # Tight defaults keep the returned iterate close to the true minimizer, not
@@ -102,6 +102,8 @@ def solve_norm_augmented(
 
     for k in range(max_cuts + 1):
         if sol.status is not LpStatus.OPTIMAL:
+            if k:  # tau can rise to meet any cut, so only numerics end here
+                raise NumericalFailure(f"master {sol.status.value} after {k} cuts")
             return NormAugmentedResult(
                 status=NormAugmentedStatus(sol.status.value),
                 pivots=master.iterations,

@@ -35,8 +35,9 @@ def random_scenario(
     """One random scenario, guaranteed feasible.
 
     Demands are drawn below each vehicle's window socket capacity; if the
-    station budget still cannot serve everyone (aggregate max-flow short),
-    all demands are scaled down until the feasibility check passes.
+    station budget still cannot serve everyone, all demands are scaled
+    down until the feasibility check passes.  Raises ValueError when sixty
+    such scalings leave the day infeasible, as at capacity 0.
     """
     T = horizon_steps
     n = int(num_vehicles) if num_vehicles is not None else int(rng.integers(1, max_vehicles + 1))
@@ -68,7 +69,7 @@ def random_scenario(
         if report.feasible:
             return scenario
         scenario = scenario.replace_load(scenario.load * 0.7)
-    raise RuntimeError("could not produce a feasible scenario")
+    raise ValueError(f"no feasible day at station capacity {cap:g} kW")
 
 
 def random_batch(seed: int, days: int, **kwargs) -> list[Scenario]:

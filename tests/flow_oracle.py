@@ -1,11 +1,13 @@
-"""Min-cost flow: the independent verification oracle for the scheduling LP.
+"""Flow oracles for the scheduling LP: max-flow and min-cost flow.
 
-The daily allocation problem is a transportation problem, so its optimum
-must match a minimum-cost flow of value sum(load) on the equivalent
-network (`evsched.nominal.scheduling_network`).  The implementation is
-successive shortest paths with Bellman-Ford (arc costs may be negative
-when market prices are), augmenting by the maximum amount each round, on
-the residual graph that the package's max-flow uses.
+The daily allocation problem is a transportation problem (see
+`scheduling_network`).  Its max-flow (Edmonds-Karp) must equal the total
+load minus the least shortfall that phase one of the LP finds, and its
+optimum must match a minimum-cost flow of value sum(load).  The min-cost
+flow is successive shortest paths with Bellman-Ford (arc costs may be
+negative when market prices are), augmenting by the maximum amount each
+round, on the residual graph that the max-flow uses.  Networks here are
+tiny, so clarity wins over speed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,130 @@ from enum import Enum
 
 import numpy as np
 
-from evsched.solver.flow import _CAP_TOL, FlowNetwork, _Residual
+from evsched import Scenario
+
+_CAP_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Arc:
+    tail: int
+    head: int
+    capacity: float
+    cost: float = 0.0
+
+
+@dataclass(frozen=True)
+class FlowNetwork:
+    num_nodes: int
+    source: int
+    sink: int
+    arcs: tuple[Arc, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "arcs", tuple(self.arcs))
+        for a in self.arcs:
+            if not (0 <= a.tail < self.num_nodes and 0 <= a.head < self.num_nodes):
+                raise ValueError(f"arc {a} references unknown node")
+            if a.capacity < 0:
+                raise ValueError(f"arc {a} has negative capacity")
+
+
+class _Residual:
+    """Doubled-arc residual graph: edge 2k is arc k, edge 2k+1 its reverse."""
+
+    def __init__(self, net: FlowNetwork):
+        self.n = net.num_nodes
+        self.heads: list[int] = []
+        self.caps: list[float] = []
+        self.adj: list[list[int]] = [[] for _ in range(self.n)]
+        for a in net.arcs:
+            self._push(a.tail, a.head, a.capacity)
+            self._push(a.head, a.tail, 0.0)
+
+    def _push(self, tail, head, cap):
+        idx = len(self.heads)
+        self.heads.append(head)
+        self.caps.append(cap)
+        self.adj[tail].append(idx)
+
+    def tail_of(self, edge: int) -> int:
+        # edge 2k leaves net.arcs[k].tail; its mate leaves the head
+        return self.heads[edge ^ 1]
+
+    def bfs_path(self, src: int, dst: int):
+        """Fewest-hop augmenting path (for max flow)."""
+        pred = np.full(self.n, -1, dtype=int)
+        seen = np.zeros(self.n, dtype=bool)
+        seen[src] = True
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            if u == dst:
+                return pred
+            for e in self.adj[u]:
+                v = self.heads[e]
+                if not seen[v] and self.caps[e] > _CAP_TOL:
+                    seen[v] = True
+                    pred[v] = e
+                    queue.append(v)
+        return None
+
+    def augment(self, pred, src: int, dst: int, limit: float) -> float:
+        amount = limit
+        v = dst
+        while v != src:
+            e = int(pred[v])
+            amount = min(amount, self.caps[e])
+            v = self.tail_of(e)
+        if not np.isfinite(amount):
+            raise RuntimeError("augmenting path with unbounded capacity")
+        v = dst
+        while v != src:
+            e = int(pred[v])
+            self.caps[e] -= amount
+            self.caps[e ^ 1] += amount
+            v = self.tail_of(e)
+        return amount
+
+
+def max_flow_value(net: FlowNetwork) -> float:
+    """Maximum source -> sink flow value (Edmonds-Karp)."""
+    res = _Residual(net)
+    total = 0.0
+    while True:
+        pred = res.bfs_path(net.source, net.sink)
+        if pred is None:
+            return total
+        total += res.augment(pred, net.source, net.sink, np.inf)
+
+
+def scheduling_network(scenario: Scenario) -> FlowNetwork:
+    """Equivalent transportation network.
+
+    Node layout: 0 = source, 1..N = vehicles, N+1..N+T = steps, N+T+1 = sink.
+    Source->vehicle arcs carry each demand, vehicle->step arcs the socket
+    limit at the step's unit cost, step->sink arcs the station budget.
+    """
+    T, n = scenario.horizon_steps, scenario.num_vehicles
+    delta = scenario.step_hours
+    step_cost = scenario.prices * (1.0 + scenario.waste) * delta
+    arcs: list[Arc] = []
+    for i in range(n):
+        arcs.append(Arc(0, 1 + i, float(scenario.load[i])))
+    for i in range(n):
+        for t in np.flatnonzero(scenario.occupancy[:, i]):
+            arcs.append(
+                Arc(
+                    1 + i,
+                    1 + n + int(t),
+                    float(scenario.socket_limit[t]),
+                    float(step_cost[t]),
+                )
+            )
+    for t in range(T):
+        arcs.append(Arc(1 + n + t, 1 + n + T, float(scenario.capacity[t])))
+    return FlowNetwork(num_nodes=n + T + 2, source=0, sink=1 + n + T, arcs=tuple(arcs))
 
 
 class FlowStatus(Enum):

@@ -12,7 +12,6 @@ import numpy as np
 
 from evsched import Method, evaluate_cost, fcfs_with_report, solve, validate_schedule
 from evsched.model import ViolationKind
-from evsched.nominal import scheduling_network
 from evsched.sim import (
     RunConfig,
     aggregate,
@@ -27,7 +26,7 @@ from evsched.synth import random_batch, random_scenario, write_synthetic_corpus
 from evsched.ingest import IngestConfig, build_scenarios, parse_prices, parse_sessions
 
 from conftest import make_scenario
-from flow_oracle import FlowStatus, solve_min_cost_flow
+from flow_oracle import FlowStatus, scheduling_network, solve_min_cost_flow
 
 
 def report(criterion: int, ok: bool, detail: str):

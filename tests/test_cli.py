@@ -140,6 +140,20 @@ class TestParseArgs:
         assert flags[0] in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_counts_are_usage_errors(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--synthetic", "3", "--workers", workers,
+                  "--out", str(tmp_path / "r")])
+        assert err.value.code == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
+    def test_station_without_capacity_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["simulate", "--synthetic", "3", "--capacity", "0",
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        assert "--capacity" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "ingest"])
     def test_bad_station_values_on_the_file_path(self, tmp_path, capsys, command):
         s, p = write_inputs(tmp_path)

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from evsched.solver import Arc, FlowNetwork, max_flow_value
-
-from flow_oracle import FlowStatus, solve_min_cost_flow
+from flow_oracle import Arc, FlowNetwork, FlowStatus, max_flow_value, solve_min_cost_flow
 
 
 def two_parallel_arcs():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import evsched.nominal as nominal_module
+import evsched.robust as robust_module
+import evsched.solver.lp as lp_module
 import evsched.solver.socp as socp_module
 from evsched import (
     InfeasibleScenario,
@@ -18,13 +20,14 @@ from evsched import (
     solve,
     validate_schedule,
 )
-from evsched.nominal import schedule_from_x, scheduling_lp, scheduling_network
+from evsched.model import FEAS_TOL
+from evsched.nominal import schedule_from_x, scheduling_lp
 from evsched.robust import totals_map
 from evsched.solver import NumericalFailure
 from evsched.synth import random_scenario
 
 from conftest import make_scenario
-from flow_oracle import FlowStatus, solve_min_cost_flow
+from flow_oracle import FlowStatus, max_flow_value, scheduling_network, solve_min_cost_flow
 
 
 class TestFeasibilityCheck:
@@ -246,8 +249,85 @@ class TestFeasibilityDecision:
 
         monkeypatch.setattr(socp_module._Simplex, "solve", failing)
         sc = make_scenario([(1, 2)], [5.0], [1.0, 2.0])
-        with pytest.raises(NumericalFailure, match="max-flow finds it feasible"):
+        with pytest.raises(NumericalFailure, match="injected"):
             solve(sc)
+
+    @pytest.mark.parametrize("optimize", [
+        solve,
+        lambda sc: solve(sc, Method.ROBUST_PRICE, radius=0.5),
+    ], ids=["nominal", "robust-price"])
+    def test_one_simplex_per_solve(self, monkeypatch, optimize):
+        # an infeasible day's report comes from the solve's own phase one,
+        # and a feasible day builds no report at all
+        built = []
+        init = lp_module._Simplex.__init__
+
+        def counting(simplex, lp):
+            built.append(lp)
+            init(simplex, lp)
+
+        def refuse(*args):
+            raise AssertionError("feasibility report built on a feasible day")
+
+        monkeypatch.setattr(lp_module._Simplex, "__init__", counting)
+        short = make_scenario([(1, 1), (1, 1)], [5.0, 5.0], [1.0],
+                              socket=7.0, capacity=8.0)
+        with pytest.raises(InfeasibleScenario) as err:
+            optimize(short)
+        assert len(built) == 1
+        assert_same_report(err.value.report, check_feasibility(short))
+
+        day = random_scenario(np.random.default_rng(5), horizon_steps=6, max_vehicles=4)
+        built.clear()
+        monkeypatch.setattr(robust_module, "_phase_one_report", refuse)
+        monkeypatch.setattr(nominal_module, "check_feasibility", refuse)
+        optimize(day)
+        assert len(built) == 1
+
+
+def edge_days(seed):
+    """A seeded day with the edge cases together: zero-capacity steps, zero
+    loads, step_hours != 1, waste > 0, single-step windows and a vehicle
+    never present; demands run from slack to short."""
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(1, 7))
+    windows = [None]
+    for _ in range(int(rng.integers(1, 5))):
+        a = int(rng.integers(1, T + 1))
+        windows.append((a, a) if rng.random() < 0.4 else (a, int(rng.integers(a, T + 1))))
+    socket = rng.uniform(1.0, 8.0, T)
+    window_cap = np.array([0.0] + [socket[a - 1 : d].sum() for a, d in windows[1:]])
+    load = window_cap * rng.uniform(0.0, 1.2, len(windows))
+    load[1] = 0.0
+    capacity = rng.uniform(0.0, 2.0, T) * socket
+    capacity[rng.random(T) < 0.3] = 0.0
+    return make_scenario(windows, load, rng.uniform(-0.1, 0.4, T), capacity=capacity,
+                         socket=socket, waste=float(rng.uniform(0.0, 0.1)),
+                         step_hours=float(rng.choice([0.25, 0.5, 2.0])))
+
+
+class TestMaxFlowOracle:
+    """Phase one's verdict and max-flow figure against Edmonds-Karp on the
+    transportation network."""
+
+    @staticmethod
+    def days():
+        for seed in range(40):
+            yield edge_days(seed)
+        for seed in range(12):
+            yield from variants(seed)
+
+    def test_phase_one_matches_edmonds_karp(self):
+        outcomes = set()
+        for sc in self.days():
+            report = check_feasibility(sc)
+            flow = max_flow_value(scheduling_network(sc))
+            total = float(sc.load.sum())
+            assert report.feasible == (flow >= total - FEAS_TOL)
+            assert report.max_flow == pytest.approx(flow, rel=0.0,
+                                                    abs=FEAS_TOL * max(1.0, total))
+            outcomes.add(report.feasible)
+        assert outcomes == {True, False}
 
 
 class TestLpBuild:

@@ -12,8 +12,10 @@ from evsched.robust import totals_map
 from evsched.solver import (
     FEASIBILITY_TOL,
     LinearProgram,
+    LpSolution,
     LpStatus,
     NormAugmentedStatus,
+    NumericalFailure,
     solve_lp,
     solve_norm_augmented,
 )
@@ -173,3 +175,12 @@ class TestWarmMaster:
         assert res.pivots > res.cuts
         plain = solve_norm_augmented(lp, 0.0, M)
         assert plain.pivots == solve_lp(lp).iterations > 0
+
+    def test_master_failing_after_a_cut_is_a_numerical_failure(self, monkeypatch):
+        # tau can rise to meet any cut, so a grown master that reports
+        # infeasible is a solver failure, not an infeasible day
+        monkeypatch.setattr(lp_module._Simplex, "add_inequality",
+                            lambda self, g, h: LpSolution(status=LpStatus.INFEASIBLE))
+        lp, M = robust_day(8)
+        with pytest.raises(NumericalFailure, match="infeasible after 1 cuts"):
+            solve_norm_augmented(lp, 0.5, M)
