@@ -260,16 +260,15 @@ def _report_build(result, stream=sys.stderr):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = _load_inputs(args)
     except (MalformedRow, MissingColumn, OSError, ValueError) as exc:
         print(f"evsched: ingest error: {exc}", file=sys.stderr)
         return EXIT_INGEST
     _report_build(result)
+    out_dir = Path(args.out)
     scen_dir = out_dir / "scenarios"
-    scen_dir.mkdir(exist_ok=True)
+    scen_dir.mkdir(parents=True, exist_ok=True)
     for sc in result.scenarios:
         save_scenario(sc, scen_dir / f"{sc.scenario_id}.json")
     report = {
@@ -356,8 +355,12 @@ def _collect_scenario_files(paths: list[Path]) -> list[Path]:
     return files
 
 
-def _run_reports(scenarios: list[Scenario], args, out_dir: Path,
-                 inputs: dict[str, Path], command: str, run_meta: dict) -> int:
+def _run_reports(scenarios: list[Scenario], args, inputs: dict[str, Path],
+                 command: str, run_meta: dict) -> int:
+    """Compare `scenarios` and write the reports into `--out`, which is made
+    here, once the inputs exist, so a usage or input error leaves none."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     config = RunConfig(
         method=Method(args.method),
         robust_radius=args.radius,
@@ -408,8 +411,6 @@ def _run_reports(scenarios: list[Scenario], args, out_dir: Path,
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = _collect_scenario_files(args.scenarios)
     if not files:
         print("evsched: no scenario files found", file=sys.stderr)
@@ -420,13 +421,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"evsched: cannot read scenarios: {exc}", file=sys.stderr)
         return EXIT_INGEST
     inputs = {f.name: f for f in files}
-    return _run_reports(scenarios, args, out_dir, inputs, "compare",
+    return _run_reports(scenarios, args, inputs, "compare",
                         {"scenario_files": len(files)})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.synthetic is not None:
         try:
             scenarios = random_batch(
@@ -442,7 +441,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"evsched: usage error: --capacity: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        return _run_reports(scenarios, args, out_dir, {}, "simulate",
+        return _run_reports(scenarios, args, {}, "simulate",
                             {"synthetic_days": args.synthetic, "seed": args.seed})
     try:
         result = _load_inputs(args)
@@ -456,7 +455,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "sessions_dropped": len(result.dropped_sessions),
     }
     inputs = {"sessions": args.sessions, "prices": args.prices}
-    return _run_reports(result.scenarios, args, out_dir, inputs, "simulate", run_meta)
+    return _run_reports(result.scenarios, args, inputs, "simulate", run_meta)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -3,14 +3,20 @@
 The allocation problem is an LP over the variables Y[t][i] for the
 (step, vehicle) pairs where the vehicle is present: minimize the summed
 step costs subject to demand satisfaction, the station power budget and
-per-socket limits (`robust.solve` runs it for every method).  Phase one
-of the simplex decides whether a schedule meeting all demand exists, and
-its optimum says by how much a day falls short: at Y = 0 only the demand
-rows are violated, so the least artificial sum is the least total
-shortfall, and total load minus it is the max-flow of the equivalent
-transportation network (max-flow/min-cut, Ford & Fulkerson 1956).
-Infeasible scenarios are a hard error because silently under-delivering
-would corrupt every cost comparison downstream.
+per-socket limits (`robust.solve` runs it for every method).  Every solve
+of it starts from the least-cost greedy allocation (`least_cost_start`),
+the starting solution of the transportation simplex (Dantzig 1951); on a
+day whose station budget does not bind, that start is already optimal.
+
+Phase one of the simplex decides whether a schedule meeting all demand
+exists, and its optimum says by how much a day falls short.  At the start
+only the demand rows the greedy leaves short are violated, and the least
+artificial sum is the least total shortfall: augmenting paths never take
+flow from a vehicle, so the greedy flow grows into a maximum flow that
+still meets every demand it met.  Total load minus the shortfall is the
+max-flow of the equivalent transportation network (max-flow/min-cut, Ford
+& Fulkerson 1956).  Infeasible scenarios are a hard error because silently
+under-delivering would corrupt every cost comparison downstream.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Method, Scenario, Schedule
-from .solver import LinearProgram, LpSolution
+from .solver import BasisStart, LinearProgram, LpSolution
 from .solver.lp import _Simplex
 
 
@@ -60,8 +66,9 @@ def variable_index(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     """Can all demand be met?  Runs phase one of the allocation LP alone,
     the test that `robust.solve` applies to every day."""
-    simplex = _Simplex(scheduling_lp(scenario)[0])
-    simplex.build_initial_basis()
+    lp, var_index = scheduling_lp(scenario)
+    simplex = _Simplex(lp)
+    simplex.build_initial_basis(least_cost_start(scenario, var_index))
     return _phase_one_report(scenario, simplex.phase_one())
 
 
@@ -87,15 +94,60 @@ def scheduling_lp(
     var_index = steps, vehicles = variable_index(scenario)
     T, n = scenario.horizon_steps, scenario.num_vehicles
     k = np.arange(steps.size)
-    unit_cost = scenario.prices * (1.0 + scenario.waste) * scenario.step_hours
 
     G = np.zeros((n + T, k.size))
     G[vehicles, k] = -1.0  # demand row, as -sum(Y) <= -L
     G[n + steps, k] = 1.0  # capacity row
     h = np.concatenate([-scenario.load, scenario.capacity])
-    lp = LinearProgram(c=unit_cost[steps], G=G, h=h, lo=np.zeros(k.size),
+    lp = LinearProgram(c=_unit_cost(scenario)[steps], G=G, h=h, lo=np.zeros(k.size),
                        up=scenario.socket_limit[steps])
     return lp, var_index
+
+
+def _unit_cost(scenario: Scenario) -> np.ndarray:
+    return scenario.prices * (1.0 + scenario.waste) * scenario.step_hours
+
+
+def least_cost_start(
+    scenario: Scenario, var_index: tuple[np.ndarray, np.ndarray]
+) -> BasisStart:
+    """The least-cost greedy starting basis of `scheduling_lp(scenario)`.
+
+    Each vehicle, in index order, fills its in-window steps cheapest first
+    (ties to the earlier step), each by the least of the socket limit, its
+    unmet demand and the station budget still unused.  A fill at the
+    socket limit rests at its upper bound; a fill cut short by the budget
+    is basic in that step's capacity row, and one cut short by the demand
+    in the vehicle's demand row.  Every other row keeps its slack, or an
+    artificial where the greedy leaves a demand short.
+
+    A capacity row is named by the fill that empties its budget, so only
+    earlier vehicles charge at that step; a demand row is named by its
+    vehicle's last fill.  Following named columns around a cycle would
+    then need ever smaller vehicle indices, so the named columns and the
+    slacks form a spanning forest of the transportation network: the
+    basis is invertible.
+    """
+    steps, vehicles = var_index
+    n = scenario.num_vehicles
+    socket = scenario.socket_limit.tolist()
+    budget = scenario.capacity.tolist()
+    unmet = scenario.load.tolist()
+    step_of, vehicle_of = steps.tolist(), vehicles.tolist()
+    x = np.zeros(steps.size)
+    basic = np.full(n + scenario.horizon_steps, -1)
+    # vehicle-major, cheapest first; lexsort is stable, so ties keep step order
+    for k in np.lexsort((_unit_cost(scenario)[steps], vehicles)).tolist():
+        i, t = vehicle_of[k], step_of[k]
+        fill = min(socket[t], unmet[i], budget[t])
+        if fill <= 0.0:
+            continue
+        x[k] = fill
+        if fill < socket[t]:  # cut short: basic in the row that cut it
+            basic[n + t if fill == budget[t] else i] = k
+        unmet[i] -= fill
+        budget[t] -= fill
+    return BasisStart(x, basic)
 
 
 def schedule_from_x(

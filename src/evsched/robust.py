@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CostBreakdown, Method, Scenario, Schedule, evaluate_cost
-from .nominal import InfeasibleScenario, _phase_one_report, schedule_from_x, scheduling_lp
+from .nominal import (
+    InfeasibleScenario,
+    _phase_one_report,
+    least_cost_start,
+    schedule_from_x,
+    scheduling_lp,
+)
 from .solver import NormAugmentedStatus, NumericalFailure, solve_norm_augmented
 
 
@@ -37,6 +43,7 @@ class SolveResult:
     gap: float  # cutting-plane upper minus lower bound (0 for an LP)
     cuts: int
     pivots: int  # simplex pivots over every LP the solve ran
+    phase_one_pivots: int  # the phase-one share of `pivots`
     converged: bool  # False when the cut limit stopped the loop
 
 
@@ -85,7 +92,8 @@ def solve(
     elif method is Method.ROBUST_LOAD:
         scenario = scenario.replace_load(scenario.load * load_scale)
     lp, var_index = scheduling_lp(scenario)
-    result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index))
+    result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index),
+                                  start=least_cost_start(scenario, var_index))
     if result.status is NormAugmentedStatus.INFEASIBLE:
         raise InfeasibleScenario(scenario.scenario_id,
                                  _phase_one_report(scenario, result.lp_solution))
@@ -100,5 +108,6 @@ def solve(
         gap=float(result.gap),
         cuts=result.cuts,
         pivots=result.pivots,
+        phase_one_pivots=result.phase_one_pivots,
         converged=result.status is NormAugmentedStatus.OPTIMAL,
     )

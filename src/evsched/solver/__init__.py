@@ -2,6 +2,7 @@
 
 from .lp import (
     FEASIBILITY_TOL,
+    BasisStart,
     GAP_REL_TOL,
     LinearProgram,
     LpSolution,
@@ -17,6 +18,7 @@ from .socp import (
 
 __all__ = [
     "FEASIBILITY_TOL",
+    "BasisStart",
     "GAP_REL_TOL",
     "LinearProgram",
     "LpSolution",

@@ -8,8 +8,10 @@ Solves
 with a two-phase bounded-variable simplex.  Inequalities get slack
 columns, infeasible starting rows get artificial columns, and phase one
 minimizes the artificial sum; an Infeasible result carries that least
-sum.  Pricing is Dantzig (most negative reduced cost, ties to the lowest
-column index); after a run of degenerate pivots the solver switches to
+sum.  A caller that knows a good starting point can pass it with the
+basic column of each row it covers (`BasisStart`); the default start
+rests every column at a bound.  Pricing is Dantzig (most negative reduced
+cost, ties to the lowest column index); after a run of degenerate pivots the solver switches to
 Bland's smallest-index rule until the objective moves again, which
 prevents cycling.  The pivot sequence is a pure function of the
 instance, so results are bit-reproducible.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,7 +135,7 @@ class LpSolution:
     constraint violation (<= FEASIBILITY_TOL).  For Infeasible status
     objective_value is phase one's optimum, the least sum of the
     artificials: the least total violation of the rows that x at its
-    starting bounds violates.
+    starting point violates.
     """
 
     status: LpStatus
@@ -148,6 +151,17 @@ class LpSolution:
     iterations: int = 0
 
 
+class BasisStart(NamedTuple):
+    """A starting point for the simplex: the structural values `x`, each
+    at one of its bounds (zero when free) unless basic, and `basic[r]`, the
+    structural column basic in row r, or -1 where the row starts with its
+    slack or an artificial.  The named columns must form a nonsingular
+    basis together with the unit columns of the other rows."""
+
+    x: np.ndarray
+    basic: np.ndarray
+
+
 # Nonbasic rest states.
 _AT_LO = 1
 _AT_UP = 2
@@ -160,7 +174,9 @@ _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 class _Simplex:
     """Working state for one solve, which `add_inequality` can extend row by
-    row; columns are [structural | slack | artificial]."""
+    row; columns are [structural | slack | artificial].  `iterations`
+    counts the pivots of every phase so far, `phase_one_pivots` those of
+    phase one."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -186,26 +202,42 @@ class _Simplex:
         self.cost = np.concatenate([lp.c, np.zeros(m_ineq)])
         self.n_total = n + m_ineq
         self.iterations = 0
+        self.phase_one_pivots = 0
 
     # -- setup -----------------------------------------------------------
 
-    def build_initial_basis(self):
-        """Every column rests at a finite bound (lower first) or at zero
-        when free; each row starts with its slack basic if that is
+    def build_initial_basis(self, start: BasisStart | None = None):
+        """Structural columns take their values from `start`, or else rest
+        at a finite bound (lower first) or at zero when free; slacks rest at
+        zero.  Each row starts with the basic column `start` names for it;
+        a row it names none for starts with its slack basic if that is
         nonnegative, otherwise with a signed artificial."""
-        m = self.m
+        m, n = self.m, self.n_struct
         fin_lo = np.isfinite(self.lo)
         fin_up = np.isfinite(self.up)
         self.state = np.where(fin_lo, _AT_LO, np.where(fin_up, _AT_UP, _FREE))
         self.state = self.state.astype(np.int8)
         self.values = np.where(fin_lo, self.lo, np.where(fin_up, self.up, 0.0))
+        named = np.full(m, -1)
+        if start is not None:
+            named = np.asarray(start.basic)
+            x = np.asarray(start.x, dtype=float)
+            rest = self.values[:n]
+            at_up = (x == self.up[:n]) & (x != rest)
+            basic = np.zeros(n, dtype=bool)
+            basic[named[named >= 0]] = True
+            if not ((x == rest) | at_up | basic).all():
+                raise ValueError("a nonbasic starting value is off its bounds")
+            self.state[:n][at_up] = _AT_UP
+            self.values[:n] = x
 
         residual = self.rhs - self.A @ self.values
         rows = np.arange(m)
         slack_ok = (rows < self.m_ineq) & (residual >= 0.0)
-        art_rows = np.flatnonzero(~slack_ok)
+        art_rows = np.flatnonzero((named < 0) & ~slack_ok)
         self.n_art = art_rows.size
-        self.basis = np.where(slack_ok, self.n_struct + rows, 0)
+        self.basis = np.where(named >= 0, named,
+                              np.where(slack_ok, self.n_struct + rows, 0))
         self.basis[art_rows] = self.n_total + np.arange(self.n_art)
         if self.n_art:
             art_block = np.zeros((m, self.n_art))
@@ -367,8 +399,8 @@ class _Simplex:
 
     # -- phases ------------------------------------------------------------
 
-    def solve(self) -> LpSolution:
-        self.build_initial_basis()
+    def solve(self, start: BasisStart | None = None) -> LpSolution:
+        self.build_initial_basis(start)
         return self._optimize()
 
     def add_inequality(self, g: np.ndarray, h: float) -> LpSolution:
@@ -454,7 +486,9 @@ class _Simplex:
             return None
         c1 = np.zeros(self.n_total)
         c1[self.art_start :] = 1.0
+        before = self.iterations
         status = self.run_phase(c1, self.max_iter)
+        self.phase_one_pivots += self.iterations - before
         if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
             raise NumericalFailure("phase one reported unbounded")
         self.refactorize()

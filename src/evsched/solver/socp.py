@@ -8,10 +8,12 @@ evaluating the true objective at the iterate gives an upper bound, and the
 loop stops once the best upper bound meets the lower bound at tolerance.
 
 One simplex serves the whole loop (Kelley 1960): the first master is
-solved cold, and each cut is appended to it as one more row and
+solved from the caller's starting basis, if any, with tau resting at 0,
+and each cut is appended to it as one more row and
 re-optimized from the previous optimal basis, which is near-optimal for
 the grown master.  Every master is still certified against its full
-constraint set, and `pivots` counts the simplex pivots over all masters.
+constraint set; `pivots` counts the simplex pivots over all masters and
+`phase_one_pivots` those of their phase ones.
 
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
@@ -24,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolution, LpStatus, NumericalFailure, _Simplex
+from .lp import BasisStart, LinearProgram, LpSolution, LpStatus, NumericalFailure, _Simplex
 
 # Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
 # Tight defaults keep the returned iterate close to the true minimizer, not
@@ -51,6 +53,7 @@ class NormAugmentedResult:
     gap: float | None = None
     cuts: int = 0
     pivots: int = 0  # simplex pivots over every master LP
+    phase_one_pivots: int = 0  # the phase-one share of `pivots`
     lp_solution: LpSolution | None = None
 
 
@@ -80,6 +83,7 @@ def solve_norm_augmented(
     weight: float,
     norm_map: np.ndarray,
     *,
+    start: BasisStart | None = None,
     max_cuts: int = MAX_CUTS,
 ) -> NormAugmentedResult:
     if weight < 0:
@@ -90,11 +94,14 @@ def solve_norm_augmented(
             f"norm_map has {M.shape[1]} columns, expected {lp.num_vars}"
         )
 
-    # One simplex lives for the whole loop: the first master is solved cold
-    # and every cut is appended to it and re-optimized from the last basis.
-    # At weight 0 tau would cost nothing, so the master is the LP itself.
+    # One simplex lives for the whole loop: the first master is solved from
+    # `start` and every cut is appended to it and re-optimized from the last
+    # basis.  At weight 0 tau would cost nothing, so the master is the LP
+    # itself; otherwise tau starts nonbasic at 0.
     master = _Simplex(_augmented(lp, weight, np.zeros((0, lp.num_vars))) if weight else lp)
-    sol = master.solve()
+    if weight and start is not None:
+        start = BasisStart(np.append(start.x, 0.0), start.basic)
+    sol = master.solve(start)
     dirs = np.empty((max_cuts, M.shape[0]))
     best: NormAugmentedResult | None = None
     best_upper = np.inf
@@ -107,6 +114,7 @@ def solve_norm_augmented(
             return NormAugmentedResult(
                 status=NormAugmentedStatus(sol.status.value),
                 pivots=master.iterations,
+                phase_one_pivots=master.phase_one_pivots,
                 lp_solution=sol,
             )
         x = sol.x[: lp.num_vars]
@@ -140,6 +148,7 @@ def solve_norm_augmented(
     best.gap = float(best_upper - lower)
     best.cuts = k
     best.pivots = master.iterations
+    best.phase_one_pivots = master.phase_one_pivots
     return best
 
 

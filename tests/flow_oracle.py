@@ -3,7 +3,8 @@
 The daily allocation problem is a transportation problem (see
 `scheduling_network`).  Its max-flow (Edmonds-Karp) must equal the total
 load minus the least shortfall that phase one of the LP finds, and its
-optimum must match a minimum-cost flow of value sum(load).  The min-cost
+optimum must match a minimum-cost flow of value sum(load) where prices
+are nonnegative, and `surplus_cost` on any prices.  The min-cost
 flow is successive shortest paths with Bellman-Ford (arc costs may be
 negative when market prices are), augmenting by the maximum amount each
 round, on the residual graph that the max-flow uses.  Networks here are
@@ -215,6 +216,37 @@ def solve_min_cost_flow(net: FlowNetwork, required_flow: float) -> FlowResult:
         if guard <= 0:
             raise RuntimeError("augmentation did not terminate")
     return _result(FlowStatus.OPTIMAL, sent, net, res)
+
+
+def surplus_cost(scenario: Scenario) -> float | None:
+    """Least cost of the allocation LP as it is stated, with each demand a
+    lower bound: a vehicle may take up to its window's socket capacity,
+    which pays where prices are negative.  None when the day is infeasible.
+
+    Each source arc of `scheduling_network` keeps the demand, at cost
+    -penalty, and a second arc adds the surplus room at cost 0; a free
+    source -> sink arc carries whatever room the vehicles leave, so a flow
+    of value load + room always exists when the demands fit.  The penalty
+    exceeds the summed |cost| of all vehicle -> step arcs, so a cheaper flow
+    cannot leave a demand short while a flow meeting it exists: a residual
+    cycle that fills the demand arc would cost less than nothing.
+    """
+    base = scheduling_network(scenario)
+    n = scenario.num_vehicles
+    load = [float(v) for v in scenario.load]
+    window_cap = scenario.occupancy.T.astype(float) @ scenario.socket_limit
+    room = [max(float(c) - v, 0.0) for c, v in zip(window_cap, load)]
+    penalty = 1.0 + sum(abs(a.cost) for a in base.arcs[n:])
+    arcs = [Arc(a.tail, a.head, a.capacity, -penalty) for a in base.arcs[:n]]
+    arcs += base.arcs[n:]
+    arcs += [Arc(0, 1 + i, room[i]) for i in range(n)]
+    arcs.append(Arc(0, base.sink, sum(room)))
+    net = FlowNetwork(num_nodes=base.num_nodes, source=0, sink=base.sink, arcs=tuple(arcs))
+    flow = solve_min_cost_flow(net, sum(load) + sum(room))
+    if flow.status is FlowStatus.INFEASIBLE or any(
+            f < v - 1e-9 for f, v in zip(flow.flows[:n], load)):
+        return None
+    return flow.cost + penalty * sum(load)
 
 
 def _result(status: FlowStatus, sent: float, net: FlowNetwork,

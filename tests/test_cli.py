@@ -350,6 +350,27 @@ class TestCompareCommand:
         assert code == EXIT_INGEST
 
 
+@pytest.mark.parametrize("case, want", [
+    ("capacity-0", EXIT_USAGE),
+    ("simulate-bad-sessions", EXIT_INGEST),
+    ("ingest-bad-sessions", EXIT_INGEST),
+    ("compare-no-scenarios", EXIT_INGEST),
+])
+def test_failed_run_leaves_no_out_directory(tmp_path, capsys, case, want):
+    # the reports' directory is made only once the inputs have been read
+    s, p = write_inputs(tmp_path, sessions="session_id,arrival\ns1,2018-04-25T08:15:00\n")
+    (tmp_path / "none").mkdir()
+    argv = {
+        "capacity-0": ["simulate", "--synthetic", "3", "--capacity", "0"],
+        "simulate-bad-sessions": ["simulate", "--sessions", str(s), "--prices", str(p)],
+        "ingest-bad-sessions": ["ingest", "--sessions", str(s), "--prices", str(p)],
+        "compare-no-scenarios": ["compare", "--scenarios", str(tmp_path / "none")],
+    }[case]
+    out = tmp_path / "r"
+    assert main([*argv, "--out", str(out)]) == want
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_synthetic_pipeline(self, tmp_path):
         out = tmp_path / "reports"

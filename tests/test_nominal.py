@@ -24,7 +24,7 @@ from evsched.model import FEAS_TOL
 from evsched.nominal import schedule_from_x, scheduling_lp
 from evsched.robust import totals_map
 from evsched.solver import NumericalFailure
-from evsched.synth import random_scenario
+from evsched.synth import random_batch, random_scenario
 
 from conftest import make_scenario
 from flow_oracle import FlowStatus, max_flow_value, scheduling_network, solve_min_cost_flow
@@ -244,7 +244,7 @@ class TestFeasibilityDecision:
         solve(sc, Method.ROBUST_PRICE, radius=0.5)
 
     def test_solver_failure_on_feasible_day_stays_a_failure(self, monkeypatch):
-        def failing(simplex):
+        def failing(simplex, start):
             raise NumericalFailure("certification failed: injected")
 
         monkeypatch.setattr(socp_module._Simplex, "solve", failing)
@@ -380,10 +380,22 @@ class TestLpBuild:
 
 def test_criterion_9_day_pivot_count_pinned():
     # the N=100 day of acceptance criterion 9; a change here means the
-    # pivot sequence changed (688 since frozen artificials stopped entering)
+    # pivot sequence changed (688 until solves started from the least-cost
+    # greedy basis, which is optimal on this day)
     big = random_scenario(np.random.default_rng(1009), horizon_steps=24,
                           num_vehicles=100, capacity=300.0, scenario_id="big-day")
     result = solve(big)
-    assert result.pivots == 688
+    assert (result.pivots, result.phase_one_pivots) == (0, 0)
     assert result.objective == 300.7872625388697
     assert result.cost.total_cost == 300.78726253886964
+
+
+def test_random_batch_pivot_counts_pinned():
+    # nominal solves of random_batch(1, 365): phase-one and total pivots,
+    # 14213 and 24518 when every solve started from Y = 0
+    phase_one = total = 0
+    for sc in random_batch(1, 365):
+        result = solve(sc)
+        phase_one += result.phase_one_pivots
+        total += result.pivots
+    assert (phase_one, total) == (123, 820)
