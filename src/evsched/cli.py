@@ -16,6 +16,7 @@ with the same inputs and configuration yields byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -140,14 +141,16 @@ def _add_robust_options(p: argparse.ArgumentParser):
                    help="worst-case load = scale * nominal load (robust-load)")
 
 
-def _add_out_option(p: argparse.ArgumentParser, required: bool):
-    default = os.environ.get(OUT_DIR_ENV)
+def _add_out_option(p: argparse.ArgumentParser, required: bool, default: str | None):
     p.add_argument("--out", type=Path, default=default,
                    required=required and default is None,
                    help=f"output directory (or ${OUT_DIR_ENV})")
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+@functools.cache
+def _parser(out_default: str | None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process for each `--out` default
+    (the value of $EVSCHED_OUT)."""
     parser = argparse.ArgumentParser(
         prog="evsched",
         description="EV charging schedule optimization and FCFS comparison",
@@ -159,7 +162,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_ingest.add_argument("--sessions", type=Path, required=True)
     p_ingest.add_argument("--prices", type=Path, required=True)
     _add_ingest_options(p_ingest)
-    _add_out_option(p_ingest, required=True)
+    _add_out_option(p_ingest, required=True, default=out_default)
 
     p_solve = sub.add_parser("solve", help="solve one scenario file")
     p_solve.add_argument("--scenario", type=Path, required=True)
@@ -169,13 +172,13 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         default="nominal",
     )
     _add_robust_options(p_solve)
-    _add_out_option(p_solve, required=False)
+    _add_out_option(p_solve, required=False, default=out_default)
 
     p_compare = sub.add_parser("compare", help="compare methods across scenario files")
     p_compare.add_argument("--scenarios", type=Path, nargs="+", required=True,
                            help="scenario JSON files or directories of them")
     _add_compare_options(p_compare)
-    _add_out_option(p_compare, required=True)
+    _add_out_option(p_compare, required=True, default=out_default)
 
     p_sim = sub.add_parser("simulate", help="full pipeline from raw data")
     p_sim.add_argument("--sessions", type=Path)
@@ -189,8 +192,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                        help="per-day vehicle cap for --synthetic (default 40)")
     _add_ingest_options(p_sim)
     _add_compare_options(p_sim)
-    _add_out_option(p_sim, required=True)
+    _add_out_option(p_sim, required=True, default=out_default)
+    return parser
 
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    parser = _parser(os.environ.get(OUT_DIR_ENV))
     args = parser.parse_args(argv)
     if args.command == "simulate":
         has_files = args.sessions is not None and args.prices is not None

@@ -44,6 +44,8 @@ class SolveResult:
     cuts: int
     pivots: int  # simplex pivots over every LP the solve ran
     phase_one_pivots: int  # the phase-one share of `pivots`
+    dual_pivots: int  # the cuts' dual-simplex share of `pivots`
+    refactorizations: int  # basis inverses the simplex built from scratch
     converged: bool  # False when the cut limit stopped the loop
 
 
@@ -109,5 +111,7 @@ def solve(
         cuts=result.cuts,
         pivots=result.pivots,
         phase_one_pivots=result.phase_one_pivots,
+        dual_pivots=result.dual_pivots,
+        refactorizations=result.refactorizations,
         converged=result.status is NormAugmentedStatus.OPTIMAL,
     )

@@ -13,8 +13,15 @@ basic column of each row it covers (`BasisStart`); the default start
 rests every column at a bound.  Pricing is Dantzig (most negative reduced
 cost, ties to the lowest column index); after a run of degenerate pivots the solver switches to
 Bland's smallest-index rule until the objective moves again, which
-prevents cycling.  The pivot sequence is a pure function of the
-instance, so results are bit-reproducible.
+prevents cycling.
+
+A solved program can grow by one inequality at a time (the cuts of a
+cutting-plane loop).  The new row's slack starts basic, the old optimal
+basis stays dual feasible, and a dual simplex (Lemke 1954) with dual
+steepest-edge row choice and a bound-flipping ratio test (Fourer 1994)
+restores primal feasibility; phase one runs only on the first program.
+Every pivot sequence is a pure function of the instance, so results are
+bit-reproducible.
 
 Optimal solutions always carry a dual certificate (multipliers for G, E
 and the active bounds) and the solver re-checks primal residuals and the
@@ -135,7 +142,8 @@ class LpSolution:
     constraint violation (<= FEASIBILITY_TOL).  For Infeasible status
     objective_value is phase one's optimum, the least sum of the
     artificials: the least total violation of the rows that x at its
-    starting point violates.
+    starting point violates; it is None when the dual simplex finds that
+    an added row cannot be met.
     """
 
     status: LpStatus
@@ -170,13 +178,19 @@ _BASIC = 0
 # Sign that turns a nonbasic column's reduced cost into its pricing
 # violation, by rest state (free columns use |d| instead).
 _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
+# Sign that makes a nonbasic column's pivot-row entry positive when the
+# column can move in the direction the dual ratio test needs (free columns
+# use |alpha| instead).
+_ENTER_SIGN = -_PRICE_SIGN
 
 
 class _Simplex:
     """Working state for one solve, which `add_inequality` can extend row by
-    row; columns are [structural | slack | artificial].  `iterations`
-    counts the pivots of every phase so far, `phase_one_pivots` those of
-    phase one."""
+    row.  Rows are [G | E | added], columns [structural | slack |
+    artificial | added slack].  `iterations` counts the pivots of every
+    phase so far, `phase_one_pivots` those of phase one, `dual_pivots`
+    those of the dual simplex, and `refactorizations` the basis inverses
+    built from scratch."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -201,8 +215,12 @@ class _Simplex:
         self.up = np.concatenate([lp.up, np.full(m_ineq, np.inf)])
         self.cost = np.concatenate([lp.c, np.zeros(m_ineq)])
         self.n_total = n + m_ineq
+        # E's rows sit between G's and the rows add_inequality appends
+        self.eq_rows = slice(m_ineq, m)
         self.iterations = 0
         self.phase_one_pivots = 0
+        self.dual_pivots = 0
+        self.refactorizations = 0
 
     # -- setup -----------------------------------------------------------
 
@@ -217,6 +235,7 @@ class _Simplex:
         fin_up = np.isfinite(self.up)
         self.state = np.where(fin_lo, _AT_LO, np.where(fin_up, _AT_UP, _FREE))
         self.state = self.state.astype(np.int8)
+        self.has_free = bool((self.state == _FREE).any())
         self.values = np.where(fin_lo, self.lo, np.where(fin_up, self.up, 0.0))
         named = np.full(m, -1)
         if start is not None:
@@ -260,6 +279,7 @@ class _Simplex:
 
     def refactorize(self):
         """Rebuild the basis inverse and basic values from scratch."""
+        self.refactorizations += 1
         m = self.m
         if m == 0:
             self.B_inv = np.zeros((0, 0))
@@ -335,24 +355,28 @@ class _Simplex:
                 self.values[j] = self.lo[j]
                 self.state[j] = _AT_LO
             return
-        leaving = self.basis[row]
         self.xB -= direction * t * w
-        new_val = self.values[j] + direction * t
-        # pin the leaving variable exactly on the bound it reached
-        if direction * w[row] > 0:
-            self.values[leaving] = self.lo[leaving]
-            self.state[leaving] = _AT_LO
-        else:
-            self.values[leaving] = self.up[leaving]
-            self.state[leaving] = _AT_UP
+        # the leaving variable stops on the bound it reached
+        self._exchange(row, j, self.values[j] + direction * t,
+                       _AT_LO if direction * w[row] > 0 else _AT_UP)
+
+    def _exchange(self, row: int, j: int, value: float, leaving_state: int):
+        """Make column j basic in `row` at `value`; the leaving variable rests
+        exactly on the bound `leaving_state` names."""
+        w = self._w
+        leaving = self.basis[row]
+        self.values[leaving] = self.lo[leaving] if leaving_state == _AT_LO else self.up[leaving]
+        self.state[leaving] = leaving_state
         self.basis[row] = j
         self.state[j] = _BASIC
-        self.xB[row] = new_val
-        self.values[j] = new_val
+        self.xB[row] = value
+        self.values[j] = value
         # product-form update of the basis inverse; the basic entries of
         # `values` stay stale until the phase ends or the basis is refactored
+        # rows where w is zero do not change
         pivot_row = self.B_inv[row] / w[row]
-        self.B_inv -= w[:, None] * pivot_row
+        rows = np.flatnonzero(w)
+        self.B_inv[rows] -= w[rows, None] * pivot_row
         self.B_inv[row] = pivot_row
 
     def run_phase(self, c_work: np.ndarray, max_iter: int) -> LpStatus:
@@ -407,70 +431,187 @@ class _Simplex:
         """Append the row g . x <= h to the solved program and re-optimize
         from the current basis.
 
-        The new slack rests at zero and a new artificial, signed so that it
-        starts nonnegative, becomes basic in the new row; phase one drives
-        it out from the warm basis, then phase two and certification run
-        against the grown program exactly as in a cold solve.  Returns
-        INFEASIBLE when no point satisfies the grown program.
+        The row goes last, with its slack as the last column, basic at
+        h - g . x; the bordered basis inverse gains the row [-g_B B^-1, 1].
+        The old basis stays dual feasible, so the dual simplex restores
+        primal feasibility, after which the grown program is refactored and
+        certified exactly as in a cold solve.  Returns INFEASIBLE when no
+        point satisfies the grown program.  Raises ValueError on a row that
+        is not a finite vector of the structural width.
         """
         g = np.asarray(g, dtype=float)
-        lp = self.lp
-        self.lp = LinearProgram(c=lp.c, G=np.vstack([lp.G, g]), h=np.append(lp.h, h),
-                                E=lp.E, b=lp.b, lo=lp.lo, up=lp.up)
-        # The new row goes after the last inequality row and its slack after
-        # the last slack column, so slacks stay contiguous before the
-        # artificials; the new artificial is the last column.
+        n = self.n_struct
+        if g.shape != (n,):
+            raise ValueError(f"row has shape {g.shape}, expected ({n},)")
+        if not (np.isfinite(g).all() and math.isfinite(h)):
+            raise ValueError("row and bound must be finite")
         m, n_total = self.m, self.n_total
-        r = self.m_ineq
-        s = self.n_struct + r
-        old_rows = np.arange(m + 1) != r
-        old_cols = np.ones(n_total + 2, dtype=bool)
-        old_cols[[s, -1]] = False
-        resid = h - float(g @ self.values[: self.n_struct])
-        sign = 1.0 if resid >= 0.0 else -1.0
-
-        def grown(vec, slack, art):
-            out = np.empty(n_total + 2, dtype=vec.dtype)
-            out[old_cols] = vec
-            out[s] = slack
-            out[-1] = art
-            return out
-
-        A = np.zeros((m + 1, n_total + 2))
-        A[np.ix_(old_rows, old_cols)] = self.A
-        A[r, : self.n_struct] = g
-        A[r, s] = 1.0
-        A[r, -1] = sign
-        self.A = A
-        self.lo = grown(self.lo, 0.0, 0.0)
-        self.up = grown(self.up, np.inf, np.inf)
-        self.cost = grown(self.cost, 0.0, 0.0)
-        self.values = grown(self.values, 0.0, abs(resid))
-        self.state = grown(self.state, _AT_LO, _BASIC)
-        self.enterable = grown(self.enterable, True, True)
-        basis = np.empty(m + 1, dtype=self.basis.dtype)
-        basis[old_rows] = np.where(self.basis >= s, self.basis + 1, self.basis)
-        basis[r] = n_total + 1
-        rhs = np.empty(m + 1)
-        rhs[old_rows] = self.rhs
-        rhs[r] = h
-        xB = np.empty(m + 1)
-        xB[old_rows] = self.xB
-        xB[r] = abs(resid)
-        # Bordered inverse: with the new row and basic column moved last the
-        # basis is [[B, 0], [rho, sign]], whose inverse is
-        # [[B^-1, 0], [-sign * rho B^-1, sign]].
+        A = np.zeros((m + 1, n_total + 1))
+        A[:m, :n_total] = self.A
+        A[m, :n] = g
+        A[m, n_total] = 1.0
+        slack = h - float(g @ self.values[:n])
+        # with the new row and its slack last the basis is [[B, 0], [g_B, 1]],
+        # whose inverse is [[B^-1, 0], [-g_B B^-1, 1]]
         B_inv = np.zeros((m + 1, m + 1))
-        B_inv[np.ix_(old_rows, old_rows)] = self.B_inv
-        B_inv[r, old_rows] = -sign * (A[r, basis[old_rows]] @ self.B_inv)
-        B_inv[r, r] = sign
-        self.basis, self.rhs, self.xB, self.B_inv = basis, rhs, xB, B_inv
+        B_inv[:m, :m] = self.B_inv
+        B_inv[m, :m] = -(A[m, self.basis] @ self.B_inv)
+        B_inv[m, m] = 1.0
+        self.A, self.B_inv = A, B_inv
+        self.basis = np.append(self.basis, n_total)
+        self.rhs = np.append(self.rhs, h)
+        self.xB = np.append(self.xB, slack)
+        self.values = np.append(self.values, slack)
+        self.lo = np.append(self.lo, 0.0)
+        self.up = np.append(self.up, np.inf)
+        self.cost = np.append(self.cost, 0.0)
+        self.state = np.append(self.state, np.int8(_BASIC))
+        self.enterable = np.append(self.enterable, True)
         self.m += 1
-        self.m_ineq += 1
-        self.n_total += 2
-        self.n_art += 1
-        self.art_start += 1
-        return self._optimize()
+        self.n_total += 1
+        self._set_budget()
+        if self.run_dual_phase() is LpStatus.INFEASIBLE:
+            return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
+        self.refactorize()
+        return self._certify()
+
+    def choose_leaving(self, bland: bool) -> tuple[int, float, bool]:
+        """The basic value that leaves: its row, how far it is off its
+        bounds and whether it is below its lower bound; the row is -1 when no
+        basic value is off its bounds at all.  The choice is the dual steepest
+        edge, the largest excess^2 / ||B^-1 row||^2, exact because the inverse
+        is explicit; Bland takes the lowest basic column instead."""
+        below = self.lo[self.basis] - self.xB
+        excess = np.maximum(below, self.xB - self.up[self.basis])
+        off = (excess > 0.0).nonzero()[0]
+        if not off.size:
+            return -1, 0.0, False
+        if off.size == 1:
+            row = int(off[0])
+        elif bland:
+            row = int(off[np.argmin(self.basis[off])])
+        else:
+            B_off = self.B_inv[off]
+            edge = np.einsum("ij,ij->i", B_off, B_off)
+            row = int(off[np.argmax(excess[off] ** 2 / edge)])
+        return row, float(excess[row]), bool(below[row] > 0.0)
+
+    def dual_ratio_test(self, alpha: np.ndarray, d: np.ndarray, excess: float,
+                        bland: bool) -> tuple[int, float, np.ndarray]:
+        """Bound-flipping ratio test (Fourer 1994) for a leaving value
+        `excess` off its bound, with pivot row `alpha` signed so that
+        alpha[j] > 0 where raising x_j moves that value towards its bound.
+
+        Passing a breakpoint flips its boxed column to the other bound, for
+        as long as the leaving value stays off its bound; the column at the
+        breakpoint where it would not enters, or a near tie of it that can
+        take up the rest: the largest |alpha|, then the lowest index (Bland:
+        the lowest index).  Returns (entering column, dual step, flipped
+        columns), with entering column -1 when no column can take up the
+        excess."""
+        room = _ENTER_SIGN[self.state] * alpha
+        if self.has_free:
+            room = np.where(self.state == _FREE, np.abs(alpha), room)
+        cand = ((room > _PIVOT_TOL) & self.enterable).nonzero()[0]
+        mag = room[cand]
+        span = (self.up[cand] - self.lo[cand]) * mag
+        ratios = np.maximum(d[cand] / alpha[cand], 0.0)
+        # how much of the excess the breakpoints take up, in order (stable,
+        # so index order breaks the last ties)
+        order = np.lexsort((-mag, ratios))
+        reach = np.cumsum(span[order])
+        k = int(np.searchsorted(reach, excess))
+        if k == order.size:
+            return -1, 0.0, cand[:0]
+        rest = excess - (reach[k - 1] if k else 0.0)
+        group = order[k:]
+        tied = (ratios[group] <= ratios[group[0]] + _RATIO_TIE) & (span[group] >= rest)
+        tied[0] = True  # the breakpoint itself always takes up the rest
+        group = group[tied]
+        if group.size > 1 and not bland:
+            big = mag[group]
+            group = group[big >= big.max() - 1e-12]
+        pick = group[np.argmin(cand[group])]
+        return int(cand[pick]), float(ratios[pick]), cand[order[:k]]
+
+    def dual_pivot(self, row: int, j: int, flips: np.ndarray, alpha: np.ndarray,
+                   target: float, to_lower: bool) -> float:
+        """Flip `flips` to their other bound, then move column j until the
+        value basic in `row` reaches `target`, where it leaves; returns how
+        far j moved."""
+        if flips.size:
+            rise = alpha[flips] > 0.0
+            shift = np.where(rise, self.up[flips] - self.lo[flips],
+                             self.lo[flips] - self.up[flips])
+            self.values[flips] = np.where(rise, self.up[flips], self.lo[flips])
+            self.state[flips] = np.where(rise, _AT_UP, _AT_LO)
+            w, moved = (self.B_inv @ np.column_stack(
+                (self.A[:, j], self.A[:, flips] @ shift))).T
+            self.xB -= moved
+        else:
+            w = self.B_inv @ self.A[:, j]
+        self._w = w
+        delta = (self.xB[row] - target) / w[row]
+        self.xB -= delta * w
+        self._exchange(row, j, self.values[j] + delta, _AT_LO if to_lower else _AT_UP)
+        return delta
+
+    def run_dual_phase(self) -> LpStatus:
+        """Dual simplex (Lemke 1954) from a dual feasible basis, until no
+        basic value is off its bounds at all (OPTIMAL), or until a value off
+        its bound by more than FEASIBILITY_TOL has no column that can move it
+        (INFEASIBLE).
+
+        Reduced costs follow the pivot row and are recomputed at every
+        refactorization.  As in the primal phases, a pivot is degenerate
+        when its entering column does not move; after _BLAND_AFTER of them
+        in a row both choices go to the lowest index until one moves again.
+        """
+        bland = False
+        stall = 0
+        since_refactor = 0
+        _, d = self.reduced_costs(self.cost)
+        while True:
+            if self.iterations >= self.max_iter:
+                raise NumericalFailure(
+                    f"iteration limit {self.max_iter} exceeded (m={self.m}, "
+                    f"n={self.n_total})"
+                )
+            row, excess, to_lower = self.choose_leaving(bland)
+            if row < 0:
+                break
+            leaving = self.basis[row]
+            target = self.lo[leaving] if to_lower else self.up[leaving]
+            alpha = (-self.B_inv[row] if to_lower else self.B_inv[row]) @ self.A
+            j, step, flips = self.dual_ratio_test(alpha, d, excess, bland)
+            if j < 0:
+                if excess > FEASIBILITY_TOL:
+                    self.values[self.basis] = self.xB
+                    return LpStatus.INFEASIBLE
+                # a round-off residue no column can move: leave it to the
+                # refactorization and the certificate that follow the phase
+                self.xB[row] = target
+                continue
+            if step:
+                d -= step * alpha
+            delta = self.dual_pivot(row, j, flips, alpha, target, to_lower)
+            d[j] = 0.0
+            self.iterations += 1
+            self.dual_pivots += 1
+            since_refactor += 1
+            if abs(delta) <= _RATIO_TIE:
+                stall += 1
+                if stall >= _BLAND_AFTER:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+            if since_refactor >= _REFACTOR_EVERY:
+                self.refactorize()
+                _, d = self.reduced_costs(self.cost)
+                since_refactor = 0
+        self.values[self.basis] = self.xB
+        return LpStatus.OPTIMAL
 
     def phase_one(self) -> LpSolution | None:
         """Minimize the artificial sum from the current basis, and set the
@@ -481,7 +622,7 @@ class _Simplex:
         Otherwise returns None, with the artificials frozen at zero and
         barred from re-entering, ready for phase two.
         """
-        self.max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
+        self._set_budget()
         if not self.n_art:
             return None
         c1 = np.zeros(self.n_total)
@@ -504,6 +645,9 @@ class _Simplex:
         self.up[self.art_start :] = 0.0
         self.enterable[self.art_start :] = False
         return None
+
+    def _set_budget(self):
+        self.max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
 
     def _optimize(self) -> LpSolution:
         """Phase one, then phase two and the certificate."""
@@ -544,15 +688,15 @@ class _Simplex:
         n = self.n_struct
         x = self.values[:n].copy()
         x = np.clip(x, lp.lo, lp.up)
-        resid = 0.0
-        if lp.G.shape[0]:
-            resid = max(resid, float(np.max(lp.G @ x - lp.h, initial=0.0)))
-        if lp.E.shape[0]:
-            resid = max(resid, float(np.max(np.abs(lp.E @ x - lp.b), initial=0.0)))
+        # every row, appended ones too, from the program's own coefficients
+        eq = self.eq_rows
+        row_resid = self.A[:, :n] @ x - self.rhs
+        row_resid[eq] = np.abs(row_resid[eq])
+        resid = float(np.max(row_resid, initial=0.0))
 
         y, d = self.reduced_costs(self.cost)
-        lam = -y[: self.m_ineq]
-        nu = -y[self.m_ineq :]
+        lam = -np.concatenate((y[: eq.start], y[eq.stop :]))
+        nu = -y[eq]
         d_struct = d[:n]
         mu_lo = np.where(np.isfinite(lp.lo), np.maximum(d_struct, 0.0), 0.0)
         mu_up = np.where(np.isfinite(lp.up), np.maximum(-d_struct, 0.0), 0.0)
@@ -560,9 +704,9 @@ class _Simplex:
         primal = float(lp.c @ x)
         dual = 0.0
         if lam.size:
-            dual -= float(lam @ lp.h)
+            dual -= float(lam @ np.concatenate((self.rhs[: eq.start], self.rhs[eq.stop :])))
         if nu.size:
-            dual -= float(nu @ lp.b)
+            dual -= float(nu @ self.rhs[eq])
         fin_lo = np.isfinite(lp.lo)
         fin_up = np.isfinite(lp.up)
         dual += float(mu_lo[fin_lo] @ lp.lo[fin_lo])

@@ -9,11 +9,14 @@ loop stops once the best upper bound meets the lower bound at tolerance.
 
 One simplex serves the whole loop (Kelley 1960): the first master is
 solved from the caller's starting basis, if any, with tau resting at 0,
-and each cut is appended to it as one more row and
-re-optimized from the previous optimal basis, which is near-optimal for
-the grown master.  Every master is still certified against its full
-constraint set; `pivots` counts the simplex pivots over all masters and
-`phase_one_pivots` those of their phase ones.
+and each cut is appended to it as one more row with its slack.  The
+previous optimal basis stays dual feasible for the grown master, so the
+dual simplex re-optimizes it (Lemke 1954) and one refactorization follows
+per cut.  Every master is still certified against its full constraint
+set.  `pivots` counts the simplex pivots over all masters,
+`phase_one_pivots` those of the first master's phase one, `dual_pivots`
+those of the cuts' dual simplex, and `refactorizations` the basis
+inverses built from scratch.
 
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
@@ -53,7 +56,9 @@ class NormAugmentedResult:
     gap: float | None = None
     cuts: int = 0
     pivots: int = 0  # simplex pivots over every master LP
-    phase_one_pivots: int = 0  # the phase-one share of `pivots`
+    phase_one_pivots: int = 0  # the first master's phase-one share of `pivots`
+    dual_pivots: int = 0  # the cuts' dual-simplex share of `pivots`
+    refactorizations: int = 0  # basis inverses built from scratch
     lp_solution: LpSolution | None = None
 
 
@@ -111,12 +116,8 @@ def solve_norm_augmented(
         if sol.status is not LpStatus.OPTIMAL:
             if k:  # tau can rise to meet any cut, so only numerics end here
                 raise NumericalFailure(f"master {sol.status.value} after {k} cuts")
-            return NormAugmentedResult(
-                status=NormAugmentedStatus(sol.status.value),
-                pivots=master.iterations,
-                phase_one_pivots=master.phase_one_pivots,
-                lp_solution=sol,
-            )
+            return _counted(NormAugmentedResult(
+                status=NormAugmentedStatus(sol.status.value), lp_solution=sol), master)
         x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
         v = M @ x
@@ -147,9 +148,15 @@ def solve_norm_augmented(
     best.lower_bound = lower
     best.gap = float(best_upper - lower)
     best.cuts = k
-    best.pivots = master.iterations
-    best.phase_one_pivots = master.phase_one_pivots
-    return best
+    return _counted(best, master)
+
+
+def _counted(result: NormAugmentedResult, master: _Simplex) -> NormAugmentedResult:
+    result.pivots = master.iterations
+    result.phase_one_pivots = master.phase_one_pivots
+    result.dual_pivots = master.dual_pivots
+    result.refactorizations = master.refactorizations
+    return result
 
 
 def _unit_axis(dim: int) -> np.ndarray:

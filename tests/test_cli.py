@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from evsched import cli
 from evsched.cli import (
     EXIT_INFEASIBLE,
     EXIT_INGEST,
@@ -83,6 +84,24 @@ class TestParseArgs:
         monkeypatch.setenv("EVSCHED_OUT", str(tmp_path / "envout"))
         args = parse_args(["simulate", "--synthetic", "2"])
         assert str(args.out).endswith("envout")
+
+    def test_parser_built_once_per_out_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("EVSCHED_OUT", raising=False)
+        cli._parser.cache_clear()
+        argv = ["solve", "--scenario", "d.json", "--method", "robust-price", "--radius", "0.5"]
+        assert parse_args(argv) == parse_args(argv)
+        assert parse_args(argv).out is None
+        assert cli._parser.cache_info().misses == 1
+        # a new $EVSCHED_OUT is a new default, so it gets its own parser
+        monkeypatch.setenv("EVSCHED_OUT", str(tmp_path / "envout"))
+        assert parse_args(argv).out == tmp_path / "envout"
+        assert cli._parser.cache_info().misses == 2
+        monkeypatch.delenv("EVSCHED_OUT")
+        assert parse_args(argv).out is None
+        with pytest.raises(SystemExit) as err:
+            parse_args(["simulate", "--synthetic", "2"])
+        assert err.value.code == 2
+        assert cli._parser.cache_info().misses == 2
 
     @pytest.mark.parametrize("flags", [
         ["--method", "robust-price", "--radius", "-1"],
@@ -404,18 +423,18 @@ class TestSimulateCommand:
             "fig4_cumulative.csv": "e81d9ced36266d3191b8377ea3ec3c52e43f92a0a7a6bcca96e25c16f90a1079",
         },
         "robust-price": {
-            "comparison.csv": "9252353d0bccb8f34ce520d1e3630aeda2eb389400c72e3a89a88841d0b32ba7",
-            "summary.csv": "3a23cbf5e86a8130b6dd94f920cdba9f1df19d9b40ecd095dc4bf6c82a89c8a8",
-            "fig2_day.csv": "7e51314479553ec1c583da53ff2472c2f37d33a0e53b6673b28868ba4fbe7ccf",
-            "fig3_scatter.csv": "c89e04b8883683b01c3c848361b52dbd749e185f4aca1171e0c2634a45edf48b",
-            "fig4_cumulative.csv": "b417a5c4675908f95d192599a99221427614782304d58973762a387474e03488",
+            "comparison.csv": "d1dad5d5de1678d2eabd0df6a708dc75bbbe59e4b60d8e44bae135c93bf15cc6",
+            "summary.csv": "8faf6376c5aa251bb592e8296bc2c5d23aa0652a7123f1cc18cb18781c6ac20b",
+            "fig2_day.csv": "b9e21c5ec21ce6d9b986aa72377038d3c89fb8e4160ad385183b6df052464514",
+            "fig3_scatter.csv": "b6f230d037defe241d8b227bdcc95792843dbbbdbef126703709a7aa84d9f167",
+            "fig4_cumulative.csv": "5e35d0775277015eed84326d59ad250bb560f287c3cf9b9b0c81b6f68e5c1752",
         },
         "robust-load": {
-            "comparison.csv": "b72690efd7954f6556ed9d0c2fe9ba78f58b19327ef245e51d40b9750fe64f93",
-            "summary.csv": "c47d75da5d11b01791b72f962b497f1ee4abe04adce94c3241ec4531e117afd8",
-            "fig2_day.csv": "90c810e215c5cb1019af251489c01f2a1cd90efbc0d57ecec88bb05a16be01e2",
-            "fig3_scatter.csv": "a39fae1148a7e01a861ad952bbf4ba95bd86c52068d68f55d846268eaff7b605",
-            "fig4_cumulative.csv": "96318d743c053d3f99a3e338216a067ef32cfd617a657b6001b4592f7f2376b9",
+            "comparison.csv": "150106717f76f17bb9caaba35de38989f6c84509244698138be35a8082df1942",
+            "summary.csv": "b366c2c03960e7bfb9e0582494fbacdef6b488d85de498a5fa4ac9c505ad54c6",
+            "fig2_day.csv": "d8683b8641402e404c384cb7557eaf9d48021db8d5da1e4de0ea7d8128b9a328",
+            "fig3_scatter.csv": "5cf23eaa6a689ff43759edfa83309c806d3efc648c90e1e53d01e43023724fdf",
+            "fig4_cumulative.csv": "8b55dfc4b849f935118201bf99627214396ec3fb08fa48add69452f4fcb6191b",
         },
     }
 

@@ -354,8 +354,8 @@ class TestAddInequality:
     """Rows appended to a solved simplex must give the cold solve's optimum."""
 
     def base(self):
-        # equality rows sit after the inequality rows, so the new row and its
-        # slack are inserted mid-matrix rather than appended
+        # the equality row sits between the inequality row and the rows added
+        # after it, so the duals of G and E are read around it
         return LinearProgram(c=[-1.0, -2.0, 0.5], G=[[1.0, 1.0, 0.0]], h=[4.0],
                              E=[[1.0, 0.0, -1.0]], b=[1.0], lo=[0, 0, 0], up=[5, 3, 5])
 
@@ -404,6 +404,49 @@ class TestAddInequality:
             lo=[0, 0, 0], up=[5, 3, 5]))
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
 
+    def test_ratio_test_flips_a_boxed_column(self, monkeypatch):
+        # x1 in [0, 1] is the cheapest way to meet x1 + x2 >= 3 but covers
+        # only 1 of the 3: the ratio test flips it to its upper bound and
+        # lets x2 enter, all in one dual pivot
+        lp = LinearProgram(c=[1.0, 2.0, 0.0], G=[[1.0, 1.0, 1.0]], h=[100.0],
+                           lo=[0, 0, 0], up=[1, 5, 10])
+        simplex = lp_module._Simplex(lp)
+        assert_certified(simplex.solve())
+        flipped = []
+        ratio_test = lp_module._Simplex.dual_ratio_test
+
+        def record(self, *args):
+            j, step, flips = ratio_test(self, *args)
+            flipped.append(flips.tolist())
+            return j, step, flips
+
+        monkeypatch.setattr(lp_module._Simplex, "dual_ratio_test", record)
+        warm = simplex.add_inequality(np.array([-1.0, -1.0, 0.0]), -3.0)
+        cold = solve_lp(LinearProgram(c=lp.c, G=[[1.0, 1.0, 1.0], [-1.0, -1.0, 0.0]],
+                                      h=[100.0, -3.0], lo=lp.lo, up=lp.up))
+        assert flipped == [[0]]
+        assert simplex.dual_pivots == 1
+        assert_certified(warm)
+        assert_certified(cold)
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert warm.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("g, h", [
+        ([np.nan, 0.0, 0.0], 1.0),
+        ([np.inf, 0.0, 0.0], 1.0),
+        ([0.0, 1.0, 0.0], np.nan),
+        ([0.0, 1.0, 0.0], -np.inf),
+    ])
+    def test_non_finite_row_rejected(self, g, h):
+        # a cut is not validated as a LinearProgram, so the simplex itself
+        # fails closed, before it grows
+        simplex = lp_module._Simplex(self.base())
+        simplex.solve()
+        size = (simplex.m, simplex.n_total)
+        with pytest.raises(ValueError, match="finite"):
+            simplex.add_inequality(np.array(g), h)
+        assert (simplex.m, simplex.n_total) == size
+
 
 class TestPricing:
     """Frozen artificials (lo = up = 0 after phase one) may never enter."""
@@ -433,10 +476,25 @@ class TestPricing:
             phase_one += solve(sc).phase_one_pivots
         assert phase_one and entering and all(entering)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_robust_days_never_enter_a_barred_column(self, seed, entering):
+    @pytest.mark.parametrize("day", range(3))
+    def test_robust_days_never_enter_a_barred_column(self, day, monkeypatch):
+        # an 8 kW budget leaves the greedy start short on these days (fleet
+        # cap, seed), so the first master's phase one freezes artificials;
+        # the cuts' dual simplex must neither enter nor flip one
+        max_vehicles, seed = [(3, 1), (5, 0), (5, 2)][day]
+        picks = []
+        ratio_test = lp_module._Simplex.dual_ratio_test
+
+        def record(self, *args):
+            j, step, flips = ratio_test(self, *args)
+            if j >= 0:
+                picks.append(bool(self.enterable[j] and self.enterable[flips].all()))
+            return j, step, flips
+
+        monkeypatch.setattr(lp_module._Simplex, "dual_ratio_test", record)
         sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
-                             max_vehicles=3)
+                             max_vehicles=max_vehicles, capacity=8.0)
         res = solve(sc, Method.ROBUST_PRICE, radius=0.5)
-        assert res.cuts > 0
-        assert entering and all(entering)
+        assert res.cuts > 0 and res.phase_one_pivots > 0
+        assert len(picks) == res.dual_pivots > 0
+        assert all(picks)

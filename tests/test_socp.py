@@ -131,6 +131,32 @@ def assert_master_certified(sol):
     assert abs(sol.duality_gap) <= lp_module.GAP_REL_TOL * max(1.0, abs(sol.objective_value))
 
 
+def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
+    """Solve with every cut recorded, then re-solve the final master from
+    scratch: both must be certified at the same optimum.  Returns the
+    solve's result."""
+    added = []
+    add = lp_module._Simplex.add_inequality
+
+    def record(self, g, h):
+        sol = add(self, g, h)
+        added.append((np.array(g[:-1]), sol))
+        return sol
+
+    monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
+    res = solve_norm_augmented(lp, radius, M)
+    monkeypatch.undo()
+    assert len(added) == res.cuts
+    if added:
+        warm = added[-1][1]
+        cold = solve_lp(_augmented(lp, radius, np.array([g for g, _ in added])))
+        assert_master_certified(warm)
+        assert_master_certified(cold)
+        scale = max(1.0, abs(cold.objective_value))
+        assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
+    return res
+
+
 class TestWarmMaster:
     @pytest.mark.parametrize("seed", [2, 3, 8])
     def test_final_master_matches_cold_solve(self, seed, monkeypatch):
@@ -158,6 +184,21 @@ class TestWarmMaster:
         scale = max(1.0, abs(cold.objective_value))
         assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
 
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_seeded_days_match_cold_solves(self, radius, monkeypatch):
+        # the dual simplex re-optimizes every cut: over a seeded sweep of
+        # small days the final warm master is the cold one
+        rng = np.random.default_rng(20241018)
+        cuts = 0
+        for k in range(10):
+            sc = random_scenario(rng, horizon_steps=6, max_vehicles=3, scenario_id=f"d{k}")
+            lp, var_index = scheduling_lp(sc)
+            res = assert_warm_master_matches_cold(lp, totals_map(sc, var_index), radius,
+                                                  monkeypatch)
+            assert res.status is NormAugmentedStatus.OPTIMAL
+            cuts += res.cuts
+        assert cuts >= 100
+
     def test_counts_repeat_exactly(self):
         lp, M = robust_day(8)
         first = solve_norm_augmented(lp, 0.5, M)
@@ -165,11 +206,35 @@ class TestWarmMaster:
         assert (first.cuts, first.pivots) == (second.cuts, second.pivots)
         assert np.array_equal(first.x, second.x)
         # pinned: a change here means the pivot sequence changed
-        assert (first.cuts, first.pivots) == (39, 86)
+        assert (first.cuts, first.pivots) == (39, 52)
+
+    def test_counters_pinned(self, monkeypatch):
+        # one refactorization per cut, plus those _REFACTOR_EVERY forces
+        # during its dual simplex; the first master makes three (its
+        # starting basis, after phase one and after phase two)
+        per_cut = []
+        add = lp_module._Simplex.add_inequality
+
+        def record(self, g, h):
+            before = (self.refactorizations, self.dual_pivots)
+            sol = add(self, g, h)
+            per_cut.append((self.refactorizations - before[0], self.dual_pivots - before[1]))
+            return sol
+
+        monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
+        lp, M = robust_day(8)
+        res = solve_norm_augmented(lp, 0.5, M)
+        assert len(per_cut) == res.cuts
+        assert all(refactors == 1 + dual // lp_module._REFACTOR_EVERY
+                   for refactors, dual in per_cut)
+        assert res.refactorizations == 3 + sum(refactors for refactors, _ in per_cut)
+        assert res.dual_pivots == sum(dual for _, dual in per_cut)
+        assert (res.cuts, res.pivots, res.phase_one_pivots, res.dual_pivots,
+                res.refactorizations) == (39, 52, 4, 47, 42)
 
     def test_pivots_count_every_master(self):
-        # each violated cut needs at least one pivot to expel its artificial,
-        # and the cold first master needs some too
+        # each violated cut needs at least one dual pivot to bring its slack
+        # back to its bound, and the cold first master needs some too
         lp, M = robust_day(8)
         res = solve_norm_augmented(lp, 0.5, M)
         assert res.pivots > res.cuts
