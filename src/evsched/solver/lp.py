@@ -280,6 +280,7 @@ class _Simplex:
     def refactorize(self):
         """Rebuild the basis inverse and basic values from scratch."""
         self.refactorizations += 1
+        self.factored_at = self.iterations
         m = self.m
         if m == 0:
             self.B_inv = np.zeros((0, 0))
@@ -435,9 +436,12 @@ class _Simplex:
         h - g . x; the bordered basis inverse gains the row [-g_B B^-1, 1].
         The old basis stays dual feasible, so the dual simplex restores
         primal feasibility, after which the grown program is refactored and
-        certified exactly as in a cold solve.  Returns INFEASIBLE when no
-        point satisfies the grown program.  Raises ValueError on a row that
-        is not a finite vector of the structural width.
+        certified exactly as in a cold solve.  If the fresh inverse puts a
+        basic value back off its bounds (round-off the product form hid),
+        the dual simplex resumes once from there and refactors again.
+        Returns INFEASIBLE when no point satisfies the grown program.
+        Raises ValueError on a row that is not a finite vector of the
+        structural width.
         """
         g = np.asarray(g, dtype=float)
         n = self.n_struct
@@ -470,9 +474,12 @@ class _Simplex:
         self.m += 1
         self.n_total += 1
         self._set_budget()
-        if self.run_dual_phase() is LpStatus.INFEASIBLE:
-            return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
-        self.refactorize()
+        for _ in range(2):
+            if self.run_dual_phase() is LpStatus.INFEASIBLE:
+                return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
+            self.refactorize()
+            if self.choose_leaving(False)[0] < 0:
+                break
         return self._certify()
 
     def choose_leaving(self, bland: bool) -> tuple[int, float, bool]:
@@ -657,7 +664,8 @@ class _Simplex:
         status = self.run_phase(self.cost, self.max_iter)
         if status is LpStatus.UNBOUNDED:
             return LpSolution(status=LpStatus.UNBOUNDED, iterations=self.iterations)
-        self.refactorize()
+        if self.iterations != self.factored_at:  # else the inverse is fresh
+            self.refactorize()
         return self._certify()
 
     def _expel_artificials(self):

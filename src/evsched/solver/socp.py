@@ -7,13 +7,24 @@ Each master LP is a relaxation, so its optimum is a valid lower bound;
 evaluating the true objective at the iterate gives an upper bound, and the
 loop stops once the best upper bound meets the lower bound at tolerance.
 
+Cuts are placed by in-out separation (Ben-Ameur & Neto 2007): once the best
+iterate x_b is not the master optimum x_k, the loop separates at
+x_s = x_b + IN_OUT_ALPHA (x_k - x_b) instead of at x_k, which damps the
+zig-zag of Kelley's cuts on a curved norm.  x_s is a convex combination of
+two LP-feasible points, so its true objective is one more upper bound, and
+the returned x may be such a point rather than a master vertex.  The cut at
+x_s is kept only if it cuts off the master optimum and its direction is
+new; otherwise the loop takes Kelley's cut at x_k, which always cuts it
+off, so the loop converges as Kelley's does.
+
 One simplex serves the whole loop (Kelley 1960): the first master is
 solved from the caller's starting basis, if any, with tau resting at 0,
 and each cut is appended to it as one more row with its slack.  The
 previous optimal basis stays dual feasible for the grown master, so the
 dual simplex re-optimizes it (Lemke 1954) and one refactorization follows
-per cut.  Every master is still certified against its full constraint
-set.  `pivots` counts the simplex pivots over all masters,
+per cut (two when the fresh inverse puts a basic value back off its bound
+and the dual simplex resumes).  Every master is still certified against
+its full constraint set.  `pivots` counts the simplex pivots over all masters,
 `phase_one_pivots` those of the first master's phase one, `dual_pivots`
 those of the cuts' dual simplex, and `refactorizations` the basis
 inverses built from scratch.
@@ -37,6 +48,9 @@ from .lp import BasisStart, LinearProgram, LpSolution, LpStatus, NumericalFailur
 GAP_ABS_TOL = 1e-9
 GAP_REL_TOL = 1e-10
 MAX_CUTS = 200
+# Where the in-out separation point sits on the segment from the best
+# iterate (0) to the master optimum (1).
+IN_OUT_ALPHA = 0.3
 
 
 class NormAugmentedStatus(Enum):
@@ -59,7 +73,7 @@ class NormAugmentedResult:
     phase_one_pivots: int = 0  # the first master's phase-one share of `pivots`
     dual_pivots: int = 0  # the cuts' dual-simplex share of `pivots`
     refactorizations: int = 0  # basis inverses built from scratch
-    lp_solution: LpSolution | None = None
+    lp_solution: LpSolution | None = None  # the master x came from, maybe short of its optimum
 
 
 def _augmented(lp: LinearProgram, weight: float, cut_rows: np.ndarray) -> LinearProgram:
@@ -109,7 +123,6 @@ def solve_norm_augmented(
     sol = master.solve(start)
     dirs = np.empty((max_cuts, M.shape[0]))
     best: NormAugmentedResult | None = None
-    best_upper = np.inf
     lower = -np.inf
 
     for k in range(max_cuts + 1):
@@ -120,35 +133,58 @@ def solve_norm_augmented(
                 status=NormAugmentedStatus(sol.status.value), lp_solution=sol), master)
         x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
-        v = M @ x
-        nv = float(np.linalg.norm(v))
-        upper = float(lp.c @ x) + weight * nv
-        if upper < best_upper:
-            best_upper = upper
-            best = NormAugmentedResult(
-                status=NormAugmentedStatus.OPTIMAL,
-                x=x,
-                objective=upper,
-                norm_value=nv,
-                lp_solution=sol,
-            )
-        converged = best_upper - lower <= max(
-            GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper))
-        )
+        point = _evaluate(lp, weight, M, x, sol)
+        if best is None or point.objective < best.objective:
+            best = point
+        converged = _converged(best.objective, lower)
         if converged or k == max_cuts:
             break
-        u = v / nv if nv > 0.0 else _unit_axis(M.shape[0])
-        if k and np.abs(dirs[:k] - u).max(axis=1).min() < 1e-14:
-            break  # duplicate support direction: the master cannot improve
+        v = M @ x
+        u = None
+        if best is not point:
+            # in-out separation: the point between the best iterate and the
+            # master optimum is LP-feasible, so it bounds from above too
+            inner = _evaluate(lp, weight, M, best.x + IN_OUT_ALPHA * (x - best.x), sol)
+            if inner.objective < best.objective:
+                best = inner
+                converged = _converged(best.objective, lower)
+                if converged:
+                    break
+            if inner.norm_value > 0.0:
+                u = M @ inner.x / inner.norm_value
+                tau = sol.x[lp.num_vars]
+                if u @ v <= tau or _repeats(dirs[:k], u):
+                    u = None  # it keeps the master optimum, or is no new cut
+        if u is None:  # Kelley's cut at the master optimum
+            u = v / point.norm_value if point.norm_value > 0.0 else _unit_axis(M.shape[0])
+            if _repeats(dirs[:k], u):
+                break  # duplicate support direction: the master cannot improve
         dirs[k] = u
         sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
 
     if not converged:
         best.status = NormAugmentedStatus.CUT_LIMIT
     best.lower_bound = lower
-    best.gap = float(best_upper - lower)
+    best.gap = float(best.objective - lower)
     best.cuts = k
     return _counted(best, master)
+
+
+def _evaluate(lp: LinearProgram, weight: float, M: np.ndarray, x: np.ndarray,
+              sol: LpSolution) -> NormAugmentedResult:
+    """The true objective at an LP-feasible point, an upper bound."""
+    nv = float(np.linalg.norm(M @ x))
+    return NormAugmentedResult(status=NormAugmentedStatus.OPTIMAL, x=x,
+                               objective=float(lp.c @ x) + weight * nv,
+                               norm_value=nv, lp_solution=sol)
+
+
+def _converged(best_upper: float, lower: float) -> bool:
+    return best_upper - lower <= max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper)))
+
+
+def _repeats(dirs: np.ndarray, u: np.ndarray) -> bool:
+    return bool(dirs.size) and np.abs(dirs - u).max(axis=1).min() < 1e-14
 
 
 def _counted(result: NormAugmentedResult, master: _Simplex) -> NormAugmentedResult:

@@ -423,18 +423,18 @@ class TestSimulateCommand:
             "fig4_cumulative.csv": "e81d9ced36266d3191b8377ea3ec3c52e43f92a0a7a6bcca96e25c16f90a1079",
         },
         "robust-price": {
-            "comparison.csv": "d1dad5d5de1678d2eabd0df6a708dc75bbbe59e4b60d8e44bae135c93bf15cc6",
-            "summary.csv": "8faf6376c5aa251bb592e8296bc2c5d23aa0652a7123f1cc18cb18781c6ac20b",
-            "fig2_day.csv": "b9e21c5ec21ce6d9b986aa72377038d3c89fb8e4160ad385183b6df052464514",
-            "fig3_scatter.csv": "b6f230d037defe241d8b227bdcc95792843dbbbdbef126703709a7aa84d9f167",
-            "fig4_cumulative.csv": "5e35d0775277015eed84326d59ad250bb560f287c3cf9b9b0c81b6f68e5c1752",
+            "comparison.csv": "17c01702857faffcb739df26a8b502e3d287d06d33710e42126c826328e4f3af",
+            "summary.csv": "23ffcbd203876735f1c9508bc18e723b3f22ac477dfada98c269562d587aceab",
+            "fig2_day.csv": "f7e34dc3a2df8e36ced1c356410679db8e3a1109e0adba8eb94ec4a461bda933",
+            "fig3_scatter.csv": "acb377b4abd488164756b034770d8658524e68ffdb652447a620f810943df36b",
+            "fig4_cumulative.csv": "57e796af32f4a5e786f08186f3761fd6a7ae6762e6dec4747610c36d2a69e909",
         },
         "robust-load": {
-            "comparison.csv": "150106717f76f17bb9caaba35de38989f6c84509244698138be35a8082df1942",
-            "summary.csv": "b366c2c03960e7bfb9e0582494fbacdef6b488d85de498a5fa4ac9c505ad54c6",
-            "fig2_day.csv": "d8683b8641402e404c384cb7557eaf9d48021db8d5da1e4de0ea7d8128b9a328",
-            "fig3_scatter.csv": "5cf23eaa6a689ff43759edfa83309c806d3efc648c90e1e53d01e43023724fdf",
-            "fig4_cumulative.csv": "8b55dfc4b849f935118201bf99627214396ec3fb08fa48add69452f4fcb6191b",
+            "comparison.csv": "7e4ac9f583eb4ba7798ccf57cac5b73b60dbc4c267f34d574df261f8027db143",
+            "summary.csv": "99c3be83769310c7cc8c4ac9b62227c001b88cb391f6e12e750d49e16fc36910",
+            "fig2_day.csv": "ff2fcee16988662f961e1255eb4ee59ef2713cd4d28ba635c64d80de88dad812",
+            "fig3_scatter.csv": "d6a5e707216c78c99e5adb54597622b09dacb6ba1fecccb2affee3b92d5307bf",
+            "fig4_cumulative.csv": "b84c6c4a840cbab154abd191e44e9784ba003e4efc4469a50452778d19a856cf",
         },
     }
 

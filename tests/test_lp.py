@@ -431,6 +431,35 @@ class TestAddInequality:
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
         assert warm.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-12)
 
+    def test_dual_phase_resumes_after_drift(self, monkeypatch):
+        # the product form believes the new row is met, but it is violated
+        # by 3e-8: the refactorization after the dual phase shows the slack
+        # off its bound, and the dual phase resumes instead of handing the
+        # certificate a 3e-8 residual
+        simplex = lp_module._Simplex(self.base())
+        first = simplex.solve()
+        g = np.array([0.0, 1.0, 0.0])
+        h = float(g @ first.x) - 3e-8
+        dual_phase = lp_module._Simplex.run_dual_phase
+        calls = []
+
+        def drift(self):
+            if not calls:
+                self.xB[-1] += 3e-8
+            calls.append(self.dual_pivots)
+            return dual_phase(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "run_dual_phase", drift)
+        before = simplex.refactorizations
+        warm = simplex.add_inequality(g, h)
+        cold = solve_lp(self.grown(g, h))
+        assert calls == [0, 0]
+        assert simplex.dual_pivots == 1
+        assert simplex.refactorizations == before + 2
+        assert_certified(warm)
+        assert warm.max_residual <= lp_module.FEASIBILITY_TOL
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+
     @pytest.mark.parametrize("g, h", [
         ([np.nan, 0.0, 0.0], 1.0),
         ([np.inf, 0.0, 0.0], 1.0),

@@ -390,6 +390,15 @@ def test_criterion_9_day_pivot_count_pinned():
     assert result.cost.total_cost == 300.78726253886964
 
 
+def test_optimal_start_inverts_the_basis_once():
+    # the greedy start is optimal on the criterion-9 day: no pivot follows
+    # the inverse of the starting basis, so phase two certifies with it
+    big = random_scenario(np.random.default_rng(1009), horizon_steps=24,
+                          num_vehicles=100, capacity=300.0, scenario_id="big-day")
+    result = solve(big)
+    assert (result.pivots, result.refactorizations) == (0, 1)
+
+
 def test_random_batch_pivot_counts_pinned():
     # nominal solves of random_batch(1, 365): phase-one and total pivots,
     # 14213 and 24518 when every solve started from Y = 0

@@ -1,9 +1,15 @@
 """Robust model tests: ball-radius behavior, worst-case load substitution,
 and the argument checks of the one solve entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import evsched
 from evsched import (
     InfeasibleScenario,
     Method,
@@ -198,3 +204,29 @@ class TestSolve:
     def test_fcfs_rejected(self):
         with pytest.raises(ValueError, match="fcfs"):
             solve(spreading_scenario(), Method.FCFS)
+
+
+# Solves the full-size pool and prints its totals: cuts, pivots and the
+# number of days the cut limit stopped.
+FULL_SIZE_TOTALS = """
+from evsched import Method, solve
+from evsched.synth import random_batch
+results = [solve(sc, Method.ROBUST_PRICE, radius=0.5) for sc in random_batch(5, 30)]
+print(sum(r.cuts for r in results), sum(r.pivots for r in results),
+      sum(not r.converged for r in results))
+"""
+
+
+def test_full_size_day_counts_pinned():
+    # T=24 days of up to 20 vehicles, where a 24-dimensional norm needs far
+    # more cuts than the 6-step days above.  The counts are exact, so they
+    # are taken in a child process with BLAS on one thread: threaded BLAS
+    # sums in another order and can change a pivot choice.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(Path(evsched.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", FULL_SIZE_TOTALS], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    cuts, pivots, cut_limit_days = map(int, run.stdout.split())
+    assert cut_limit_days == 0
+    # pinned: a change here means the cut or pivot sequence changed
+    assert (cuts, pivots) == (2554, 9191)
