@@ -45,6 +45,8 @@ class SolveResult:
     pivots: int  # simplex pivots over every LP the solve ran
     phase_one_pivots: int  # the phase-one share of `pivots`
     dual_pivots: int  # the cuts' dual-simplex share of `pivots`
+    degenerate_pivots: int  # pivots whose entering column did not move
+    bland_switches: int  # runs of degenerate pivots that switched to Bland's rule
     refactorizations: int  # basis inverses the simplex built from scratch
     converged: bool  # False when the cut limit stopped the loop
 
@@ -112,6 +114,8 @@ def solve(
         pivots=result.pivots,
         phase_one_pivots=result.phase_one_pivots,
         dual_pivots=result.dual_pivots,
+        degenerate_pivots=result.degenerate_pivots,
+        bland_switches=result.bland_switches,
         refactorizations=result.refactorizations,
         converged=result.status is NormAugmentedStatus.OPTIMAL,
     )

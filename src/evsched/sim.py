@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -212,26 +212,10 @@ def _ranks(v: np.ndarray) -> np.ndarray:
 
 # -- report files -------------------------------------------------------------
 
-COMPARISON_HEADER = [
-    "scenario_id",
-    "num_vehicles",
-    "trivial_cost",
-    "optimized_cost",
-    "saving_pct",
-    "infeasible",
-    "fcfs_shortfall",
-    "error",
-]
-SUMMARY_HEADER = [
-    "filter",
-    "min_vehicles",
-    "scenario_count",
-    "included_count",
-    "trivial_cost_sum",
-    "optimized_cost_sum",
-    "mean_of_daily_pct",
-    "pct_of_summed_costs",
-]
+# The CSV columns are the row fields in declaration order; the summary's
+# first column keeps its short label, while summary.json says filter_label.
+COMPARISON_HEADER = [f.name for f in fields(ComparisonRow)]
+SUMMARY_HEADER = ["filter"] + [f.name for f in fields(SummaryRow)][1:]
 
 
 def _fmt(value) -> str:
@@ -244,7 +228,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     with path.open("w", newline="", encoding="utf-8") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -253,43 +237,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
-    _write_csv(
-        Path(path),
-        COMPARISON_HEADER,
-        [
-            [
-                r.scenario_id,
-                r.num_vehicles,
-                r.trivial_cost,
-                r.optimized_cost,
-                r.saving_pct,
-                r.infeasible,
-                r.fcfs_shortfall,
-                r.error,
-            ]
-            for r in rows
-        ],
-    )
+    _write_csv(Path(path), COMPARISON_HEADER, [astuple(r) for r in rows])
 
 
 def write_summary_csv(table: SummaryTable, path: str | Path) -> None:
-    _write_csv(
-        Path(path),
-        SUMMARY_HEADER,
-        [
-            [
-                r.filter_label,
-                r.min_vehicles,
-                r.scenario_count,
-                r.included_count,
-                r.trivial_cost_sum,
-                r.optimized_cost_sum,
-                r.mean_of_daily_pct,
-                r.pct_of_summed_costs,
-            ]
-            for r in table.rows
-        ],
-    )
+    _write_csv(Path(path), SUMMARY_HEADER, [astuple(r) for r in table.rows])
 
 
 def write_summary_json(

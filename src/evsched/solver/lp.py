@@ -8,20 +8,28 @@ Solves
 with a two-phase bounded-variable simplex.  Inequalities get slack
 columns, infeasible starting rows get artificial columns, and phase one
 minimizes the artificial sum; an Infeasible result carries that least
-sum.  A caller that knows a good starting point can pass it with the
-basic column of each row it covers (`BasisStart`); the default start
-rests every column at a bound.  Pricing is Dantzig (most negative reduced
-cost, ties to the lowest column index); after a run of degenerate pivots the solver switches to
-Bland's smallest-index rule until the objective moves again, which
-prevents cycling.
+sum.  A column with equal bounds never enters or flips; phase one ends by
+fixing the artificials at zero, and one still basic there is pivoted out
+by the ratio tests like any fixed basic column.  A caller that knows a
+good starting point can pass it with the basic column of each row it
+covers (`BasisStart`); the default start rests every column at a bound.
+Pricing is Dantzig (most negative reduced cost, ties to the lowest column
+index).
 
 A solved program can grow by one inequality at a time (the cuts of a
 cutting-plane loop).  The new row's slack starts basic, the old optimal
 basis stays dual feasible, and a dual simplex (Lemke 1954) with dual
 steepest-edge row choice and a bound-flipping ratio test (Fourer 1994)
 restores primal feasibility; phase one runs only on the first program.
-Every pivot sequence is a pure function of the instance, so results are
-bit-reproducible.
+
+The primal and the dual simplex are step functions of one pivot loop,
+which keeps the iteration budget, refactors the basis inverse every
+_REFACTOR_EVERY pivots and, after _BLAND_AFTER degenerate pivots in a row
+(the entering column does not move), switches every choice to the lowest
+index (Bland's rule) until a pivot moves again, which prevents cycling.
+Both ratio tests break ties alike: the largest pivot magnitude, then the
+lowest column index.  Every pivot sequence is a pure function of the
+instance, so results are bit-reproducible.
 
 Optimal solutions always carry a dual certificate (multipliers for G, E
 and the active bounds) and the solver re-checks primal residuals and the
@@ -184,12 +192,25 @@ _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 _ENTER_SIGN = -_PRICE_SIGN
 
 
+def _tie_break(index: np.ndarray, mag: np.ndarray, bland: bool) -> int:
+    """Position of the pivot among tied candidates with column indices
+    `index` and pivot magnitudes `mag`: the largest magnitude (within
+    1e-12) for stability, then the lowest index; Bland's rule takes the
+    lowest index alone."""
+    if index.size == 1:
+        return 0
+    keep = np.arange(index.size) if bland else np.flatnonzero(mag >= mag.max() - 1e-12)
+    return int(keep[np.argmin(index[keep])])
+
+
 class _Simplex:
     """Working state for one solve, which `add_inequality` can extend row by
     row.  Rows are [G | E | added], columns [structural | slack |
     artificial | added slack].  `iterations` counts the pivots of every
     phase so far, `phase_one_pivots` those of phase one, `dual_pivots`
-    those of the dual simplex, and `refactorizations` the basis inverses
+    those of the dual simplex, `degenerate_pivots` those whose entering
+    column did not move, `bland_switches` how often a run of these switched
+    the choices to Bland's rule, and `refactorizations` the basis inverses
     built from scratch."""
 
     def __init__(self, lp: LinearProgram):
@@ -197,30 +218,20 @@ class _Simplex:
         n = lp.num_vars
         m_ineq = lp.G.shape[0]
         m_eq = lp.E.shape[0]
-        m = m_ineq + m_eq
         self.n_struct = n
         self.m_ineq = m_ineq
-        self.m = m
-
-        rows = []
-        if m_ineq:
-            rows.append(np.hstack([lp.G, np.eye(m_ineq)]))
-        if m_eq:
-            rows.append(np.hstack([lp.E, np.zeros((m_eq, m_ineq))]))
-        self.A = (
-            np.vstack(rows) if rows else np.zeros((0, n + m_ineq))
-        )
+        self.m = m_ineq + m_eq
+        self.A = np.vstack([np.hstack([lp.G, np.eye(m_ineq)]),
+                            np.hstack([lp.E, np.zeros((m_eq, m_ineq))])])
         self.rhs = np.concatenate([lp.h, lp.b])
         self.lo = np.concatenate([lp.lo, np.zeros(m_ineq)])
         self.up = np.concatenate([lp.up, np.full(m_ineq, np.inf)])
         self.cost = np.concatenate([lp.c, np.zeros(m_ineq)])
         self.n_total = n + m_ineq
         # E's rows sit between G's and the rows add_inequality appends
-        self.eq_rows = slice(m_ineq, m)
-        self.iterations = 0
-        self.phase_one_pivots = 0
-        self.dual_pivots = 0
-        self.refactorizations = 0
+        self.eq_rows = slice(m_ineq, self.m)
+        self.iterations = self.phase_one_pivots = self.dual_pivots = 0
+        self.degenerate_pivots = self.bland_switches = self.refactorizations = 0
 
     # -- setup -----------------------------------------------------------
 
@@ -235,7 +246,6 @@ class _Simplex:
         fin_up = np.isfinite(self.up)
         self.state = np.where(fin_lo, _AT_LO, np.where(fin_up, _AT_UP, _FREE))
         self.state = self.state.astype(np.int8)
-        self.has_free = bool((self.state == _FREE).any())
         self.values = np.where(fin_lo, self.lo, np.where(fin_up, self.up, 0.0))
         named = np.full(m, -1)
         if start is not None:
@@ -274,21 +284,14 @@ class _Simplex:
             self.n_total += self.n_art
         self.art_start = self.n_total - self.n_art
         self.state[self.basis] = _BASIC
-        self.enterable = np.ones(self.n_total, dtype=bool)
         self.refactorize()
 
     def refactorize(self):
         """Rebuild the basis inverse and basic values from scratch."""
         self.refactorizations += 1
         self.factored_at = self.iterations
-        m = self.m
-        if m == 0:
-            self.B_inv = np.zeros((0, 0))
-            self.xB = np.zeros(0)
-            return
-        B = self.A[:, self.basis]
         try:
-            self.B_inv = np.linalg.inv(B)
+            self.B_inv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
         v = self.values.copy()
@@ -296,18 +299,51 @@ class _Simplex:
         self.xB = self.B_inv @ (self.rhs - self.A @ v)
         self.values[self.basis] = self.xB
 
-    # -- core iteration ---------------------------------------------------
+    # -- the pivot loop ----------------------------------------------------
+
+    def _pivot_loop(self, step) -> LpStatus:
+        """Call `step(bland)` until it returns a status, then write the basic
+        values back.  Otherwise the step made one pivot and returns how far
+        its entering column moved (degenerate when it did not), or made
+        none and returns None.  The module docstring gives the budget, Bland
+        and refactorization policy this loop applies."""
+        bland = False
+        stall = 0
+        while True:
+            if self.iterations >= self.max_iter:
+                raise NumericalFailure(
+                    f"iteration limit {self.max_iter} exceeded (m={self.m}, "
+                    f"n={self.n_total})"
+                )
+            moved = step(bland)
+            if isinstance(moved, LpStatus):
+                self.values[self.basis] = self.xB
+                return moved
+            if moved is None:
+                continue
+            self.iterations += 1
+            if moved <= _RATIO_TIE:
+                self.degenerate_pivots += 1
+                stall += 1
+                if stall >= _BLAND_AFTER and not bland:
+                    self.bland_switches += 1
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+            if self.iterations - self.factored_at >= _REFACTOR_EVERY:
+                self.refactorize()
+
+    # -- primal simplex ----------------------------------------------------
 
     def reduced_costs(self, c_work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.m == 0:
-            return np.zeros(0), c_work.copy()
         y = c_work[self.basis] @ self.B_inv
         return y, c_work - y @ self.A
 
     def choose_entering(self, d: np.ndarray, bland: bool) -> int:
         state = self.state
         viol = np.where(state == _FREE, np.abs(d), _PRICE_SIGN[state] * d)
-        eligible = (viol > _DUAL_TOL) & self.enterable
+        eligible = (viol > _DUAL_TOL) & (self.lo < self.up)
         if not eligible.any():
             return -1
         # Bland takes the first eligible column, Dantzig the first largest
@@ -320,8 +356,6 @@ class _Simplex:
         t_flip = np.inf
         if math.isfinite(self.lo[j]) and math.isfinite(self.up[j]):
             t_flip = self.up[j] - self.lo[j]
-        if self.m == 0:
-            return t_flip, -1
         delta = direction * w
         lo_b = self.lo[self.basis]
         up_b = self.up[self.basis]
@@ -334,32 +368,19 @@ class _Simplex:
         if rows_min >= t_flip - _RATIO_TIE:
             return t_flip, -1  # bound flip wins ties
         tied = np.flatnonzero(ratios <= rows_min + _RATIO_TIE)
-        if bland:
-            row = int(tied[np.argmin(self.basis[tied])])
-        else:
-            # prefer the largest pivot for stability, then the lowest index
-            mags = np.abs(w[tied])
-            best = mags >= mags.max() - 1e-12
-            cand = tied[best]
-            row = int(cand[np.argmin(self.basis[cand])])
-        return rows_min, row
+        return rows_min, int(tied[_tie_break(self.basis[tied], np.abs(w[tied]), bland)])
 
     def pivot(self, j: int, direction: float, t: float, row: int):
-        w = self._w
+        self.xB -= direction * t * self._w
         if row == -1:
             # bound flip: j jumps to its opposite bound, basis unchanged
-            self.xB -= direction * t * w
-            if self.state[j] == _AT_LO:
-                self.values[j] = self.up[j]
-                self.state[j] = _AT_UP
-            else:
-                self.values[j] = self.lo[j]
-                self.state[j] = _AT_LO
+            flip_up = self.state[j] == _AT_LO
+            self.values[j] = self.up[j] if flip_up else self.lo[j]
+            self.state[j] = _AT_UP if flip_up else _AT_LO
             return
-        self.xB -= direction * t * w
         # the leaving variable stops on the bound it reached
         self._exchange(row, j, self.values[j] + direction * t,
-                       _AT_LO if direction * w[row] > 0 else _AT_UP)
+                       _AT_LO if direction * self._w[row] > 0 else _AT_UP)
 
     def _exchange(self, row: int, j: int, value: float, leaving_state: int):
         """Make column j basic in `row` at `value`; the leaving variable rests
@@ -380,53 +401,75 @@ class _Simplex:
         self.B_inv[rows] -= w[rows, None] * pivot_row
         self.B_inv[row] = pivot_row
 
-    def run_phase(self, c_work: np.ndarray, max_iter: int) -> LpStatus:
-        bland = False
-        stall = 0
-        since_refactor = 0
-        while True:
-            if self.iterations >= max_iter:
-                raise NumericalFailure(
-                    f"iteration limit {max_iter} exceeded (m={self.m}, "
-                    f"n={self.n_total})"
-                )
+    def run_phase(self, c_work: np.ndarray) -> LpStatus:
+        """Primal simplex on the costs `c_work` from a primal feasible
+        basis: OPTIMAL once no column prices out, UNBOUNDED when the
+        entering column can move without end."""
+
+        def step(bland):
             _, d = self.reduced_costs(c_work)
             j = self.choose_entering(d, bland)
             if j < 0:
-                status = LpStatus.OPTIMAL
-                break
-            if self.state[j] == _AT_LO:
-                direction = 1.0
-            elif self.state[j] == _AT_UP:
-                direction = -1.0
-            else:
-                direction = 1.0 if d[j] < 0 else -1.0
-            self._w = self.B_inv @ self.A[:, j] if self.m else np.zeros(0)
+                return LpStatus.OPTIMAL
+            # an eligible column moves against the sign of its reduced cost
+            direction = 1.0 if d[j] < 0 else -1.0
+            self._w = self.B_inv @ self.A[:, j]
             t, row = self.ratio_test(j, direction, self._w, bland)
             if not np.isfinite(t):
-                status = LpStatus.UNBOUNDED
-                break
+                return LpStatus.UNBOUNDED
             self.pivot(j, direction, t, row)
-            self.iterations += 1
-            since_refactor += 1
-            if t <= _RATIO_TIE:
-                stall += 1
-                if stall >= _BLAND_AFTER:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            if since_refactor >= _REFACTOR_EVERY:
-                self.refactorize()
-                since_refactor = 0
-        self.values[self.basis] = self.xB
-        return status
+            return t
+
+        return self._pivot_loop(step)
 
     # -- phases ------------------------------------------------------------
 
     def solve(self, start: BasisStart | None = None) -> LpSolution:
+        """Phase one from `start`, then phase two and the certificate."""
         self.build_initial_basis(start)
-        return self._optimize()
+        infeasible = self.phase_one()
+        if infeasible is not None:
+            return infeasible
+        if self.run_phase(self.cost) is LpStatus.UNBOUNDED:
+            return LpSolution(status=LpStatus.UNBOUNDED, iterations=self.iterations)
+        if self.iterations != self.factored_at:  # else the inverse is fresh
+            self.refactorize()
+        return self._certify()
+
+    def phase_one(self) -> LpSolution | None:
+        """Minimize the artificial sum from the current basis, and set the
+        iteration budget of this phase and the next.
+
+        Returns the INFEASIBLE solution, whose objective_value is the least
+        artificial sum, when an artificial stays above FEASIBILITY_TOL.
+        Otherwise returns None, with the artificials fixed at zero
+        (lo = up = 0), so that none enters again, ready for phase two.
+        """
+        self._set_budget()
+        if not self.n_art:
+            return None
+        c1 = np.zeros(self.n_total)
+        c1[self.art_start :] = 1.0
+        before = self.iterations
+        status = self.run_phase(c1)
+        self.phase_one_pivots += self.iterations - before
+        if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
+            raise NumericalFailure("phase one reported unbounded")
+        self.refactorize()
+        # each artificial bounds its row's violation at the phase-one
+        # point, which certification would hold to FEASIBILITY_TOL
+        artificials = self.values[self.art_start :]
+        if artificials.max() > FEASIBILITY_TOL:
+            return LpSolution(status=LpStatus.INFEASIBLE,
+                              objective_value=float(artificials.sum()),
+                              iterations=self.iterations)
+        self.up[self.art_start :] = 0.0
+        return None
+
+    def _set_budget(self):
+        self.max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
+
+    # -- dual simplex ------------------------------------------------------
 
     def add_inequality(self, g: np.ndarray, h: float) -> LpSolution:
         """Append the row g . x <= h to the solved program and re-optimize
@@ -470,7 +513,6 @@ class _Simplex:
         self.up = np.append(self.up, np.inf)
         self.cost = np.append(self.cost, 0.0)
         self.state = np.append(self.state, np.int8(_BASIC))
-        self.enterable = np.append(self.enterable, True)
         self.m += 1
         self.n_total += 1
         self._set_budget()
@@ -512,14 +554,12 @@ class _Simplex:
         Passing a breakpoint flips its boxed column to the other bound, for
         as long as the leaving value stays off its bound; the column at the
         breakpoint where it would not enters, or a near tie of it that can
-        take up the rest: the largest |alpha|, then the lowest index (Bland:
-        the lowest index).  Returns (entering column, dual step, flipped
-        columns), with entering column -1 when no column can take up the
-        excess."""
-        room = _ENTER_SIGN[self.state] * alpha
-        if self.has_free:
-            room = np.where(self.state == _FREE, np.abs(alpha), room)
-        cand = ((room > _PIVOT_TOL) & self.enterable).nonzero()[0]
+        take up the rest, chosen as in the primal ratio test.  Returns
+        (entering column, dual step, flipped columns), with entering column
+        -1 when no column can take up the excess."""
+        state = self.state
+        room = np.where(state == _FREE, np.abs(alpha), _ENTER_SIGN[state] * alpha)
+        cand = ((room > _PIVOT_TOL) & (self.lo < self.up)).nonzero()[0]
         mag = room[cand]
         span = (self.up[cand] - self.lo[cand]) * mag
         ratios = np.maximum(d[cand] / alpha[cand], 0.0)
@@ -535,10 +575,7 @@ class _Simplex:
         tied = (ratios[group] <= ratios[group[0]] + _RATIO_TIE) & (span[group] >= rest)
         tied[0] = True  # the breakpoint itself always takes up the rest
         group = group[tied]
-        if group.size > 1 and not bland:
-            big = mag[group]
-            group = group[big >= big.max() - 1e-12]
-        pick = group[np.argmin(cand[group])]
+        pick = group[_tie_break(cand[group], mag[group], bland)]
         return int(cand[pick]), float(ratios[pick]), cand[order[:k]]
 
     def dual_pivot(self, row: int, j: int, flips: np.ndarray, alpha: np.ndarray,
@@ -567,127 +604,36 @@ class _Simplex:
         """Dual simplex (Lemke 1954) from a dual feasible basis, until no
         basic value is off its bounds at all (OPTIMAL), or until a value off
         its bound by more than FEASIBILITY_TOL has no column that can move it
-        (INFEASIBLE).
+        (INFEASIBLE).  Reduced costs follow the pivot row and are recomputed
+        whenever the inverse is fresh."""
+        d = None
 
-        Reduced costs follow the pivot row and are recomputed at every
-        refactorization.  As in the primal phases, a pivot is degenerate
-        when its entering column does not move; after _BLAND_AFTER of them
-        in a row both choices go to the lowest index until one moves again.
-        """
-        bland = False
-        stall = 0
-        since_refactor = 0
-        _, d = self.reduced_costs(self.cost)
-        while True:
-            if self.iterations >= self.max_iter:
-                raise NumericalFailure(
-                    f"iteration limit {self.max_iter} exceeded (m={self.m}, "
-                    f"n={self.n_total})"
-                )
+        def step(bland):
+            nonlocal d
+            if d is None or self.factored_at == self.iterations:
+                _, d = self.reduced_costs(self.cost)
             row, excess, to_lower = self.choose_leaving(bland)
             if row < 0:
-                break
+                return LpStatus.OPTIMAL
             leaving = self.basis[row]
             target = self.lo[leaving] if to_lower else self.up[leaving]
             alpha = (-self.B_inv[row] if to_lower else self.B_inv[row]) @ self.A
-            j, step, flips = self.dual_ratio_test(alpha, d, excess, bland)
+            j, dual_step, flips = self.dual_ratio_test(alpha, d, excess, bland)
             if j < 0:
                 if excess > FEASIBILITY_TOL:
-                    self.values[self.basis] = self.xB
                     return LpStatus.INFEASIBLE
                 # a round-off residue no column can move: leave it to the
                 # refactorization and the certificate that follow the phase
                 self.xB[row] = target
-                continue
-            if step:
-                d -= step * alpha
+                return None
+            if dual_step:
+                d -= dual_step * alpha
             delta = self.dual_pivot(row, j, flips, alpha, target, to_lower)
             d[j] = 0.0
-            self.iterations += 1
             self.dual_pivots += 1
-            since_refactor += 1
-            if abs(delta) <= _RATIO_TIE:
-                stall += 1
-                if stall >= _BLAND_AFTER:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            if since_refactor >= _REFACTOR_EVERY:
-                self.refactorize()
-                _, d = self.reduced_costs(self.cost)
-                since_refactor = 0
-        self.values[self.basis] = self.xB
-        return LpStatus.OPTIMAL
+            return abs(delta)
 
-    def phase_one(self) -> LpSolution | None:
-        """Minimize the artificial sum from the current basis, and set the
-        iteration budget of this phase and the next.
-
-        Returns the INFEASIBLE solution, whose objective_value is the least
-        artificial sum, when an artificial stays above FEASIBILITY_TOL.
-        Otherwise returns None, with the artificials frozen at zero and
-        barred from re-entering, ready for phase two.
-        """
-        self._set_budget()
-        if not self.n_art:
-            return None
-        c1 = np.zeros(self.n_total)
-        c1[self.art_start :] = 1.0
-        before = self.iterations
-        status = self.run_phase(c1, self.max_iter)
-        self.phase_one_pivots += self.iterations - before
-        if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
-            raise NumericalFailure("phase one reported unbounded")
-        self.refactorize()
-        # each artificial bounds its row's violation at the phase-one
-        # point, which certification would hold to FEASIBILITY_TOL
-        artificials = self.values[self.art_start :]
-        if artificials.max() > FEASIBILITY_TOL:
-            return LpSolution(status=LpStatus.INFEASIBLE,
-                              objective_value=float(artificials.sum()),
-                              iterations=self.iterations)
-        self._expel_artificials()
-        self.lo[self.art_start :] = 0.0
-        self.up[self.art_start :] = 0.0
-        self.enterable[self.art_start :] = False
-        return None
-
-    def _set_budget(self):
-        self.max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
-
-    def _optimize(self) -> LpSolution:
-        """Phase one, then phase two and the certificate."""
-        infeasible = self.phase_one()
-        if infeasible is not None:
-            return infeasible
-        status = self.run_phase(self.cost, self.max_iter)
-        if status is LpStatus.UNBOUNDED:
-            return LpSolution(status=LpStatus.UNBOUNDED, iterations=self.iterations)
-        if self.iterations != self.factored_at:  # else the inverse is fresh
-            self.refactorize()
-        return self._certify()
-
-    def _expel_artificials(self):
-        """Pivot basic artificials out where possible; rows that cannot be
-        cleared are redundant and keep a zero-fixed artificial."""
-        for r in range(self.m):
-            j = self.basis[r]
-            if j < self.art_start:
-                continue
-            row = self.B_inv[r, :] @ self.A[:, : self.art_start]
-            candidates = np.flatnonzero(
-                (np.abs(row) > 1e-7) & (self.state[: self.art_start] != _BASIC)
-            )
-            if candidates.size == 0:
-                continue
-            enter = int(candidates[np.argmax(np.abs(row[candidates]))])
-            # zero-length pivot: swap basis membership, then rebuild
-            self.state[j] = _AT_LO
-            self.values[j] = 0.0
-            self.basis[r] = enter
-            self.state[enter] = _BASIC
-            self.refactorize()
+        return self._pivot_loop(step)
 
     # -- certification ------------------------------------------------------
 

@@ -26,8 +26,10 @@ per cut (two when the fresh inverse puts a basic value back off its bound
 and the dual simplex resumes).  Every master is still certified against
 its full constraint set.  `pivots` counts the simplex pivots over all masters,
 `phase_one_pivots` those of the first master's phase one, `dual_pivots`
-those of the cuts' dual simplex, and `refactorizations` the basis
-inverses built from scratch.
+those of the cuts' dual simplex, `degenerate_pivots` those whose entering
+column did not move, `bland_switches` how often a run of these switched
+the simplex to Bland's rule, and `refactorizations` the basis inverses
+built from scratch.
 
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
@@ -72,6 +74,8 @@ class NormAugmentedResult:
     pivots: int = 0  # simplex pivots over every master LP
     phase_one_pivots: int = 0  # the first master's phase-one share of `pivots`
     dual_pivots: int = 0  # the cuts' dual-simplex share of `pivots`
+    degenerate_pivots: int = 0  # pivots whose entering column did not move
+    bland_switches: int = 0  # runs of degenerate pivots that switched to Bland's rule
     refactorizations: int = 0  # basis inverses built from scratch
     lp_solution: LpSolution | None = None  # the master x came from, maybe short of its optimum
 
@@ -191,6 +195,8 @@ def _counted(result: NormAugmentedResult, master: _Simplex) -> NormAugmentedResu
     result.pivots = master.iterations
     result.phase_one_pivots = master.phase_one_pivots
     result.dual_pivots = master.dual_pivots
+    result.degenerate_pivots = master.degenerate_pivots
+    result.bland_switches = master.bland_switches
     result.refactorizations = master.refactorizations
     return result
 

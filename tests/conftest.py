@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import evsched
 from evsched import Scenario, occupancy_from_windows
 
 
@@ -30,6 +36,18 @@ def make_scenario(
         prices=prices,
         scenario_id=scenario_id,
     )
+
+
+def run_on_one_blas_thread(source: str, *args: str) -> str:
+    """Run the python `source` with command-line `args` in a child process
+    whose BLAS uses one thread, and return what it printed.  Exact pins
+    (pivot counts, report digests) are taken this way: threaded BLAS sums
+    in another order, which can change a pivot choice."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(Path(evsched.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", source, *args], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return run.stdout
 
 
 @pytest.fixture

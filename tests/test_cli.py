@@ -19,7 +19,7 @@ from evsched.ingest import save_scenario, scenario_to_dict
 from evsched.nominal import check_feasibility
 from evsched.synth import random_scenario, write_synthetic_corpus
 
-from conftest import make_scenario
+from conftest import make_scenario, run_on_one_blas_thread
 
 SESSIONS = (
     "session_id,arrival,departure,energy_kwh\n"
@@ -27,6 +27,9 @@ SESSIONS = (
     "s2,2018-04-25T09:00:00,2018-04-25T18:00:00,30.0\n"
     "s3,2018-04-26T10:30:00,2018-04-26T16:00:00,18.0\n"
 )
+
+# `evsched` in a child process; a nonzero exit fails run_on_one_blas_thread
+CLI_MAIN = "import sys; from evsched.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def write_inputs(tmp_path, sessions=SESSIONS):
@@ -412,8 +415,9 @@ class TestSimulateCommand:
 
     # sha256 of the report files of one small synthetic run per method.  The
     # reports hold costs and allocations to full float precision, so the
-    # digests depend on the BLAS build, as the pinned pivot counts do; a
-    # change here means the reports are no longer byte-identical.
+    # digests depend on the BLAS build and, like the pinned pivot counts,
+    # are taken with BLAS on one thread; a change here means the reports
+    # are no longer byte-identical.
     REPORT_DIGESTS = {
         "nominal": {
             "comparison.csv": "f940dd121fc97ecc3dd1ab6154f67d604eca84c23bfc453755d16d27ef9f82f0",
@@ -445,9 +449,9 @@ class TestSimulateCommand:
     ])
     def test_report_bytes_pinned(self, tmp_path, method, flags):
         out = tmp_path / "r"
-        code = main(["simulate", "--synthetic", "12", "--seed", "3", "--horizon", "6",
-                     "--max-vehicles", "4", "--method", method, *flags, "--out", str(out)])
-        assert code == EXIT_OK
+        run_on_one_blas_thread(CLI_MAIN, "simulate", "--synthetic", "12", "--seed", "3",
+                               "--horizon", "6", "--max-vehicles", "4", "--method", method,
+                               *flags, "--out", str(out))
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.REPORT_DIGESTS[method]}
         assert digests == self.REPORT_DIGESTS[method]

@@ -1,5 +1,6 @@
 """LP solver tests, checked against brute-force vertex enumeration."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -289,6 +290,17 @@ class TestDegeneracy:
         assert_certified(sol)
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
 
+    def test_degenerate_run_switches_to_bland(self):
+        # 40 copies of one row: x0 enters and meets them all, then each
+        # slack replaces an artificial at zero without moving, 39 degenerate
+        # pivots in a row, which switch the simplex to Bland's rule once
+        lp = LinearProgram(c=[1.0, 1.0], G=[[-1.0, -1.0]] * 40, h=[-2.0] * 40,
+                           lo=[0, 0], up=[5, 5])
+        simplex = lp_module._Simplex(lp)
+        assert_certified(simplex.solve())
+        assert (simplex.iterations, simplex.degenerate_pivots,
+                simplex.bland_switches) == (40, 39, 1)
+
     def test_beale_cycling_instance(self):
         # classic cycling example for naive pivoting; Bland fallback must
         # terminate with the known optimum -0.05
@@ -460,6 +472,26 @@ class TestAddInequality:
         assert warm.max_residual <= lp_module.FEASIBILITY_TOL
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
 
+    def test_artificial_basic_at_zero_stays_there(self):
+        # the redundant equalities of TestDegeneracy end phase one with an
+        # artificial basic at zero in the redundant row; fixed at zero, it
+        # stays there through phase two and the dual simplex of a new row
+        E, b = [[1.0, 1.0], [2.0, 2.0]], [3.0, 6.0]
+        lp = LinearProgram(c=[1.0, 0.0], E=E, b=b, lo=[0, 0], up=[5, 5])
+        simplex = lp_module._Simplex(lp)
+        assert_certified(simplex.solve())
+        artificials = np.arange(simplex.art_start, simplex.art_start + simplex.n_art)
+        assert np.isin(simplex.basis, artificials).any()
+        warm = simplex.add_inequality(np.array([0.0, 1.0]), 1.0)
+        cold = solve_lp(LinearProgram(c=lp.c, G=[[0.0, 1.0]], h=[1.0], E=E, b=b,
+                                      lo=lp.lo, up=lp.up))
+        assert_certified(warm)
+        assert_certified(cold)
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+        assert warm.x == pytest.approx(cold.x, abs=1e-12)
+        assert np.isin(simplex.basis, artificials).any()
+        assert np.all(simplex.values[artificials] == 0.0)
+
     @pytest.mark.parametrize("g, h", [
         ([np.nan, 0.0, 0.0], 1.0),
         ([np.inf, 0.0, 0.0], 1.0),
@@ -478,7 +510,9 @@ class TestAddInequality:
 
 
 class TestPricing:
-    """Frozen artificials (lo = up = 0 after phase one) may never enter."""
+    """A column with equal bounds never enters or flips: neither the
+    artificials fixed at zero after phase one nor a structural column at a
+    step whose socket limit is zero."""
 
     @pytest.fixture
     def entering(self, monkeypatch):
@@ -488,7 +522,7 @@ class TestPricing:
         def record(self, d, bland):
             j = choose(self, d, bland)
             if j >= 0:
-                picks.append(bool(self.enterable[j]))
+                picks.append(bool(self.lo[j] < self.up[j]))
             return j
 
         monkeypatch.setattr(lp_module._Simplex, "choose_entering", record)
@@ -505,6 +539,17 @@ class TestPricing:
             phase_one += solve(sc).phase_one_pivots
         assert phase_one and entering and all(entering)
 
+    def test_zero_socket_step_never_enters(self, entering):
+        # a zero socket limit at the day's cheapest step fixes its columns at
+        # 0, where their reduced costs are negative: they price out but must
+        # neither enter nor flip
+        sc = random_scenario(np.random.default_rng(0), horizon_steps=24,
+                             max_vehicles=30, capacity=25.0)
+        socket = sc.socket_limit.copy()
+        socket[np.argmin(sc.prices)] = 0.0
+        res = solve(dataclasses.replace(sc, socket_limit=socket))
+        assert res.phase_one_pivots and entering and all(entering)
+
     @pytest.mark.parametrize("day", range(3))
     def test_robust_days_never_enter_a_barred_column(self, day, monkeypatch):
         # an 8 kW budget leaves the greedy start short on these days (fleet
@@ -517,7 +562,8 @@ class TestPricing:
         def record(self, *args):
             j, step, flips = ratio_test(self, *args)
             if j >= 0:
-                picks.append(bool(self.enterable[j] and self.enterable[flips].all()))
+                picks.append(bool(self.lo[j] < self.up[j]
+                                  and (self.lo[flips] < self.up[flips]).all()))
             return j, step, flips
 
         monkeypatch.setattr(lp_module._Simplex, "dual_ratio_test", record)

@@ -1,15 +1,9 @@
 """Robust model tests: ball-radius behavior, worst-case load substitution,
 and the argument checks of the one solve entry point."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import evsched
 from evsched import (
     InfeasibleScenario,
     Method,
@@ -19,7 +13,7 @@ from evsched import (
 )
 from evsched.synth import random_scenario
 
-from conftest import make_scenario
+from conftest import make_scenario, run_on_one_blas_thread
 
 
 def spreading_scenario():
@@ -220,13 +214,8 @@ print(sum(r.cuts for r in results), sum(r.pivots for r in results),
 def test_full_size_day_counts_pinned():
     # T=24 days of up to 20 vehicles, where a 24-dimensional norm needs far
     # more cuts than the 6-step days above.  The counts are exact, so they
-    # are taken in a child process with BLAS on one thread: threaded BLAS
-    # sums in another order and can change a pivot choice.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=str(Path(evsched.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", FULL_SIZE_TOTALS], env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    cuts, pivots, cut_limit_days = map(int, run.stdout.split())
+    # are taken with BLAS on one thread.
+    cuts, pivots, cut_limit_days = map(int, run_on_one_blas_thread(FULL_SIZE_TOTALS).split())
     assert cut_limit_days == 0
     # pinned: a change here means the cut or pivot sequence changed
     assert (cuts, pivots) == (2554, 9191)

@@ -230,8 +230,11 @@ class TestWarmMaster:
                    for refactors, dual in per_cut)
         assert res.refactorizations == 3 + sum(refactors for refactors, _ in per_cut)
         assert res.dual_pivots == sum(dual for _, dual in per_cut)
+        # every pivot of this day moves its entering column, so no run of
+        # degenerate pivots switches the simplex to Bland's rule
         assert (res.cuts, res.pivots, res.phase_one_pivots, res.dual_pivots,
-                res.refactorizations) == (25, 37, 4, 32, 28)
+                res.refactorizations, res.degenerate_pivots,
+                res.bland_switches) == (25, 37, 4, 32, 28, 0, 0)
 
     def test_pivots_count_every_master(self):
         # each violated cut needs at least one dual pivot to bring its slack
