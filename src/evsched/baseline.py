@@ -31,16 +31,19 @@ def fcfs_with_report(scenario: Scenario) -> FcfsResult:
     T, n = scenario.horizon_steps, scenario.num_vehicles
     occ = scenario.occupancy
     x = np.zeros((T, n))
-    remaining = scenario.load.astype(float).copy()
+    # the loop works on Python floats, which are cheaper than numpy scalars
+    remaining = scenario.load.astype(float).tolist()
+    capacity = scenario.capacity.tolist()
+    socket_limit = scenario.socket_limit.tolist()
 
     # service order: arrival step, then vehicle index
     arrivals = np.where(occ.any(axis=0), occ.argmax(axis=0), T)
     queue = np.lexsort((np.arange(n), arrivals))
 
     for t in range(T):
-        budget = float(scenario.capacity[t])
-        socket = float(scenario.socket_limit[t])
-        for i in queue[occ[t, queue] == 1]:
+        budget = capacity[t]
+        socket = socket_limit[t]
+        for i in queue[occ[t, queue] == 1].tolist():
             give = min(socket, remaining[i], budget)
             if give <= 0.0:
                 continue
@@ -51,7 +54,7 @@ def fcfs_with_report(scenario: Scenario) -> FcfsResult:
     schedule = Schedule(
         allocation=x, method=Method.FCFS, scenario_id=scenario.scenario_id
     )
-    return FcfsResult(schedule=schedule, shortfall=np.maximum(remaining, 0.0))
+    return FcfsResult(schedule=schedule, shortfall=np.maximum(np.array(remaining), 0.0))
 
 
 def fcfs_schedule(scenario: Scenario) -> Schedule:

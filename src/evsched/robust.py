@@ -45,6 +45,7 @@ class SolveResult:
     pivots: int  # simplex pivots over every LP the solve ran
     phase_one_pivots: int  # the phase-one share of `pivots`
     dual_pivots: int  # the cuts' dual-simplex share of `pivots`
+    zero_dual_steps: int  # dual pivots whose dual step was zero
     degenerate_pivots: int  # pivots whose entering column did not move
     bland_switches: int  # runs of degenerate pivots that switched to Bland's rule
     refactorizations: int  # basis inverses the simplex built from scratch
@@ -114,6 +115,7 @@ def solve(
         pivots=result.pivots,
         phase_one_pivots=result.phase_one_pivots,
         dual_pivots=result.dual_pivots,
+        zero_dual_steps=result.zero_dual_steps,
         degenerate_pivots=result.degenerate_pivots,
         bland_switches=result.bland_switches,
         refactorizations=result.refactorizations,

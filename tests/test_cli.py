@@ -427,18 +427,18 @@ class TestSimulateCommand:
             "fig4_cumulative.csv": "e81d9ced36266d3191b8377ea3ec3c52e43f92a0a7a6bcca96e25c16f90a1079",
         },
         "robust-price": {
-            "comparison.csv": "17c01702857faffcb739df26a8b502e3d287d06d33710e42126c826328e4f3af",
-            "summary.csv": "23ffcbd203876735f1c9508bc18e723b3f22ac477dfada98c269562d587aceab",
-            "fig2_day.csv": "f7e34dc3a2df8e36ced1c356410679db8e3a1109e0adba8eb94ec4a461bda933",
-            "fig3_scatter.csv": "acb377b4abd488164756b034770d8658524e68ffdb652447a620f810943df36b",
-            "fig4_cumulative.csv": "57e796af32f4a5e786f08186f3761fd6a7ae6762e6dec4747610c36d2a69e909",
+            "comparison.csv": "67410b8b6790692248fbeeb4312e67c0ef59f9d1f86ae7c2e961f6d87ac47eec",
+            "summary.csv": "bedc139ded8e03f6f13dc0dcd3de57526efcec66adab244e5ae3af1517b3e581",
+            "fig2_day.csv": "4eceda698b8e23c879ef0f871522706478790cce0ee202e7ed279837c0720cbd",
+            "fig3_scatter.csv": "cbd437b6dbf14087874ca5848486d419bbbc6f139eb59bfb075bfb9fc732d03a",
+            "fig4_cumulative.csv": "fd76f246c553619994f26c9cd4e5358cd3a3dbdc27f8b25c4074a30023369247",
         },
         "robust-load": {
-            "comparison.csv": "7e4ac9f583eb4ba7798ccf57cac5b73b60dbc4c267f34d574df261f8027db143",
-            "summary.csv": "99c3be83769310c7cc8c4ac9b62227c001b88cb391f6e12e750d49e16fc36910",
-            "fig2_day.csv": "ff2fcee16988662f961e1255eb4ee59ef2713cd4d28ba635c64d80de88dad812",
-            "fig3_scatter.csv": "d6a5e707216c78c99e5adb54597622b09dacb6ba1fecccb2affee3b92d5307bf",
-            "fig4_cumulative.csv": "b84c6c4a840cbab154abd191e44e9784ba003e4efc4469a50452778d19a856cf",
+            "comparison.csv": "fc247005daa21801bbeb7d5a61dbd7e764ae29d8e45636c01ac85fcf2486a53b",
+            "summary.csv": "7e00a769fb35f61ef840cf2ae891b988ee58b2e5acaab3d889c4a50d7719e542",
+            "fig2_day.csv": "7fd4adc7893d9cdca33cc0e9dda0376e6cb5a7b5295d28c1aaf1e7afd9e6c283",
+            "fig3_scatter.csv": "1142852c7ac5f88ed5322c63e82ab1d9ec4859403d5e388458ad85ecd24696ed",
+            "fig4_cumulative.csv": "821b13abd4142bd4dd74da4d2ed223c488ce81a27ed04348a29a945b7e465f83",
         },
     }
 

@@ -362,6 +362,31 @@ class TestNonFinite:
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
 
 
+class TestCertificate:
+    """A basis whose gap is zero is still not optimal when a multiplier has
+    the wrong sign: the certificate must check the signs too."""
+
+    def test_wrong_sign_row_multiplier_fails(self):
+        # x = 1 starts basic in the tight row x <= 1, so the gap is zero,
+        # but the row's multiplier is -1: the optimum is x = 0
+        lp = LinearProgram(c=[1.0], G=[[1.0]], h=[1.0], lo=[0.0], up=[5.0])
+        simplex = lp_module._Simplex(lp)
+        simplex.build_initial_basis(lp_module.BasisStart(np.array([1.0]), np.array([0])))
+        with pytest.raises(NumericalFailure, match="least multiplier=-1"):
+            simplex._certify()
+        assert solve_lp(lp).objective_value == 0.0
+
+    def test_column_priced_below_zero_at_an_infinite_bound_fails(self):
+        # x in [0, inf) rests at 0 with reduced cost -1, which no bound's
+        # multiplier absorbs; the gap is zero, the optimum is x = 1
+        lp = LinearProgram(c=[-1.0], G=[[1.0]], h=[1.0], lo=[0.0])
+        simplex = lp_module._Simplex(lp)
+        simplex.build_initial_basis()
+        with pytest.raises(NumericalFailure, match="stationarity=1"):
+            simplex._certify()
+        assert solve_lp(lp).objective_value == -1.0
+
+
 class TestAddInequality:
     """Rows appended to a solved simplex must give the cold solve's optimum."""
 

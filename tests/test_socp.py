@@ -209,10 +209,12 @@ class TestWarmMaster:
         assert (first.cuts, first.pivots) == (25, 37)
 
     def test_counters_pinned(self, monkeypatch):
-        # one refactorization per cut, plus those _REFACTOR_EVERY forces
-        # during its dual simplex; the first master makes three (its
+        # a cut refactors only when the pivot count since the last
+        # refactorization reaches _REFACTOR_EVERY, counted across cuts, or
+        # when its certificate fails; the first master makes three (its
         # starting basis, after phase one and after phase two, which pivots
-        # on this day: a phase two without pivots keeps the fresh inverse)
+        # on this day: a phase two without pivots keeps the fresh inverse).
+        # This day's cuts make 32 dual pivots in all, so none refactors.
         per_cut = []
         add = lp_module._Simplex.add_inequality
 
@@ -226,15 +228,49 @@ class TestWarmMaster:
         lp, M = robust_day(8)
         res = solve_norm_augmented(lp, 0.5, M)
         assert len(per_cut) == res.cuts
-        assert all(refactors == 1 + dual // lp_module._REFACTOR_EVERY
-                   for refactors, dual in per_cut)
-        assert res.refactorizations == 3 + sum(refactors for refactors, _ in per_cut)
-        assert res.dual_pivots == sum(dual for _, dual in per_cut)
-        # every pivot of this day moves its entering column, so no run of
-        # degenerate pivots switches the simplex to Bland's rule
+        assert res.dual_pivots == sum(dual for _, dual in per_cut) < lp_module._REFACTOR_EVERY
+        assert all(refactors == 0 for refactors, _ in per_cut)
+        # every pivot of this day moves its entering column and takes a
+        # nonzero dual step, so no run of degenerate pivots switches the
+        # simplex to Bland's rule
         assert (res.cuts, res.pivots, res.phase_one_pivots, res.dual_pivots,
-                res.refactorizations, res.degenerate_pivots,
-                res.bland_switches) == (25, 37, 4, 32, 28, 0, 0)
+                res.zero_dual_steps, res.refactorizations, res.degenerate_pivots,
+                res.bland_switches) == (25, 37, 4, 32, 0, 3, 0, 0)
+
+    def test_cuts_refactor_on_the_pivot_schedule(self, monkeypatch):
+        # one master grown by 61 cuts: the refactorization count holds still
+        # until _REFACTOR_EVERY pivots have passed since the last one, across
+        # cuts, and every master is certified at the optimum of a cold solve
+        # of the same rows
+        masters = []
+        add = lp_module._Simplex.add_inequality
+
+        def record(self, g, h):
+            if not masters:
+                masters.append((self.iterations, self.refactorizations))
+            sol = add(self, g, h)
+            masters.append((np.array(g[:-1]), sol, self.iterations, self.refactorizations))
+            return sol
+
+        monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
+        lp, M = robust_day(39)
+        res = solve_norm_augmented(lp, 2.0, M)
+        monkeypatch.undo()
+        (first_pivots, first_refactors), *cuts = masters
+        assert len(cuts) == res.cuts
+        every = lp_module._REFACTOR_EVERY
+        for k, (_, warm, pivots, refactors) in enumerate(cuts):
+            assert refactors == first_refactors + (pivots - first_pivots) // every
+            cold = solve_lp(_augmented(lp, 2.0, np.array([g for g, *_ in cuts[: k + 1]])))
+            assert_master_certified(warm)
+            assert_master_certified(cold)
+            scale = max(1.0, abs(cold.objective_value))
+            assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
+        assert res.status is NormAugmentedStatus.OPTIMAL
+        # pinned: two refactorizations over 130 dual pivots, 13 of which take
+        # a zero dual step though every entering column moves
+        assert (res.cuts, res.pivots, res.dual_pivots, res.zero_dual_steps,
+                res.degenerate_pivots, res.refactorizations) == (61, 142, 130, 13, 0, 5)
 
     def test_pivots_count_every_master(self):
         # each violated cut needs at least one dual pivot to bring its slack
