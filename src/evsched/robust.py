@@ -30,7 +30,7 @@ from .nominal import (
     schedule_from_x,
     scheduling_lp,
 )
-from .solver import NormAugmentedStatus, NumericalFailure, solve_norm_augmented
+from .solver import NormAugmentedStatus, solve_norm_augmented
 
 
 @dataclass
@@ -102,9 +102,6 @@ def solve(
     if result.status is NormAugmentedStatus.INFEASIBLE:
         raise InfeasibleScenario(scenario.scenario_id,
                                  _phase_one_report(scenario, result.lp_solution))
-    if result.status is NormAugmentedStatus.UNBOUNDED:
-        # the box bounds the feasible set
-        raise NumericalFailure(f"scenario {scenario.scenario_id!r}: solve reported unbounded")
     schedule = schedule_from_x(scenario, result.x, var_index, method)
     return SolveResult(
         schedule=schedule,

@@ -3,7 +3,7 @@
 Solves
 
     min  c . x
-    s.t. G x <= h,  E x = b,  lo <= x <= up   (bounds may be infinite)
+    s.t. G x <= h,  E x = b,  lo <= x <= up   (lo finite, up may be inf)
 
 with a two-phase bounded-variable simplex.  Inequalities get slack
 columns, infeasible starting rows get artificial columns, and phase one
@@ -12,9 +12,9 @@ sum.  A column with equal bounds never enters or flips; phase one ends by
 fixing the artificials at zero, and one still basic there is pivoted out
 by the ratio tests like any fixed basic column.  A caller that knows a
 good starting point can pass it with the basic column of each row it
-covers (`BasisStart`); the default start rests every column at a bound.
-Pricing is Dantzig (most negative reduced cost, ties to the lowest column
-index).
+covers (`BasisStart`); the default start rests every column at its lower
+bound.  Pricing is Dantzig (most negative reduced cost, ties to the lowest
+column index).
 
 A solved program can grow by one inequality at a time (the cuts of a
 cutting-plane loop).  The new row's slack starts basic, the old optimal
@@ -67,7 +67,6 @@ _BLAND_AFTER = 30  # degenerate pivots before switching to Bland
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class NumericalFailure(RuntimeError):
@@ -77,8 +76,9 @@ class NumericalFailure(RuntimeError):
 @dataclass(frozen=True)
 class LinearProgram:
     """Standard-form LP; G/h and E/b may be omitted, bounds default to
-    [0, +inf).  c may be empty: a program with no variables has the empty
-    vector as its only point."""
+    [0, +inf).  Lower bounds must be finite; an upper bound may be +inf.
+    c may be empty: a program with no variables has the empty vector as
+    its only point."""
 
     c: np.ndarray
     G: np.ndarray | None = None
@@ -131,6 +131,8 @@ class LinearProgram:
                 raise ValueError(f"{name} must be finite")
         if np.isnan(lo).any() or np.isnan(up).any():
             raise ValueError("bounds must not be NaN")
+        if not np.isfinite(lo).all():
+            raise ValueError("lower bounds must be finite")
         if (lo > up).any():
             raise ValueError("lo must be <= up elementwise")
         object.__setattr__(self, "lo", lo)
@@ -175,9 +177,9 @@ class LpSolution:
 
 class BasisStart(NamedTuple):
     """A starting point for the simplex: the structural values `x`, each
-    at one of its bounds (zero when free) unless basic, and `basic[r]`, the
-    structural column basic in row r, or -1 where the row starts with its
-    slack or an artificial.  The named columns must form a nonsingular
+    at one of its bounds unless basic, and `basic[r]`, the structural
+    column basic in row r, or -1 where the row starts with its slack or an
+    artificial.  The named columns must form a nonsingular
     basis together with the unit columns of the other rows."""
 
     x: np.ndarray
@@ -187,14 +189,12 @@ class BasisStart(NamedTuple):
 # Nonbasic rest states.
 _AT_LO = 1
 _AT_UP = 2
-_FREE = 3
 _BASIC = 0
 # Sign that turns a nonbasic column's reduced cost into its pricing
-# violation, by rest state (free columns use |d| instead).
-_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
+# violation, by rest state.
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0])
 # Sign that makes a nonbasic column's pivot-row entry positive when the
-# column can move in the direction the dual ratio test needs (free columns
-# use |alpha| instead).
+# column can move in the direction the dual ratio test needs.
 _ENTER_SIGN = -_PRICE_SIGN
 
 
@@ -255,16 +255,13 @@ class _Simplex:
 
     def build_initial_basis(self, start: BasisStart | None = None):
         """Structural columns take their values from `start`, or else rest
-        at a finite bound (lower first) or at zero when free; slacks rest at
-        zero.  Each row starts with the basic column `start` names for it;
-        a row it names none for starts with its slack basic if that is
-        nonnegative, otherwise with a signed artificial."""
+        at their lower bound; slacks rest at zero.  Each row starts with the
+        basic column `start` names for it; a row it names none for starts
+        with its slack basic if that is nonnegative, otherwise with a signed
+        artificial."""
         m, n = self.m, self.n_struct
-        fin_lo = np.isfinite(self.lo)
-        fin_up = np.isfinite(self.up)
-        self.state = np.where(fin_lo, _AT_LO, np.where(fin_up, _AT_UP, _FREE))
-        self.state = self.state.astype(np.int8)
-        self.values = np.where(fin_lo, self.lo, np.where(fin_up, self.up, 0.0))
+        self.state = np.full(self.n_total, _AT_LO, dtype=np.int8)
+        self.values = self.lo.copy()
         named = np.full(m, -1)
         if start is not None:
             named = np.asarray(start.basic)
@@ -359,8 +356,7 @@ class _Simplex:
         return y, c_work - y @ self.A
 
     def choose_entering(self, d: np.ndarray, bland: bool) -> int:
-        state = self.state
-        viol = np.where(state == _FREE, np.abs(d), _PRICE_SIGN[state] * d)
+        viol = _PRICE_SIGN[self.state] * d
         eligible = (viol > _DUAL_TOL) & (self.lo < self.up)
         if not eligible.any():
             return -1
@@ -371,9 +367,7 @@ class _Simplex:
     def ratio_test(self, j: int, direction: float, w: np.ndarray, bland: bool):
         """Largest step t moving x_j by `direction * t`; returns
         (t, leaving_row) where leaving_row is -1 for a bound flip."""
-        t_flip = np.inf
-        if math.isfinite(self.lo[j]) and math.isfinite(self.up[j]):
-            t_flip = self.up[j] - self.lo[j]
+        t_flip = self.up[j] - self.lo[j]
         delta = direction * w
         lo_b = self.lo[self.basis]
         up_b = self.up[self.basis]
@@ -421,8 +415,9 @@ class _Simplex:
 
     def run_phase(self, c_work: np.ndarray) -> LpStatus:
         """Primal simplex on the costs `c_work` from a primal feasible
-        basis: OPTIMAL once no column prices out, UNBOUNDED when the
-        entering column can move without end."""
+        basis: OPTIMAL once no column prices out.  Raises NumericalFailure
+        when the entering column can move without end: the programs this
+        module solves are bounded below, so an unbounded ray is a fault."""
 
         def step(bland):
             _, d = self.reduced_costs(c_work)
@@ -433,8 +428,8 @@ class _Simplex:
             direction = 1.0 if d[j] < 0 else -1.0
             self._w = self.B_inv @ self.A[:, j]
             t, row = self.ratio_test(j, direction, self._w, bland)
-            if not np.isfinite(t):
-                return LpStatus.UNBOUNDED
+            if not math.isfinite(t):
+                raise NumericalFailure(f"unbounded ray: column {j} can move without end")
             self.pivot(j, direction, t, row)
             return t
 
@@ -448,8 +443,7 @@ class _Simplex:
         infeasible = self.phase_one()
         if infeasible is not None:
             return infeasible
-        if self.run_phase(self.cost) is LpStatus.UNBOUNDED:
-            return LpSolution(status=LpStatus.UNBOUNDED, iterations=self.iterations)
+        self.run_phase(self.cost)
         if self.iterations != self.factored_at:  # else the inverse is fresh
             self.refactorize()
         return self._certify()
@@ -469,10 +463,8 @@ class _Simplex:
         c1 = np.zeros(self.n_total)
         c1[self.art_start :] = 1.0
         before = self.iterations
-        status = self.run_phase(c1)
+        self.run_phase(c1)
         self.phase_one_pivots += self.iterations - before
-        if status is LpStatus.UNBOUNDED:  # cannot happen: phase 1 >= 0
-            raise NumericalFailure("phase one reported unbounded")
         self.refactorize()
         # each artificial bounds its row's violation at the phase-one
         # point, which certification would hold to FEASIBILITY_TOL
@@ -585,8 +577,7 @@ class _Simplex:
         take up the rest, chosen as in the primal ratio test.  Returns
         (entering column, dual step, flipped columns), with entering column
         -1 when no column can take up the excess."""
-        state = self.state
-        room = np.where(state == _FREE, np.abs(alpha), _ENTER_SIGN[state] * alpha)
+        room = _ENTER_SIGN[self.state] * alpha
         cand = ((room > _PIVOT_TOL) & (self.lo < self.up)).nonzero()[0]
         mag = room[cand]
         span = (self.up[cand] - self.lo[cand]) * mag
@@ -695,9 +686,8 @@ class _Simplex:
         lam = -np.concatenate((y[: eq.start], y[eq.stop :]))
         nu = -y[eq]
         d_struct = d[:n]
-        fin_lo = np.isfinite(lp.lo)
         fin_up = np.isfinite(lp.up)
-        mu_lo = np.where(fin_lo, np.maximum(d_struct, 0.0), 0.0)
+        mu_lo = np.maximum(d_struct, 0.0)
         mu_up = np.where(fin_up, np.maximum(-d_struct, 0.0), 0.0)
 
         primal = float(lp.c @ x)
@@ -706,7 +696,7 @@ class _Simplex:
             dual -= float(lam @ np.concatenate((self.rhs[: eq.start], self.rhs[eq.stop :])))
         if nu.size:
             dual -= float(nu @ self.rhs[eq])
-        dual += float(mu_lo[fin_lo] @ lp.lo[fin_lo])
+        dual += float(mu_lo @ lp.lo)
         dual -= float(mu_up[fin_up] @ lp.up[fin_up])
         gap = primal - dual
 
@@ -735,5 +725,7 @@ class _Simplex:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP and certify the result (see module docstring)."""
+    """Solve an LP and certify the result (see module docstring).  Returns
+    OPTIMAL or INFEASIBLE; raises NumericalFailure on an unbounded ray or a
+    certificate that fails at tolerance."""
     return _Simplex(lp).solve()

@@ -62,7 +62,6 @@ class NormAugmentedStatus(Enum):
     OPTIMAL = "optimal"
     CUT_LIMIT = "cut-limit"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass
@@ -84,20 +83,13 @@ class NormAugmentedResult:
     lp_solution: LpSolution | None = None  # the master x came from, maybe short of its optimum
 
 
-def _augmented(lp: LinearProgram, weight: float, cut_rows: np.ndarray) -> LinearProgram:
-    n = lp.num_vars
-    c = np.concatenate([lp.c, [weight]])
-    G_base = np.hstack([lp.G, np.zeros((lp.G.shape[0], 1))])
-    blocks = [G_base]
-    h = [lp.h]
-    if cut_rows.size:
-        blocks.append(np.hstack([cut_rows, -np.ones((cut_rows.shape[0], 1))]))
-        h.append(np.zeros(cut_rows.shape[0]))
+def _augmented(lp: LinearProgram, weight: float) -> LinearProgram:
+    """The LP with the epigraph column tau appended at cost `weight`."""
     E = np.hstack([lp.E, np.zeros((lp.E.shape[0], 1))]) if lp.E.shape[0] else None
     return LinearProgram(
-        c=c,
-        G=np.vstack(blocks),
-        h=np.concatenate(h),
+        c=np.append(lp.c, weight),
+        G=np.hstack([lp.G, np.zeros((lp.G.shape[0], 1))]),
+        h=lp.h,
         E=E,
         b=lp.b if lp.E.shape[0] else None,
         lo=np.concatenate([lp.lo, [0.0]]),
@@ -125,7 +117,7 @@ def solve_norm_augmented(
     # `start` and every cut is appended to it and re-optimized from the last
     # basis.  At weight 0 tau would cost nothing, so the master is the LP
     # itself; otherwise tau starts nonbasic at 0.
-    master = _Simplex(_augmented(lp, weight, np.zeros((0, lp.num_vars))) if weight else lp)
+    master = _Simplex(_augmented(lp, weight) if weight else lp)
     if weight and start is not None:
         start = BasisStart(np.append(start.x, 0.0), start.basic)
     sol = master.solve(start)

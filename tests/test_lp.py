@@ -28,8 +28,7 @@ def enumerate_optimum(lp, grid=None):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        if np.isfinite(lp.lo[j]):
-            rows.append((-e, -lp.lo[j]))
+        rows.append((-e, -lp.lo[j]))
         if np.isfinite(lp.up[j]):
             rows.append((e, lp.up[j]))
 
@@ -79,12 +78,14 @@ class TestExamples:
 
     def test_infeasible_bounds_vs_row(self):
         lp = LinearProgram(c=[1.0], G=[[-1.0], [1.0]], h=[-1.0, 0.0],
-                           lo=[-np.inf], up=[np.inf])
+                           lo=[-5.0], up=[np.inf])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
+        # every program evsched builds is bounded, so a ray is a fault
         lp = LinearProgram(c=[-1.0], G=[[-1.0]], h=[0.0])
-        assert solve_lp(lp).status is LpStatus.UNBOUNDED
+        with pytest.raises(NumericalFailure, match="unbounded ray: column 0"):
+            solve_lp(lp)
 
     def test_equality_system(self):
         lp = LinearProgram(c=[1.0, 2.0], E=[[1.0, 1.0]], b=[4.0], lo=[0, 0])
@@ -92,15 +93,6 @@ class TestExamples:
         assert_certified(sol)
         assert sol.x == pytest.approx([4.0, 0.0], abs=1e-9)
         assert sol.objective_value == pytest.approx(4.0)
-
-    def test_free_variable(self):
-        # min x1 with x1 + x2 = 1, x2 <= 0 free x1 -> x1 unconstrained below? no:
-        # x1 = 1 - x2 >= 1, so optimum 1 at x2 = 0.
-        lp = LinearProgram(c=[1.0, 0.0], E=[[1.0, 1.0]], b=[1.0],
-                           lo=[-np.inf, -np.inf], up=[np.inf, 0.0])
-        sol = solve_lp(lp)
-        assert_certified(sol)
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_costs_bounded_by_box(self):
         lp = LinearProgram(c=[-1.0, -2.0], G=[[1.0, 1.0]], h=[3.0],
@@ -117,9 +109,8 @@ class TestConstraintFree:
 
     @pytest.mark.parametrize("c, lo, up, objective", [
         ([1.0, -2.0], [0.0, 0.0], [3.0, 4.0], -8.0),
-        ([0.0, 1.0], [-np.inf, 1.0], [2.0, np.inf], 1.0),
+        ([0.0, 1.0], [-3.0, 1.0], [2.0, np.inf], 1.0),
         ([-1.0, 0.5], [-1.0, -2.0], [1.0, 2.0], -2.0),
-        ([0.0, 0.0], [-np.inf, -np.inf], [np.inf, np.inf], 0.0),
     ])
     def test_optimal(self, c, lo, up, objective):
         sol = solve_lp(LinearProgram(c=c, lo=lo, up=up))
@@ -128,11 +119,13 @@ class TestConstraintFree:
         assert sol.duality_gap == 0.0
 
     @pytest.mark.parametrize("c, lo, up", [
-        ([1.0], [-np.inf], [5.0]),
+        ([-1.0], [-5.0], [np.inf]),
         ([0.0, -1.0], [0.0, 0.0], [1.0, np.inf]),
     ])
     def test_unbounded(self, c, lo, up):
-        assert solve_lp(LinearProgram(c=c, lo=lo, up=up)).status is LpStatus.UNBOUNDED
+        # the last column has no upper bound and a negative cost: a ray
+        with pytest.raises(NumericalFailure, match=f"unbounded ray: column {len(c) - 1}"):
+            solve_lp(LinearProgram(c=c, lo=lo, up=up))
 
 
 class TestNoVariables:
@@ -232,16 +225,20 @@ class TestRandomized:
 
 class TestCrossCheck:
     def test_against_scipy_highs(self):
-        """Differential check against an unrelated LP implementation."""
+        """Differential check against an unrelated LP implementation, on
+        random programs with finite lower bounds: HiGHS's optimum, its
+        infeasible verdict, or its unbounded one as a ray the simplex
+        refuses."""
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(777)
+        outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
         for _ in range(300):
             n = int(rng.integers(1, 10))
             mG = int(rng.integers(0, 6))
             mE = int(rng.integers(0, min(n, 3)))
             G = rng.normal(0, 1, (mG, n)) if mG else None
             E = rng.normal(0, 1, (mE, n)) if mE else None
-            lo = np.where(rng.random(n) < 0.7, rng.uniform(-2, 0, n), -np.inf)
+            lo = np.where(rng.random(n) < 0.7, rng.uniform(-2, 0, n), -5.0)
             up = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 4, n), np.inf)
             if rng.random() < 0.6:
                 x0 = np.clip(rng.uniform(-1, 2, n), lo, up)
@@ -252,24 +249,30 @@ class TestCrossCheck:
                 b = rng.normal(0, 2, mE) if mE else None
             lp = LinearProgram(c=rng.normal(0, 1, n), G=G, h=h, E=E, b=b,
                                lo=lo, up=up)
-            mine = solve_lp(lp)
             ref = linprog(lp.c, A_ub=G, b_ub=h, A_eq=E, b_eq=b,
                           bounds=list(zip(lo, up)), method="highs")
             if ref.status == 0:
+                outcomes["optimal"] += 1
+                mine = solve_lp(lp)
                 assert mine.status is LpStatus.OPTIMAL
                 assert mine.objective_value == pytest.approx(
                     ref.fun, rel=1e-7, abs=1e-8
                 )
-            elif ref.status in (2, 3):
-                # HiGHS presolve may report infeasible for unbounded
-                # instances (and vice versa), so settle it with an
-                # explicit feasibility probe.
-                probe = linprog(np.zeros(n), A_ub=G, b_ub=h, A_eq=E, b_eq=b,
-                                bounds=list(zip(lo, up)), method="highs")
-                expected = (
-                    LpStatus.UNBOUNDED if probe.status == 0 else LpStatus.INFEASIBLE
-                )
-                assert mine.status is expected
+                continue
+            assert ref.status in (2, 3)
+            # HiGHS presolve may report infeasible for unbounded
+            # instances (and vice versa), so settle it with an
+            # explicit feasibility probe.
+            probe = linprog(np.zeros(n), A_ub=G, b_ub=h, A_eq=E, b_eq=b,
+                            bounds=list(zip(lo, up)), method="highs")
+            if probe.status == 0:
+                outcomes["unbounded"] += 1
+                with pytest.raises(NumericalFailure, match="unbounded ray"):
+                    solve_lp(lp)
+            else:
+                outcomes["infeasible"] += 1
+                assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        assert all(outcomes.values())
 
 
 class TestDegeneracy:
@@ -355,9 +358,21 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="h must be finite"):
             LinearProgram(c=[1, 1], G=[[-1, -1]], h=[np.nan], lo=[0, 0], up=[5, 5])
 
+    @pytest.mark.parametrize("lo, up", [
+        ([np.inf], [np.inf]),
+        ([-np.inf], [-np.inf]),
+        ([-np.inf], [5.0]),
+    ], ids=["plus-inf", "minus-inf", "minus-inf-to-finite"])
+    def test_infinite_lower_bound_rejected(self, lo, up):
+        # lo = up = +inf would put the objective at inf, where the
+        # certificate's gap tolerance GAP_REL_TOL * |objective| is infinite too
+        with pytest.raises(ValueError, match="lower bounds must be finite"):
+            LinearProgram(c=[1.0], lo=lo, up=up)
+
     def test_infinite_bounds_allowed(self):
+        # an infinite upper bound stays valid: slacks and tau have one
         sol = solve_lp(LinearProgram(c=[1.0, -1.0], G=[[1.0, 1.0]], h=[3.0],
-                                     lo=[-1.0, -np.inf], up=[np.inf, 2.0]))
+                                     lo=[-1.0, -5.0], up=[np.inf, 2.0]))
         assert_certified(sol)
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
 

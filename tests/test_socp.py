@@ -70,7 +70,7 @@ class TestWorkedInstances:
 
     def test_infeasible_propagates(self):
         lp = LinearProgram(c=[1.0], G=[[-1.0], [1.0]], h=[-2.0, 1.0],
-                           lo=[-np.inf], up=[np.inf])
+                           lo=[-5.0], up=[np.inf])
         res = solve_norm_augmented(lp, 1.0, np.eye(1))
         assert res.status is NormAugmentedStatus.INFEASIBLE
 
@@ -125,6 +125,16 @@ def robust_day(seed):
     return lp, totals_map(sc, var_index)
 
 
+def cold_master(lp, weight, cut_rows):
+    """The master with the cuts u_k . (M x) <= tau stacked as rows
+    [cut_rows | -1] <= 0, built from scratch."""
+    master = _augmented(lp, weight)
+    cuts = np.hstack([cut_rows, -np.ones((cut_rows.shape[0], 1))])
+    return LinearProgram(c=master.c, G=np.vstack([master.G, cuts]),
+                         h=np.append(master.h, np.zeros(cut_rows.shape[0])),
+                         E=master.E, b=master.b, lo=master.lo, up=master.up)
+
+
 def assert_master_certified(sol):
     assert sol.status is LpStatus.OPTIMAL
     assert sol.max_residual <= FEASIBILITY_TOL
@@ -149,7 +159,7 @@ def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
     assert len(added) == res.cuts
     if added:
         warm = added[-1][1]
-        cold = solve_lp(_augmented(lp, radius, np.array([g for g, _ in added])))
+        cold = solve_lp(cold_master(lp, radius, np.array([g for g, _ in added])))
         assert_master_certified(warm)
         assert_master_certified(cold)
         scale = max(1.0, abs(cold.objective_value))
@@ -178,7 +188,7 @@ class TestWarmMaster:
         cut_rows = np.array([g[:-1] for g, _ in added])
         assert np.all(np.array([g[-1] for g, _ in added]) == -1.0)
         warm = added[-1][1]
-        cold = solve_lp(_augmented(lp, 0.5, cut_rows))
+        cold = solve_lp(cold_master(lp, 0.5, cut_rows))
         assert_master_certified(warm)
         assert_master_certified(cold)
         scale = max(1.0, abs(cold.objective_value))
@@ -261,7 +271,7 @@ class TestWarmMaster:
         every = lp_module._REFACTOR_EVERY
         for k, (_, warm, pivots, refactors) in enumerate(cuts):
             assert refactors == first_refactors + (pivots - first_pivots) // every
-            cold = solve_lp(_augmented(lp, 2.0, np.array([g for g, *_ in cuts[: k + 1]])))
+            cold = solve_lp(cold_master(lp, 2.0, np.array([g for g, *_ in cuts[: k + 1]])))
             assert_master_certified(warm)
             assert_master_certified(cold)
             scale = max(1.0, abs(cold.objective_value))
