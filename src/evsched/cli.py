@@ -312,7 +312,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "robust_objective": result.objective,
                 "cutting_plane_gap": result.gap,
                 "cuts": result.cuts,
-                "master_pivots": result.pivots,
+                "master_pivots": result.stats.pivots,
             }
     except InfeasibleScenario as exc:
         print(f"evsched: {exc}", file=sys.stderr)
@@ -376,7 +376,7 @@ def _run_reports(scenarios: list[Scenario], args, inputs: dict[str, Path],
     )
     rows = run_comparison(scenarios, config)
     thresholds = tuple(int(v) for v in args.filters.split(",") if v.strip())
-    table = aggregate(rows, thresholds)
+    summary = aggregate(rows, thresholds)
 
     day_scenario = None
     day_schedules = None
@@ -398,8 +398,8 @@ def _run_reports(scenarios: list[Scenario], args, inputs: dict[str, Path],
                   file=sys.stderr)
 
     write_comparison_csv(rows, out_dir / "comparison.csv")
-    write_summary_csv(table, out_dir / "summary.csv")
-    write_summary_json(table, rows, out_dir / "summary.json", run_meta)
+    write_summary_csv(summary, out_dir / "summary.csv")
+    write_summary_json(summary, rows, out_dir / "summary.json", run_meta)
     emit_plot_data(rows, day_scenario, day_schedules, out_dir)
     _write_manifest(out_dir, command, _config_dict(args), inputs)
 
@@ -427,7 +427,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"evsched: cannot read scenarios: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    inputs = {f.name: f for f in files}
+    inputs = {str(f): f for f in files}
     return _run_reports(scenarios, args, inputs, "compare",
                         {"scenario_files": len(files)})
 

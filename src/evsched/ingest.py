@@ -142,7 +142,8 @@ def _header_index(header: list[str], required: tuple[str, ...]) -> dict[str, int
 
 def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
     """Read session records in file order; bad rows raise MalformedRow
-    with their line number."""
+    with their line number.  Timestamps with and without a UTC offset
+    cannot be ordered against each other, so a file uses one kind only."""
     rows = _reader(stream)
     try:
         header = next(rows)
@@ -150,6 +151,7 @@ def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
         raise MissingColumn("session_id") from None
     idx = _header_index(header, ("session_id", "arrival", "departure", "energy_kwh"))
     records: list[SessionRecord] = []
+    naive = None  # whether the file's timestamps lack a UTC offset
     for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -162,6 +164,10 @@ def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
             raise MalformedRow(line_no, f"unparseable row: {exc}") from None
         if not math.isfinite(energy):
             raise MalformedRow(line_no, f"non-finite energy {energy}")
+        if naive is None:
+            naive = arrival.tzinfo is None
+        if (arrival.tzinfo is None) != naive or (departure.tzinfo is None) != naive:
+            raise MalformedRow(line_no, "timestamps with and without a UTC offset are mixed")
         if departure <= arrival:
             raise MalformedRow(line_no, "departure is not after arrival")
         if energy < 0:

@@ -30,7 +30,7 @@ from .nominal import (
     schedule_from_x,
     scheduling_lp,
 )
-from .solver import NormAugmentedStatus, solve_norm_augmented
+from .solver import NormAugmentedStatus, SolveStats, solve_norm_augmented
 
 
 @dataclass
@@ -42,13 +42,7 @@ class SolveResult:
     objective: float  # nominal-price cost + radius * ||per-step totals||
     gap: float  # cutting-plane upper minus lower bound (0 for an LP)
     cuts: int
-    pivots: int  # simplex pivots over every LP the solve ran
-    phase_one_pivots: int  # the phase-one share of `pivots`
-    dual_pivots: int  # the cuts' dual-simplex share of `pivots`
-    zero_dual_steps: int  # dual pivots whose dual step was zero
-    degenerate_pivots: int  # pivots whose entering column did not move
-    bland_switches: int  # runs of degenerate pivots that switched to Bland's rule
-    refactorizations: int  # basis inverses the simplex built from scratch
+    stats: SolveStats  # the simplex's counters over every LP the solve ran
     converged: bool  # False when the cut limit stopped the loop
 
 
@@ -109,12 +103,6 @@ def solve(
         objective=float(result.objective),
         gap=float(result.gap),
         cuts=result.cuts,
-        pivots=result.pivots,
-        phase_one_pivots=result.phase_one_pivots,
-        dual_pivots=result.dual_pivots,
-        zero_dual_steps=result.zero_dual_steps,
-        degenerate_pivots=result.degenerate_pivots,
-        bland_switches=result.bland_switches,
-        refactorizations=result.refactorizations,
+        stats=result.stats,
         converged=result.status is NormAugmentedStatus.OPTIMAL,
     )

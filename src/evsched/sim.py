@@ -89,11 +89,6 @@ class SummaryRow:
     pct_of_summed_costs: float | None
 
 
-@dataclass
-class SummaryTable:
-    rows: list[SummaryRow]
-
-
 def optimized_schedule(scenario: Scenario, config: RunConfig) -> Schedule:
     """Run the configured optimizer on one scenario."""
     return solve(scenario, config.method, radius=config.robust_radius,
@@ -145,7 +140,7 @@ def run_comparison(
 
 def aggregate(
     rows: list[ComparisonRow], thresholds: tuple[int, ...] = (1, 10, 30)
-) -> SummaryTable:
+) -> list[SummaryRow]:
     """One summary row per vehicle-count threshold (filter N >= k).
 
     Average saving is the unweighted mean of per-day percentages; the
@@ -178,7 +173,7 @@ def aggregate(
                 pct_of_summed_costs=ratio_pct,
             )
         )
-    return SummaryTable(rows=out)
+    return out
 
 
 def spearman_rho(xs, ys) -> float:
@@ -240,12 +235,12 @@ def write_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
     _write_csv(Path(path), COMPARISON_HEADER, [astuple(r) for r in rows])
 
 
-def write_summary_csv(table: SummaryTable, path: str | Path) -> None:
-    _write_csv(Path(path), SUMMARY_HEADER, [astuple(r) for r in table.rows])
+def write_summary_csv(summary: list[SummaryRow], path: str | Path) -> None:
+    _write_csv(Path(path), SUMMARY_HEADER, [astuple(r) for r in summary])
 
 
 def write_summary_json(
-    table: SummaryTable,
+    summary: list[SummaryRow],
     rows: list[ComparisonRow],
     path: str | Path,
     run_metadata: dict | None = None,
@@ -258,7 +253,7 @@ def write_summary_json(
         "version": __version__,
         "tolerances": {"feasibility_abs": FEAS_TOL, "cost_rel": COST_REL_TOL},
         "run": run_metadata or {},
-        "summary": [asdict(r) for r in table.rows],
+        "summary": [asdict(r) for r in summary],
         "scenarios_total": len(rows),
         "scenarios_included": len(included),
         "spearman_vehicles_vs_money_saved": rho,

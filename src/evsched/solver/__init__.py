@@ -8,6 +8,7 @@ from .lp import (
     LpSolution,
     LpStatus,
     NumericalFailure,
+    SolveStats,
     solve_lp,
 )
 from .socp import (
@@ -24,6 +25,7 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "NumericalFailure",
+    "SolveStats",
     "solve_lp",
     "NormAugmentedResult",
     "NormAugmentedStatus",

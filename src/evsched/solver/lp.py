@@ -175,6 +175,20 @@ class LpSolution:
     iterations: int = 0
 
 
+@dataclass
+class SolveStats:
+    """How a simplex run got its result, counted over every phase and every
+    added row so far."""
+
+    pivots: int = 0  # pivots of every phase, the clock of the iteration budget
+    phase_one_pivots: int = 0  # phase one's share of `pivots`
+    dual_pivots: int = 0  # the dual simplex's share of `pivots`
+    zero_dual_steps: int = 0  # dual pivots whose dual step was zero
+    degenerate_pivots: int = 0  # pivots whose entering column did not move
+    bland_switches: int = 0  # runs of degenerate pivots that switched to Bland's rule
+    refactorizations: int = 0  # basis inverses built from scratch
+
+
 class BasisStart(NamedTuple):
     """A starting point for the simplex: the structural values `x`, each
     at one of its bounds unless basic, and `basic[r]`, the structural
@@ -222,13 +236,8 @@ def _appended(vec: np.ndarray, value) -> np.ndarray:
 class _Simplex:
     """Working state for one solve, which `add_inequality` can extend row by
     row.  Rows are [G | E | added], columns [structural | slack |
-    artificial | added slack].  `iterations` counts the pivots of every
-    phase so far, `phase_one_pivots` those of phase one, `dual_pivots`
-    those of the dual simplex, `zero_dual_steps` the dual pivots whose dual
-    step was zero, `degenerate_pivots` the pivots whose entering column did
-    not move, `bland_switches` how often a run of these switched the
-    choices to Bland's rule, and `refactorizations` the basis inverses built
-    from scratch."""
+    artificial | added slack].  `stats` (SolveStats) counts the work so
+    far."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -247,9 +256,7 @@ class _Simplex:
         self.n_total = n + m_ineq
         # E's rows sit between G's and the rows add_inequality appends
         self.eq_rows = slice(m_ineq, self.m)
-        self.iterations = self.phase_one_pivots = self.dual_pivots = 0
-        self.zero_dual_steps = 0
-        self.degenerate_pivots = self.bland_switches = self.refactorizations = 0
+        self.stats = SolveStats()
 
     # -- setup -----------------------------------------------------------
 
@@ -303,8 +310,8 @@ class _Simplex:
 
     def refactorize(self):
         """Rebuild the basis inverse and basic values from scratch."""
-        self.refactorizations += 1
-        self.factored_at = self.iterations
+        self.stats.refactorizations += 1
+        self.factored_at = self.stats.pivots
         try:
             self.B_inv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
@@ -322,10 +329,11 @@ class _Simplex:
         its entering column moved (degenerate when it did not), or made
         none and returns None.  The module docstring gives the budget, Bland
         and refactorization policy this loop applies."""
+        stats = self.stats
         bland = False
         stall = 0
         while True:
-            if self.iterations >= self.max_iter:
+            if stats.pivots >= self.max_iter:
                 raise NumericalFailure(
                     f"iteration limit {self.max_iter} exceeded (m={self.m}, "
                     f"n={self.n_total})"
@@ -336,17 +344,17 @@ class _Simplex:
                 return moved
             if moved is None:
                 continue
-            self.iterations += 1
+            stats.pivots += 1
             if moved <= _RATIO_TIE:
-                self.degenerate_pivots += 1
+                stats.degenerate_pivots += 1
                 stall += 1
                 if stall >= _BLAND_AFTER and not bland:
-                    self.bland_switches += 1
+                    stats.bland_switches += 1
                     bland = True
             else:
                 stall = 0
                 bland = False
-            if self.iterations - self.factored_at >= _REFACTOR_EVERY:
+            if stats.pivots - self.factored_at >= _REFACTOR_EVERY:
                 self.refactorize()
 
     # -- primal simplex ----------------------------------------------------
@@ -444,7 +452,7 @@ class _Simplex:
         if infeasible is not None:
             return infeasible
         self.run_phase(self.cost)
-        if self.iterations != self.factored_at:  # else the inverse is fresh
+        if self.stats.pivots != self.factored_at:  # else the inverse is fresh
             self.refactorize()
         return self._certify()
 
@@ -462,9 +470,9 @@ class _Simplex:
             return None
         c1 = np.zeros(self.n_total)
         c1[self.art_start :] = 1.0
-        before = self.iterations
+        before = self.stats.pivots
         self.run_phase(c1)
-        self.phase_one_pivots += self.iterations - before
+        self.stats.phase_one_pivots += self.stats.pivots - before
         self.refactorize()
         # each artificial bounds its row's violation at the phase-one
         # point, which certification would hold to FEASIBILITY_TOL
@@ -472,12 +480,12 @@ class _Simplex:
         if artificials.max() > FEASIBILITY_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE,
                               objective_value=float(artificials.sum()),
-                              iterations=self.iterations)
+                              iterations=self.stats.pivots)
         self.up[self.art_start :] = 0.0
         return None
 
     def _set_budget(self):
-        self.max_iter = self.iterations + max(2000, 60 * (self.m + self.n_total))
+        self.max_iter = self.stats.pivots + max(2000, 60 * (self.m + self.n_total))
 
     # -- dual simplex ------------------------------------------------------
 
@@ -532,15 +540,15 @@ class _Simplex:
         self.n_total += 1
         self._set_budget()
         if self.run_dual_phase() is LpStatus.INFEASIBLE:
-            return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
+            return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.stats.pivots)
         sol, failure = self._certificate()
         if failure is None:
             return sol
         self.refactorize()
         if self.choose_leaving(False)[0] >= 0:
             if self.run_dual_phase() is LpStatus.INFEASIBLE:
-                return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.iterations)
-            if self.iterations != self.factored_at:
+                return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.stats.pivots)
+            if self.stats.pivots != self.factored_at:
                 self.refactorize()
         return self._certify()
 
@@ -629,7 +637,7 @@ class _Simplex:
 
         def step(bland):
             nonlocal d
-            if d is None or self.factored_at == self.iterations:
+            if d is None or self.factored_at == self.stats.pivots:
                 _, d = self.reduced_costs(self.cost)
             row, excess, to_lower = self.choose_leaving(bland)
             if row < 0:
@@ -648,10 +656,10 @@ class _Simplex:
             if dual_step:
                 d -= dual_step * alpha
             if dual_step <= _RATIO_TIE:
-                self.zero_dual_steps += 1
+                self.stats.zero_dual_steps += 1
             delta = self.dual_pivot(row, j, flips, alpha, target, to_lower)
             d[j] = 0.0
-            self.dual_pivots += 1
+            self.stats.dual_pivots += 1
             return abs(delta)
 
         return self._pivot_loop(step)
@@ -720,7 +728,7 @@ class _Simplex:
             dual_objective=dual,
             duality_gap=gap,
             max_residual=resid,
-            iterations=self.iterations,
+            iterations=self.stats.pivots,
         ), failure
 
 

@@ -26,13 +26,8 @@ against its full constraint set, on the basis inverse the cut's pivots
 updated: the basis is refactored every _REFACTOR_EVERY pivots, counted
 across cuts, and after a cut only when its certificate fails.  On the
 seed-1 pool of the robust-price benchmark that is 100 refactorizations
-over 3025 cuts, where one per cut made 3125.  `pivots` counts the simplex
-pivots over all masters, `phase_one_pivots` those of the first master's
-phase one, `dual_pivots` those of the cuts' dual simplex, `zero_dual_steps`
-the dual pivots whose dual step was zero, `degenerate_pivots` the pivots
-whose entering column did not move, `bland_switches` how often a run of
-these switched the simplex to Bland's rule, and `refactorizations` the
-basis inverses built from scratch.
+over 3025 cuts, where one per cut made 3125.  The result's `stats` is that
+simplex's SolveStats, so its counters cover every master.
 
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
@@ -45,7 +40,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import BasisStart, LinearProgram, LpSolution, LpStatus, NumericalFailure, _Simplex
+from .lp import (BasisStart, LinearProgram, LpSolution, LpStatus, NumericalFailure, SolveStats,
+                 _Simplex)
 
 # Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
 # Tight defaults keep the returned iterate close to the true minimizer, not
@@ -66,6 +62,9 @@ class NormAugmentedStatus(Enum):
 
 @dataclass
 class NormAugmentedResult:
+    """One cutting-plane run; `stats` is the SolveStats of the simplex that
+    solved every master, set once the loop ends."""
+
     status: NormAugmentedStatus
     x: np.ndarray | None = None
     objective: float | None = None  # linear part + weight * norm at x
@@ -73,13 +72,7 @@ class NormAugmentedResult:
     lower_bound: float | None = None
     gap: float | None = None
     cuts: int = 0
-    pivots: int = 0  # simplex pivots over every master LP
-    phase_one_pivots: int = 0  # the first master's phase-one share of `pivots`
-    dual_pivots: int = 0  # the cuts' dual-simplex share of `pivots`
-    zero_dual_steps: int = 0  # dual pivots whose dual step was zero
-    degenerate_pivots: int = 0  # pivots whose entering column did not move
-    bland_switches: int = 0  # runs of degenerate pivots that switched to Bland's rule
-    refactorizations: int = 0  # basis inverses built from scratch
+    stats: SolveStats | None = None
     lp_solution: LpSolution | None = None  # the master x came from, maybe short of its optimum
 
 
@@ -129,8 +122,8 @@ def solve_norm_augmented(
         if sol.status is not LpStatus.OPTIMAL:
             if k:  # tau can rise to meet any cut, so only numerics end here
                 raise NumericalFailure(f"master {sol.status.value} after {k} cuts")
-            return _counted(NormAugmentedResult(
-                status=NormAugmentedStatus(sol.status.value), lp_solution=sol), master)
+            return NormAugmentedResult(status=NormAugmentedStatus(sol.status.value),
+                                       lp_solution=sol, stats=master.stats)
         x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
         point = _evaluate(lp, weight, M, x, sol)
@@ -167,7 +160,8 @@ def solve_norm_augmented(
     best.lower_bound = lower
     best.gap = float(best.objective - lower)
     best.cuts = k
-    return _counted(best, master)
+    best.stats = master.stats
+    return best
 
 
 def _evaluate(lp: LinearProgram, weight: float, M: np.ndarray, x: np.ndarray,
@@ -185,17 +179,6 @@ def _converged(best_upper: float, lower: float) -> bool:
 
 def _repeats(dirs: np.ndarray, u: np.ndarray) -> bool:
     return bool(dirs.size) and np.abs(dirs - u).max(axis=1).min() < 1e-14
-
-
-def _counted(result: NormAugmentedResult, master: _Simplex) -> NormAugmentedResult:
-    result.pivots = master.iterations
-    result.phase_one_pivots = master.phase_one_pivots
-    result.dual_pivots = master.dual_pivots
-    result.zero_dual_steps = master.zero_dual_steps
-    result.degenerate_pivots = master.degenerate_pivots
-    result.bland_switches = master.bland_switches
-    result.refactorizations = master.refactorizations
-    return result
 
 
 def _unit_axis(dim: int) -> np.ndarray:

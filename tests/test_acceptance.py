@@ -243,10 +243,10 @@ def test_criterion_8_corpus_properties(tmp_path):
 
     out = tmp_path / "reports"
     out.mkdir()
-    table = aggregate(rows, (1, 10, 30))
+    summary = aggregate(rows, (1, 10, 30))
     write_comparison_csv(rows, out / "comparison.csv")
-    write_summary_csv(table, out / "summary.csv")
-    write_summary_json(table, rows, out / "summary.json", {"days": 120})
+    write_summary_csv(summary, out / "summary.csv")
+    write_summary_json(summary, rows, out / "summary.json", {"days": 120})
     chosen = built.scenarios[0]
     schedules = {
         "fcfs": fcfs_with_report(chosen).schedule,

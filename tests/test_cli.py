@@ -218,6 +218,20 @@ class TestIngestCommand:
         assert "line 5" in err
 
     @pytest.mark.parametrize("command", ["ingest", "simulate"])
+    @pytest.mark.parametrize("row", [
+        "s4,2018-04-25T10:00:00+02:00,2018-04-25T12:00:00,5",
+        "s4,2018-04-25T10:00:00+02:00,2018-04-25T12:00:00+02:00,5",
+    ], ids=["in-one-row", "across-rows"])
+    def test_mixed_utc_offsets_exit_code(self, tmp_path, capsys, command, row):
+        # a timestamp with a UTC offset cannot be ordered against one
+        # without, in its own row or against another row of the same day
+        s, p = write_inputs(tmp_path, sessions=SESSIONS + row + "\n")
+        code = main([command, "--sessions", str(s), "--prices", str(p),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INGEST
+        assert "line 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "simulate"])
     @pytest.mark.parametrize("bad_file", ["sessions", "prices"])
     def test_non_finite_inputs_exit_code(self, tmp_path, capsys, command, bad_file):
         s, p = write_inputs(tmp_path)
@@ -363,6 +377,20 @@ class TestCompareCommand:
                      "fig2_day.csv", "fig3_scatter.csv", "fig4_cumulative.csv",
                      "run_manifest.json"):
             assert (out / name).exists(), name
+
+    def test_manifest_keeps_inputs_that_share_a_name(self, tmp_path):
+        rng = np.random.default_rng(63)
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            sc = random_scenario(rng, horizon_steps=5, max_vehicles=4, scenario_id=sub)
+            paths.append(tmp_path / sub / "day.json")
+            save_scenario(sc, paths[-1])
+        out = tmp_path / "reports"
+        code = main(["compare", "--scenarios", *map(str, paths), "--out", str(out)])
+        assert code == EXIT_OK
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        assert sorted(doc["path"] for doc in inputs.values()) == sorted(map(str, paths))
 
     def test_no_scenarios_found(self, tmp_path):
         empty = tmp_path / "none"

@@ -8,7 +8,7 @@ import pytest
 
 from evsched import Method, solve
 from evsched.nominal import scheduling_lp
-from evsched.solver import LinearProgram, LpStatus, NumericalFailure, solve_lp
+from evsched.solver import LinearProgram, LpStatus, NumericalFailure, SolveStats, solve_lp
 from evsched.solver import lp as lp_module
 from evsched.synth import random_scenario
 
@@ -301,8 +301,9 @@ class TestDegeneracy:
                            lo=[0, 0], up=[5, 5])
         simplex = lp_module._Simplex(lp)
         assert_certified(simplex.solve())
-        assert (simplex.iterations, simplex.degenerate_pivots,
-                simplex.bland_switches) == (40, 39, 1)
+        assert simplex.stats == SolveStats(pivots=40, phase_one_pivots=40, dual_pivots=0,
+                                           zero_dual_steps=0, degenerate_pivots=39,
+                                           bland_switches=1, refactorizations=2)
 
     def test_beale_cycling_instance(self):
         # classic cycling example for naive pivoting; Bland fallback must
@@ -477,7 +478,7 @@ class TestAddInequality:
         cold = solve_lp(LinearProgram(c=lp.c, G=[[1.0, 1.0, 1.0], [-1.0, -1.0, 0.0]],
                                       h=[100.0, -3.0], lo=lp.lo, up=lp.up))
         assert flipped == [[0]]
-        assert simplex.dual_pivots == 1
+        assert simplex.stats.dual_pivots == 1
         assert_certified(warm)
         assert_certified(cold)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
@@ -498,16 +499,16 @@ class TestAddInequality:
         def drift(self):
             if not calls:
                 self.xB[-1] += 3e-8
-            calls.append(self.dual_pivots)
+            calls.append(self.stats.dual_pivots)
             return dual_phase(self)
 
         monkeypatch.setattr(lp_module._Simplex, "run_dual_phase", drift)
-        before = simplex.refactorizations
+        before = simplex.stats.refactorizations
         warm = simplex.add_inequality(g, h)
         cold = solve_lp(self.grown(g, h))
         assert calls == [0, 0]
-        assert simplex.dual_pivots == 1
-        assert simplex.refactorizations == before + 2
+        assert simplex.stats.dual_pivots == 1
+        assert simplex.stats.refactorizations == before + 2
         assert_certified(warm)
         assert warm.max_residual <= lp_module.FEASIBILITY_TOL
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
@@ -576,7 +577,7 @@ class TestPricing:
         phase_one = 0
         for k in range(4):
             sc = random_scenario(rng, horizon_steps=24, max_vehicles=30, capacity=25.0)
-            phase_one += solve(sc).phase_one_pivots
+            phase_one += solve(sc).stats.phase_one_pivots
         assert phase_one and entering and all(entering)
 
     def test_zero_socket_step_never_enters(self, entering):
@@ -588,7 +589,7 @@ class TestPricing:
         socket = sc.socket_limit.copy()
         socket[np.argmin(sc.prices)] = 0.0
         res = solve(dataclasses.replace(sc, socket_limit=socket))
-        assert res.phase_one_pivots and entering and all(entering)
+        assert res.stats.phase_one_pivots and entering and all(entering)
 
     @pytest.mark.parametrize("day", range(3))
     def test_robust_days_never_enter_a_barred_column(self, day, monkeypatch):
@@ -610,6 +611,6 @@ class TestPricing:
         sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
                              max_vehicles=max_vehicles, capacity=8.0)
         res = solve(sc, Method.ROBUST_PRICE, radius=0.5)
-        assert res.cuts > 0 and res.phase_one_pivots > 0
-        assert len(picks) == res.dual_pivots > 0
+        assert res.cuts > 0 and res.stats.phase_one_pivots > 0
+        assert len(picks) == res.stats.dual_pivots > 0
         assert all(picks)

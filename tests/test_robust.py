@@ -156,7 +156,7 @@ class TestSolve:
             assert nominal.schedule.allocation.tobytes() == ball.schedule.allocation.tobytes()
             assert nominal.cost.total_cost == ball.cost.total_cost
             assert nominal.objective == ball.objective
-            assert nominal.pivots == ball.pivots
+            assert nominal.stats == ball.stats
             assert (nominal.gap, nominal.cuts, nominal.converged) == (0.0, 0, True)
 
     def test_nominal_gap_is_exactly_zero(self):
@@ -182,7 +182,7 @@ class TestSolve:
         assert result.schedule.allocation.shape == (2, 1)
         assert not result.schedule.allocation.any()
         assert result.schedule.method is method
-        assert (result.cost.total_cost, result.objective, result.pivots) == (0.0, 0.0, 0)
+        assert (result.cost.total_cost, result.objective, result.stats.pivots) == (0.0, 0.0, 0)
         assert result.converged
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf])
@@ -206,7 +206,7 @@ FULL_SIZE_TOTALS = """
 from evsched import Method, solve
 from evsched.synth import random_batch
 results = [solve(sc, Method.ROBUST_PRICE, radius=0.5) for sc in random_batch(5, 30)]
-print(sum(r.cuts for r in results), sum(r.pivots for r in results),
+print(sum(r.cuts for r in results), sum(r.stats.pivots for r in results),
       sum(not r.converged for r in results))
 """
 

@@ -16,6 +16,7 @@ from evsched.solver import (
     LpStatus,
     NormAugmentedStatus,
     NumericalFailure,
+    SolveStats,
     solve_lp,
     solve_norm_augmented,
 )
@@ -64,7 +65,7 @@ class TestWorkedInstances:
         assert res.status is NormAugmentedStatus.OPTIMAL
         assert res.cuts == 0
         assert res.gap == 0.0
-        assert res.pivots == plain.iterations
+        assert res.stats.pivots == plain.iterations
         assert res.objective == plain.objective_value
         assert np.array_equal(res.x, plain.x)
 
@@ -213,10 +214,10 @@ class TestWarmMaster:
         lp, M = robust_day(8)
         first = solve_norm_augmented(lp, 0.5, M)
         second = solve_norm_augmented(lp, 0.5, M)
-        assert (first.cuts, first.pivots) == (second.cuts, second.pivots)
+        assert (first.cuts, first.stats) == (second.cuts, second.stats)
         assert np.array_equal(first.x, second.x)
         # pinned: a change here means the pivot sequence changed
-        assert (first.cuts, first.pivots) == (25, 37)
+        assert (first.cuts, first.stats.pivots) == (25, 37)
 
     def test_counters_pinned(self, monkeypatch):
         # a cut refactors only when the pivot count since the last
@@ -229,23 +230,25 @@ class TestWarmMaster:
         add = lp_module._Simplex.add_inequality
 
         def record(self, g, h):
-            before = (self.refactorizations, self.dual_pivots)
+            before = (self.stats.refactorizations, self.stats.dual_pivots)
             sol = add(self, g, h)
-            per_cut.append((self.refactorizations - before[0], self.dual_pivots - before[1]))
+            per_cut.append((self.stats.refactorizations - before[0],
+                            self.stats.dual_pivots - before[1]))
             return sol
 
         monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
         lp, M = robust_day(8)
         res = solve_norm_augmented(lp, 0.5, M)
         assert len(per_cut) == res.cuts
-        assert res.dual_pivots == sum(dual for _, dual in per_cut) < lp_module._REFACTOR_EVERY
+        assert res.stats.dual_pivots == sum(dual for _, dual in per_cut) < lp_module._REFACTOR_EVERY
         assert all(refactors == 0 for refactors, _ in per_cut)
         # every pivot of this day moves its entering column and takes a
         # nonzero dual step, so no run of degenerate pivots switches the
         # simplex to Bland's rule
-        assert (res.cuts, res.pivots, res.phase_one_pivots, res.dual_pivots,
-                res.zero_dual_steps, res.refactorizations, res.degenerate_pivots,
-                res.bland_switches) == (25, 37, 4, 32, 0, 3, 0, 0)
+        assert res.cuts == 25
+        assert res.stats == SolveStats(pivots=37, phase_one_pivots=4, dual_pivots=32,
+                                       zero_dual_steps=0, degenerate_pivots=0,
+                                       bland_switches=0, refactorizations=3)
 
     def test_cuts_refactor_on_the_pivot_schedule(self, monkeypatch):
         # one master grown by 61 cuts: the refactorization count holds still
@@ -257,9 +260,10 @@ class TestWarmMaster:
 
         def record(self, g, h):
             if not masters:
-                masters.append((self.iterations, self.refactorizations))
+                masters.append((self.stats.pivots, self.stats.refactorizations))
             sol = add(self, g, h)
-            masters.append((np.array(g[:-1]), sol, self.iterations, self.refactorizations))
+            masters.append((np.array(g[:-1]), sol, self.stats.pivots,
+                            self.stats.refactorizations))
             return sol
 
         monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
@@ -279,17 +283,19 @@ class TestWarmMaster:
         assert res.status is NormAugmentedStatus.OPTIMAL
         # pinned: two refactorizations over 130 dual pivots, 13 of which take
         # a zero dual step though every entering column moves
-        assert (res.cuts, res.pivots, res.dual_pivots, res.zero_dual_steps,
-                res.degenerate_pivots, res.refactorizations) == (61, 142, 130, 13, 0, 5)
+        assert res.cuts == 61
+        assert res.stats == SolveStats(pivots=142, phase_one_pivots=6, dual_pivots=130,
+                                       zero_dual_steps=13, degenerate_pivots=0,
+                                       bland_switches=0, refactorizations=5)
 
     def test_pivots_count_every_master(self):
         # each violated cut needs at least one dual pivot to bring its slack
         # back to its bound, and the cold first master needs some too
         lp, M = robust_day(8)
         res = solve_norm_augmented(lp, 0.5, M)
-        assert res.pivots > res.cuts
+        assert res.stats.pivots > res.cuts
         plain = solve_norm_augmented(lp, 0.0, M)
-        assert plain.pivots == solve_lp(lp).iterations > 0
+        assert plain.stats.pivots == solve_lp(lp).iterations > 0
 
     def test_master_failing_after_a_cut_is_a_numerical_failure(self, monkeypatch):
         # tau can rise to meet any cut, so a grown master that reports
