@@ -292,12 +292,26 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_scale_overflows(scenarios: list[Scenario], args: argparse.Namespace) -> bool:
+    """Whether robust-load's worst-case load, load * --load-scale, overflows
+    on one of `scenarios`; the first such day is reported as a usage error."""
+    if Method(args.method) is Method.ROBUST_LOAD:
+        for sc in scenarios:
+            if float(sc.load.max(initial=0.0)) * args.load_scale == math.inf:
+                print(f"evsched: usage error: --load-scale {args.load_scale!r} overflows "
+                      f"the load of day {sc.scenario_id}", file=sys.stderr)
+                return True
+    return False
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, ValueError, KeyError) as exc:
         print(f"evsched: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INGEST
+    if _load_scale_overflows([scenario], args):
+        return EXIT_USAGE
     method = Method(args.method)
     try:
         if method is Method.FCFS:
@@ -366,6 +380,8 @@ def _run_reports(scenarios: list[Scenario], args, inputs: dict[str, Path],
                  command: str, run_meta: dict) -> int:
     """Compare `scenarios` and write the reports into `--out`, which is made
     here, once the inputs exist, so a usage or input error leaves none."""
+    if _load_scale_overflows(scenarios, args):
+        return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = RunConfig(

@@ -126,10 +126,6 @@ class ScenarioBuildResult:
     dropped_sessions: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _reader(stream: IO[str]):
-    return csv.reader(stream)
-
-
 def _header_index(header: list[str], required: tuple[str, ...]) -> dict[str, int]:
     cols = {name.strip().lower(): idx for idx, name in enumerate(header)}
     index = {}
@@ -144,7 +140,7 @@ def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
     """Read session records in file order; bad rows raise MalformedRow
     with their line number.  Timestamps with and without a UTC offset
     cannot be ordered against each other, so a file uses one kind only."""
-    rows = _reader(stream)
+    rows = csv.reader(stream)
     try:
         header = next(rows)
     except StopIteration:
@@ -180,7 +176,7 @@ def parse_prices(stream: IO[str], unit: PriceUnit = PriceUnit.PER_KWH) -> PriceS
     """Read hourly prices, converting to currency/kWh; duplicate
     (date, hour) pairs raise DuplicateEntry."""
     unit = PriceUnit(unit)
-    rows = _reader(stream)
+    rows = csv.reader(stream)
     try:
         header = next(rows)
     except StopIteration:

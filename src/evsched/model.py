@@ -122,20 +122,6 @@ class Scenario:
             return None
         return int(rows[0]) + 1, int(rows[-1]) + 1
 
-    def replace_load(self, load: np.ndarray) -> "Scenario":
-        """Copy of this scenario with a different load vector."""
-        return Scenario(
-            horizon_steps=self.horizon_steps,
-            step_hours=self.step_hours,
-            occupancy=self.occupancy,
-            load=load,
-            capacity=self.capacity,
-            socket_limit=self.socket_limit,
-            waste=self.waste,
-            prices=self.prices,
-            scenario_id=self.scenario_id,
-        )
-
 
 def occupancy_from_windows(
     horizon_steps: int, windows: list[tuple[int, int] | None]

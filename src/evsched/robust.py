@@ -18,7 +18,7 @@ robust schedules remain feasible for the (worst-case-load) scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def solve(
     if method is Method.NOMINAL:
         radius = 0.0
     elif method is Method.ROBUST_LOAD:
-        scenario = scenario.replace_load(scenario.load * load_scale)
+        scenario = replace(scenario, load=scenario.load * load_scale)
     lp, var_index = scheduling_lp(scenario)
     result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index),
                                   start=least_cost_start(scenario, var_index))

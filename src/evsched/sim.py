@@ -96,7 +96,9 @@ def optimized_schedule(scenario: Scenario, config: RunConfig) -> Schedule:
 
 
 def compare_scenario(scenario: Scenario, config: RunConfig) -> ComparisonRow:
-    """One day's FCFS-versus-optimizer comparison; never raises."""
+    """One day's FCFS-versus-optimizer comparison.  An infeasible day or a
+    solver failure is recorded on the row; the ValueError `solve` raises on
+    invalid options, or on a robust-load load that overflows, propagates."""
     fcfs = fcfs_with_report(scenario)
     trivial = evaluate_cost(fcfs.schedule, scenario).total_cost
     shortfall = bool((fcfs.shortfall > FEAS_TOL).any())

@@ -160,6 +160,9 @@ class LpSolution:
     artificials: the least total violation of the rows that x at its
     starting point violates; it is None when the dual simplex finds that
     an added row cannot be met.
+
+    `stats` is the solving simplex's own SolveStats record, not a copy, so
+    it goes on counting as `add_inequality` grows the program.
     """
 
     status: LpStatus
@@ -172,7 +175,7 @@ class LpSolution:
     dual_objective: float | None = None
     duality_gap: float | None = None
     max_residual: float | None = None
-    iterations: int = 0
+    stats: SolveStats | None = None
 
 
 @dataclass
@@ -193,8 +196,8 @@ class BasisStart(NamedTuple):
     """A starting point for the simplex: the structural values `x`, each
     at one of its bounds unless basic, and `basic[r]`, the structural
     column basic in row r, or -1 where the row starts with its slack or an
-    artificial.  The named columns must form a nonsingular
-    basis together with the unit columns of the other rows."""
+    artificial.  Rows are E's, then G's.  The named columns must form a
+    nonsingular basis together with the unit columns of the other rows."""
 
     x: np.ndarray
     basic: np.ndarray
@@ -235,9 +238,9 @@ def _appended(vec: np.ndarray, value) -> np.ndarray:
 
 class _Simplex:
     """Working state for one solve, which `add_inequality` can extend row by
-    row.  Rows are [G | E | added], columns [structural | slack |
-    artificial | added slack].  `stats` (SolveStats) counts the work so
-    far."""
+    row.  Rows are [E | G | added], so every row from `m_eq` on is an
+    inequality; columns are [structural | slack | artificial | added
+    slack].  `stats` (SolveStats) counts the work so far."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -245,17 +248,15 @@ class _Simplex:
         m_ineq = lp.G.shape[0]
         m_eq = lp.E.shape[0]
         self.n_struct = n
-        self.m_ineq = m_ineq
-        self.m = m_ineq + m_eq
-        self.A = np.vstack([np.hstack([lp.G, np.eye(m_ineq)]),
-                            np.hstack([lp.E, np.zeros((m_eq, m_ineq))])])
-        self.rhs = np.concatenate([lp.h, lp.b])
+        self.m_eq = m_eq
+        self.m = m_eq + m_ineq
+        self.A = np.vstack([np.hstack([lp.E, np.zeros((m_eq, m_ineq))]),
+                            np.hstack([lp.G, np.eye(m_ineq)])])
+        self.rhs = np.concatenate([lp.b, lp.h])
         self.lo = np.concatenate([lp.lo, np.zeros(m_ineq)])
         self.up = np.concatenate([lp.up, np.full(m_ineq, np.inf)])
         self.cost = np.concatenate([lp.c, np.zeros(m_ineq)])
         self.n_total = n + m_ineq
-        # E's rows sit between G's and the rows add_inequality appends
-        self.eq_rows = slice(m_ineq, self.m)
         self.stats = SolveStats()
 
     # -- setup -----------------------------------------------------------
@@ -284,11 +285,11 @@ class _Simplex:
 
         residual = self.rhs - self.A @ self.values
         rows = np.arange(m)
-        slack_ok = (rows < self.m_ineq) & (residual >= 0.0)
+        slack_ok = (rows >= self.m_eq) & (residual >= 0.0)
         art_rows = np.flatnonzero((named < 0) & ~slack_ok)
         self.n_art = art_rows.size
         self.basis = np.where(named >= 0, named,
-                              np.where(slack_ok, self.n_struct + rows, 0))
+                              np.where(slack_ok, self.n_struct - self.m_eq + rows, 0))
         self.basis[art_rows] = self.n_total + np.arange(self.n_art)
         if self.n_art:
             art_block = np.zeros((m, self.n_art))
@@ -390,8 +391,9 @@ class _Simplex:
         tied = np.flatnonzero(ratios <= rows_min + _RATIO_TIE)
         return rows_min, int(tied[_tie_break(self.basis[tied], np.abs(w[tied]), bland)])
 
-    def pivot(self, j: int, direction: float, t: float, row: int):
-        self.xB -= direction * t * self._w
+    def pivot(self, j: int, direction: float, t: float, row: int, w: np.ndarray):
+        """Move column j by `direction * t` along w = B^-1 A_j; flip or exchange it."""
+        self.xB -= direction * t * w
         if row == -1:
             # bound flip: j jumps to its opposite bound, basis unchanged
             flip_up = self.state[j] == _AT_LO
@@ -400,12 +402,11 @@ class _Simplex:
             return
         # the leaving variable stops on the bound it reached
         self._exchange(row, j, self.values[j] + direction * t,
-                       _AT_LO if direction * self._w[row] > 0 else _AT_UP)
+                       _AT_LO if direction * w[row] > 0 else _AT_UP, w)
 
-    def _exchange(self, row: int, j: int, value: float, leaving_state: int):
-        """Make column j basic in `row` at `value`; the leaving variable rests
-        exactly on the bound `leaving_state` names."""
-        w = self._w
+    def _exchange(self, row: int, j: int, value: float, leaving_state: int, w: np.ndarray):
+        """Make column j, with `w` = B^-1 A_j, basic in `row` at `value`; the
+        leaving variable rests exactly on the bound `leaving_state` names."""
         leaving = self.basis[row]
         self.values[leaving] = self.lo[leaving] if leaving_state == _AT_LO else self.up[leaving]
         self.state[leaving] = leaving_state
@@ -434,11 +435,11 @@ class _Simplex:
                 return LpStatus.OPTIMAL
             # an eligible column moves against the sign of its reduced cost
             direction = 1.0 if d[j] < 0 else -1.0
-            self._w = self.B_inv @ self.A[:, j]
-            t, row = self.ratio_test(j, direction, self._w, bland)
+            w = self.B_inv @ self.A[:, j]
+            t, row = self.ratio_test(j, direction, w, bland)
             if not math.isfinite(t):
                 raise NumericalFailure(f"unbounded ray: column {j} can move without end")
-            self.pivot(j, direction, t, row)
+            self.pivot(j, direction, t, row, w)
             return t
 
         return self._pivot_loop(step)
@@ -480,7 +481,7 @@ class _Simplex:
         if artificials.max() > FEASIBILITY_TOL:
             return LpSolution(status=LpStatus.INFEASIBLE,
                               objective_value=float(artificials.sum()),
-                              iterations=self.stats.pivots)
+                              stats=self.stats)
         self.up[self.art_start :] = 0.0
         return None
 
@@ -540,14 +541,14 @@ class _Simplex:
         self.n_total += 1
         self._set_budget()
         if self.run_dual_phase() is LpStatus.INFEASIBLE:
-            return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.stats.pivots)
+            return LpSolution(status=LpStatus.INFEASIBLE, stats=self.stats)
         sol, failure = self._certificate()
         if failure is None:
             return sol
         self.refactorize()
         if self.choose_leaving(False)[0] >= 0:
             if self.run_dual_phase() is LpStatus.INFEASIBLE:
-                return LpSolution(status=LpStatus.INFEASIBLE, iterations=self.stats.pivots)
+                return LpSolution(status=LpStatus.INFEASIBLE, stats=self.stats)
             if self.stats.pivots != self.factored_at:
                 self.refactorize()
         return self._certify()
@@ -621,10 +622,9 @@ class _Simplex:
             self.xB -= moved
         else:
             w = self.B_inv @ self.A[:, j]
-        self._w = w
         delta = (self.xB[row] - target) / w[row]
         self.xB -= delta * w
-        self._exchange(row, j, self.values[j] + delta, _AT_LO if to_lower else _AT_UP)
+        self._exchange(row, j, self.values[j] + delta, _AT_LO if to_lower else _AT_UP, w)
         return delta
 
     def run_dual_phase(self) -> LpStatus:
@@ -685,14 +685,14 @@ class _Simplex:
         n = self.n_struct
         x = np.clip(self.values[:n], lp.lo, lp.up)
         # every row, appended ones too, from the program's own coefficients
-        eq = self.eq_rows
+        m_eq = self.m_eq
         row_resid = self.A[:, :n] @ x - self.rhs
-        row_resid[eq] = np.abs(row_resid[eq])
+        row_resid[:m_eq] = np.abs(row_resid[:m_eq])
         resid = float(row_resid.max(initial=0.0))
 
         y, d = self.reduced_costs(self.cost)
-        lam = -np.concatenate((y[: eq.start], y[eq.stop :]))
-        nu = -y[eq]
+        lam = -y[m_eq:]
+        nu = -y[:m_eq]
         d_struct = d[:n]
         fin_up = np.isfinite(lp.up)
         mu_lo = np.maximum(d_struct, 0.0)
@@ -700,10 +700,8 @@ class _Simplex:
 
         primal = float(lp.c @ x)
         dual = 0.0
-        if lam.size:
-            dual -= float(lam @ np.concatenate((self.rhs[: eq.start], self.rhs[eq.stop :])))
-        if nu.size:
-            dual -= float(nu @ self.rhs[eq])
+        dual -= float(lam @ self.rhs[m_eq:])
+        dual -= float(nu @ self.rhs[:m_eq])
         dual += float(mu_lo @ lp.lo)
         dual -= float(mu_up[fin_up] @ lp.up[fin_up])
         gap = primal - dual
@@ -728,7 +726,7 @@ class _Simplex:
             dual_objective=dual,
             duality_gap=gap,
             max_residual=resid,
-            iterations=self.stats.pivots,
+            stats=self.stats,
         ), failure
 
 

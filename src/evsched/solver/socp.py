@@ -31,10 +31,13 @@ simplex's SolveStats, so its counters cover every master.
 
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
+Short of the tolerance, the loop stops where Kelley's cut repeats an earlier
+direction, and where M x = 0 at the master optimum, which no cut separates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,7 +66,7 @@ class NormAugmentedStatus(Enum):
 @dataclass
 class NormAugmentedResult:
     """One cutting-plane run; `stats` is the SolveStats of the simplex that
-    solved every master, set once the loop ends."""
+    solved every master."""
 
     status: NormAugmentedStatus
     x: np.ndarray | None = None
@@ -78,13 +81,12 @@ class NormAugmentedResult:
 
 def _augmented(lp: LinearProgram, weight: float) -> LinearProgram:
     """The LP with the epigraph column tau appended at cost `weight`."""
-    E = np.hstack([lp.E, np.zeros((lp.E.shape[0], 1))]) if lp.E.shape[0] else None
     return LinearProgram(
         c=np.append(lp.c, weight),
         G=np.hstack([lp.G, np.zeros((lp.G.shape[0], 1))]),
         h=lp.h,
-        E=E,
-        b=lp.b if lp.E.shape[0] else None,
+        E=np.hstack([lp.E, np.zeros((lp.E.shape[0], 1))]),
+        b=lp.b,
         lo=np.concatenate([lp.lo, [0.0]]),
         up=np.concatenate([lp.up, [np.inf]]),
     )
@@ -114,75 +116,73 @@ def solve_norm_augmented(
     if weight and start is not None:
         start = BasisStart(np.append(start.x, 0.0), start.basic)
     sol = master.solve(start)
+    if sol.status is not LpStatus.OPTIMAL:
+        return NormAugmentedResult(status=NormAugmentedStatus.INFEASIBLE,
+                                   lp_solution=sol, stats=master.stats)
     dirs = np.empty((max_cuts, M.shape[0]))
-    best: NormAugmentedResult | None = None
-    lower = -np.inf
+    best_obj = math.inf  # best_*: the least upper bound, its point, norm and master
+    lower = -math.inf
 
     for k in range(max_cuts + 1):
-        if sol.status is not LpStatus.OPTIMAL:
-            if k:  # tau can rise to meet any cut, so only numerics end here
-                raise NumericalFailure(f"master {sol.status.value} after {k} cuts")
-            return NormAugmentedResult(status=NormAugmentedStatus(sol.status.value),
-                                       lp_solution=sol, stats=master.stats)
         x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
-        point = _evaluate(lp, weight, M, x, sol)
-        if best is None or point.objective < best.objective:
-            best = point
-        converged = _converged(best.objective, lower)
+        obj, nv, v = _evaluate(lp, weight, M, x)
+        at_master = obj < best_obj
+        if at_master:
+            best_obj, best_x, best_nv, best_sol = obj, x, nv, sol
+        converged = _converged(best_obj, lower)
         if converged or k == max_cuts:
             break
-        v = M @ x
         u = None
-        if best is not point:
+        if not at_master:
             # in-out separation: the point between the best iterate and the
             # master optimum is LP-feasible, so it bounds from above too
-            inner = _evaluate(lp, weight, M, best.x + IN_OUT_ALPHA * (x - best.x), sol)
-            if inner.objective < best.objective:
-                best = inner
-                converged = _converged(best.objective, lower)
+            xs = best_x + IN_OUT_ALPHA * (x - best_x)
+            obj_s, nv_s, v_s = _evaluate(lp, weight, M, xs)
+            if obj_s < best_obj:
+                best_obj, best_x, best_nv, best_sol = obj_s, xs, nv_s, sol
+                converged = _converged(best_obj, lower)
                 if converged:
                     break
-            if inner.norm_value > 0.0:
-                u = M @ inner.x / inner.norm_value
-                tau = sol.x[lp.num_vars]
-                if u @ v <= tau or _repeats(dirs[:k], u):
+            if nv_s > 0.0:
+                u = v_s / nv_s
+                if u @ v <= sol.x[lp.num_vars] or _repeats(dirs[:k], u):
                     u = None  # it keeps the master optimum, or is no new cut
         if u is None:  # Kelley's cut at the master optimum
-            u = v / point.norm_value if point.norm_value > 0.0 else _unit_axis(M.shape[0])
+            if nv == 0.0:
+                break  # M x = 0: no supporting hyperplane cuts the optimum off
+            u = v / nv
             if _repeats(dirs[:k], u):
                 break  # duplicate support direction: the master cannot improve
         dirs[k] = u
         sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
+        if sol.status is not LpStatus.OPTIMAL:  # tau can rise to meet any cut
+            raise NumericalFailure(f"master {sol.status.value} after {k + 1} cuts")
 
-    if not converged:
-        best.status = NormAugmentedStatus.CUT_LIMIT
-    best.lower_bound = lower
-    best.gap = float(best.objective - lower)
-    best.cuts = k
-    best.stats = master.stats
-    return best
+    return NormAugmentedResult(
+        status=NormAugmentedStatus.OPTIMAL if converged else NormAugmentedStatus.CUT_LIMIT,
+        x=best_x, objective=best_obj, norm_value=best_nv, lower_bound=lower,
+        gap=float(best_obj - lower), cuts=k, stats=master.stats, lp_solution=best_sol)
 
 
-def _evaluate(lp: LinearProgram, weight: float, M: np.ndarray, x: np.ndarray,
-              sol: LpSolution) -> NormAugmentedResult:
-    """The true objective at an LP-feasible point, an upper bound."""
-    nv = float(np.linalg.norm(M @ x))
-    return NormAugmentedResult(status=NormAugmentedStatus.OPTIMAL, x=x,
-                               objective=float(lp.c @ x) + weight * nv,
-                               norm_value=nv, lp_solution=sol)
+def _evaluate(lp: LinearProgram, weight: float, M: np.ndarray,
+              x: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The true objective at an LP-feasible point, an upper bound, with the
+    norm and the M x it is made of.  Raises NumericalFailure when the
+    objective is not finite."""
+    v = M @ x
+    nv = float(np.linalg.norm(v))
+    objective = float(lp.c @ x) + weight * nv
+    if not math.isfinite(objective):
+        raise NumericalFailure(f"objective {objective} at an LP-feasible point")
+    return objective, nv, v
 
 
 def _converged(best_upper: float, lower: float) -> bool:
-    return best_upper - lower <= max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper)))
+    # written so that a NaN or infinite bound never converges
+    tol = max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper)))
+    return best_upper - lower <= tol < math.inf
 
 
 def _repeats(dirs: np.ndarray, u: np.ndarray) -> bool:
     return bool(dirs.size) and np.abs(dirs - u).max(axis=1).min() < 1e-14
-
-
-def _unit_axis(dim: int) -> np.ndarray:
-    u = np.zeros(dim)
-    if dim:
-        u[0] = 1.0
-    return u

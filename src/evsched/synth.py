@@ -8,6 +8,7 @@ Generation is deterministic for a given seed.
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def random_scenario(
         report = check_feasibility(scenario)
         if report.feasible:
             return scenario
-        scenario = scenario.replace_load(scenario.load * 0.7)
+        scenario = replace(scenario, load=scenario.load * 0.7)
     raise ValueError(f"no feasible day at station capacity {cap:g} kW")
 
 

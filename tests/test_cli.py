@@ -11,6 +11,7 @@ from evsched.cli import (
     EXIT_INFEASIBLE,
     EXIT_INGEST,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_USAGE,
     main,
     parse_args,
@@ -294,6 +295,17 @@ class TestSolveCommand:
         printed = capsys.readouterr().out
         assert f"{doc['cuts']} cuts, {doc['master_pivots']} master pivots" in printed
 
+    def test_overflowing_objective_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "day.json"
+        save_scenario(random_scenario(np.random.default_rng(3), horizon_steps=6,
+                                      num_vehicles=2), path)
+        out = tmp_path / "out"
+        code = main(["solve", "--scenario", str(path), "--method", "robust-price",
+                     "--radius", "1e308", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert "objective inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         sc = make_scenario([(1, 1)], [15.0], [1.0], socket=7.0,
                            scenario_id="bad")
@@ -418,6 +430,27 @@ def test_failed_run_leaves_no_out_directory(tmp_path, capsys, case, want):
     }[case]
     out = tmp_path / "r"
     assert main([*argv, "--out", str(out)]) == want
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "simulate"])
+def test_overflowing_load_scale_is_a_usage_error(tmp_path, capsys, command):
+    # load * --load-scale is the worst-case load; where it overflows no
+    # Scenario holds it, so the run stops before any report is written
+    path = tmp_path / "day.json"
+    save_scenario(random_scenario(np.random.default_rng(3), horizon_steps=6,
+                                  num_vehicles=2, scenario_id="day-3"), path)
+    argv, day = {
+        "solve": (["solve", "--scenario", str(path)], "day-3"),
+        "compare": (["compare", "--scenarios", str(path)], "day-3"),
+        "simulate": (["simulate", "--synthetic", "2"], "synthetic-0000"),
+    }[command]
+    out = tmp_path / "r"
+    code = main([*argv, "--method", "robust-load", "--load-scale", "1e308",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--load-scale" in err and f"day {day}" in err
     assert not out.exists()
 
 

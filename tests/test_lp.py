@@ -143,7 +143,7 @@ class TestNoVariables:
         assert_certified(sol)
         assert sol.x.shape == (0,)
         assert sol.objective_value == 0.0
-        assert sol.iterations == 0
+        assert sol.stats.pivots == 0
 
     def test_violated_row_is_infeasible(self):
         lp = LinearProgram(c=[], G=np.zeros((1, 0)), h=[-1.0])
@@ -220,7 +220,7 @@ class TestRandomized:
         b = solve_lp(lp)
         assert np.array_equal(a.x, b.x)
         assert a.objective_value == b.objective_value
-        assert a.iterations == b.iterations
+        assert a.stats == b.stats
 
 
 class TestCrossCheck:

@@ -1,6 +1,8 @@
 """Robust model tests: ball-radius behavior, worst-case load substitution,
 and the argument checks of the one solve entry point."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from evsched import (
     solve,
     validate_schedule,
 )
+from evsched.solver import NumericalFailure
 from evsched.synth import random_scenario
 
 from conftest import make_scenario, run_on_one_blas_thread
@@ -98,7 +101,7 @@ class TestLoadInterval:
         assert check_feasibility(sc).feasible
         with pytest.raises(InfeasibleScenario) as err:
             solve(sc, Method.ROBUST_LOAD, load_scale=4.0)
-        got, want = err.value.report, check_feasibility(sc.replace_load([20.0]))
+        got, want = err.value.report, check_feasibility(replace(sc, load=[20.0]))
         assert not want.feasible
         assert (got.max_flow, got.total_load) == (want.max_flow, want.total_load)
         assert np.array_equal(got.per_vehicle_slack, want.per_vehicle_slack)
@@ -140,11 +143,18 @@ class TestBoth:
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=3,
                                  load_fraction=0.5, capacity=300.0)
             result = solve(sc, Method.ROBUST_LOAD, radius=0.3, load_scale=1.2)
-            worst = sc.replace_load(sc.load * 1.2)
+            worst = replace(sc, load=sc.load * 1.2)
             assert validate_schedule(result.schedule, worst).feasible
 
 
 class TestSolve:
+    def test_overflowing_objective_is_a_numerical_failure(self):
+        # radius * ||v|| overflows to inf, which would otherwise read as a
+        # converged run with an infinite gap
+        sc = random_scenario(np.random.default_rng(3), horizon_steps=6, num_vehicles=2)
+        with pytest.raises(NumericalFailure, match="objective inf"):
+            solve(sc, Method.ROBUST_PRICE, radius=1e308)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_nominal_is_the_radius_zero_price_ball(self, seed):
         rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ from evsched.solver import (
     solve_norm_augmented,
 )
 from evsched.solver import lp as lp_module
+from evsched.solver import socp as socp_module
 from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL, _augmented
 from evsched.synth import random_scenario
 
@@ -65,7 +66,7 @@ class TestWorkedInstances:
         assert res.status is NormAugmentedStatus.OPTIMAL
         assert res.cuts == 0
         assert res.gap == 0.0
-        assert res.stats.pivots == plain.iterations
+        assert res.stats == plain.stats
         assert res.objective == plain.objective_value
         assert np.array_equal(res.x, plain.x)
 
@@ -96,12 +97,27 @@ class TestCertificates:
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_degenerate_norm_point(self):
-        # minimizer has M x = 0: norm term vanishes, first-axis cut is used
+        # minimizer has M x = 0: the norm term vanishes, and the first
+        # master's optimum meets both bounds, so the loop stops there
         lp = LinearProgram(c=[1.0], G=[[-1.0]], h=[0.0], lo=[0.0], up=[5.0])
         res = solve_norm_augmented(lp, 2.0, np.eye(1))
         assert res.status is NormAugmentedStatus.OPTIMAL
+        assert res.cuts == 0
         assert res.objective == pytest.approx(0.0, abs=1e-12)
         assert res.norm_value == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_norm_at_the_master_optimum_stops_the_loop(self, monkeypatch):
+        # no supporting hyperplane separates M x = 0, so even with the
+        # bounds kept apart the loop stops there without a cut
+        monkeypatch.setattr(socp_module, "_converged", lambda upper, lower: False)
+        lp = LinearProgram(c=[1.0], G=[[-1.0]], h=[0.0], lo=[0.0], up=[5.0])
+        res = solve_norm_augmented(lp, 2.0, np.eye(1))
+        assert (res.status, res.cuts) == (NormAugmentedStatus.CUT_LIMIT, 0)
+
+    @pytest.mark.parametrize("upper", [np.inf, np.nan])
+    def test_non_finite_upper_bound_never_converges(self, upper):
+        # inf - lower <= GAP_REL_TOL * inf would read as converged
+        assert not socp_module._converged(upper, 0.0)
 
     def test_cut_limit_reports_gap(self):
         # starved of cuts, the solver must return its best iterate honestly
@@ -295,7 +311,7 @@ class TestWarmMaster:
         res = solve_norm_augmented(lp, 0.5, M)
         assert res.stats.pivots > res.cuts
         plain = solve_norm_augmented(lp, 0.0, M)
-        assert plain.stats.pivots == solve_lp(lp).iterations > 0
+        assert plain.stats.pivots == solve_lp(lp).stats.pivots > 0
 
     def test_master_failing_after_a_cut_is_a_numerical_failure(self, monkeypatch):
         # tau can rise to meet any cut, so a grown master that reports

@@ -113,4 +113,4 @@ def test_nonbasic_start_off_its_bounds_is_rejected():
         _Simplex(lp).solve(BasisStart(np.array([1.0, 0.0]), np.array([-1])))
     # the same point is a start once column 0 is basic in the row
     sol = _Simplex(lp).solve(BasisStart(np.array([3.0, 0.0]), np.array([0])))
-    assert (sol.objective_value, sol.iterations) == (3.0, 0)
+    assert (sol.objective_value, sol.stats.pivots) == (3.0, 0)
