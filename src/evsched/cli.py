@@ -317,11 +317,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if method is Method.FCFS:
             result = fcfs_with_report(scenario)
             schedule = result.schedule
+            cost = evaluate_cost(schedule, scenario)
             extras = {"shortfall_total": float(result.shortfall.sum())}
         else:
             result = solve(scenario, method, radius=args.radius,
                            load_scale=args.load_scale)
-            schedule = result.schedule
+            schedule, cost = result.schedule, result.cost
             extras = {} if method is Method.NOMINAL else {
                 "robust_objective": result.objective,
                 "cutting_plane_gap": result.gap,
@@ -336,7 +337,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"evsched: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    cost = evaluate_cost(schedule, scenario)
     print(
         f"{scenario.scenario_id} {method.value}: cost {cost.total_cost:.6f}, "
         f"energy {cost.total_energy_delivered:.3f} kWh"

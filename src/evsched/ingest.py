@@ -8,9 +8,10 @@ schedulable in every step it is at least partly present.  Step indexing
 is 1-based; step t covers wall-clock hours [(t-1)*step_hours, t*step_hours).
 
 Sessions crossing midnight are truncated at the end of the horizon under
-the default Clamp policy, or excluded (and counted) under Drop.  Days
-missing any needed hourly price are skipped and reported rather than
-guessed at.
+the default Clamp policy, or excluded (and counted) under Drop.  Each step
+is priced at the hour it starts, on the arrival day or, for a horizon past
+midnight, on the day it falls on.  Days missing any needed hourly price are
+skipped and reported rather than guessed at.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -85,9 +86,6 @@ class PriceSeries:
 
     def get(self, day: date, hour: int) -> float | None:
         return self._entries.get((day, int(hour)))
-
-    def missing_hours(self, day: date, hours: Iterable[int]) -> list[int]:
-        return sorted(h for h in set(hours) if (day, h) not in self._entries)
 
     def __len__(self):
         return len(self._entries)
@@ -225,9 +223,10 @@ def _step_window(
     return a, max(d, a)
 
 
-def hour_for_step(t: int, cfg: IngestConfig) -> int:
-    """Hour-of-day whose price applies to 1-based step t."""
-    return int(math.floor((t - 1) * cfg.step_hours + 1e-9)) % 24
+def hour_for_step(t: int, cfg: IngestConfig) -> tuple[int, int]:
+    """(days after the arrival day, hour of day) whose price applies to
+    1-based step t."""
+    return divmod(int(math.floor((t - 1) * cfg.step_hours + 1e-9)), 24)
 
 
 def build_scenarios(
@@ -246,14 +245,13 @@ def build_scenarios(
     for rec in sessions:
         by_day.setdefault(rec.arrival.date(), []).append(rec)
 
-    needed_hours = [hour_for_step(t, cfg) for t in range(1, cfg.horizon_steps + 1)]
+    needed = [hour_for_step(t, cfg) for t in range(1, cfg.horizon_steps + 1)]
     result = ScenarioBuildResult(scenarios=[])
     for day in sorted(by_day):
-        missing = prices.missing_hours(day, needed_hours)
-        if missing:
-            result.skipped_days.append(
-                (day, f"missing prices for hours {missing}")
-            )
+        dates = [day + timedelta(days=offset) for offset in range(needed[-1][0] + 1)]
+        pi = [prices.get(dates[offset], hour) for offset, hour in needed]
+        if None in pi:
+            result.skipped_days.append((day, _missing_prices(day, needed, pi)))
             continue
         group = sorted(by_day[day], key=lambda r: (r.arrival, r.session_id))
         windows: list[tuple[int, int]] = []
@@ -267,7 +265,6 @@ def build_scenarios(
             energies.append(rec.energy_kwh)
         if not windows:
             continue
-        pi = np.array([prices.get(day, h) for h in needed_hours], dtype=float)
         scenario = Scenario(
             horizon_steps=cfg.horizon_steps,
             step_hours=cfg.step_hours,
@@ -276,11 +273,25 @@ def build_scenarios(
             capacity=cfg.capacity,
             socket_limit=cfg.socket_limit,
             waste=cfg.waste,
-            prices=pi,
+            prices=np.array(pi, dtype=float),
             scenario_id=day.isoformat(),
         )
         result.scenarios.append(scenario)
     return result
+
+
+def _missing_prices(day: date, needed: list[tuple[int, int]],
+                    pi: list[float | None]) -> str:
+    """Why `day` is skipped: the hours without a price, under the date
+    they fall on where that is not `day` itself."""
+    missing: dict[int, set[int]] = {}
+    for (offset, hour), price in zip(needed, pi):
+        if price is None:
+            missing.setdefault(offset, set()).add(hour)
+    return "; ".join(
+        f"missing prices for {f'{day + timedelta(days=offset)} ' if offset else ''}"
+        f"hours {sorted(hours)}"
+        for offset, hours in sorted(missing.items()))
 
 
 # -- scenario interchange format ---------------------------------------------

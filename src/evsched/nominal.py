@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Method, Scenario, Schedule
-from .solver import BasisStart, LinearProgram, LpSolution
+from .solver import BasisStart, Infeasible, LinearProgram
 from .solver.lp import _Simplex
 
 
@@ -69,20 +69,22 @@ def check_feasibility(scenario: Scenario) -> FeasibilityReport:
     lp, var_index = scheduling_lp(scenario)
     simplex = _Simplex(lp)
     simplex.build_initial_basis(least_cost_start(scenario, var_index))
-    return _phase_one_report(scenario, simplex.phase_one())
+    try:
+        simplex.phase_one()
+    except Infeasible as exc:
+        return _phase_one_report(scenario, exc.shortfall)
+    return _phase_one_report(scenario, None)
 
 
-def _phase_one_report(scenario: Scenario,
-                      infeasible: LpSolution | None) -> FeasibilityReport:
-    """The report of a phase one on `scheduling_lp(scenario)` that returned
-    `infeasible`, None when it found a feasible point."""
+def _phase_one_report(scenario: Scenario, shortfall: float | None) -> FeasibilityReport:
+    """The report of a phase one on `scheduling_lp(scenario)` whose least
+    artificial sum is `shortfall`, None when it found a feasible point."""
     slack = scenario.occupancy.T.astype(float) @ scenario.socket_limit - scenario.load
     total = float(scenario.load.sum())
-    shortfall = 0.0 if infeasible is None else infeasible.objective_value
     return FeasibilityReport(
-        feasible=infeasible is None,
+        feasible=shortfall is None,
         per_vehicle_slack=slack,
-        max_flow=total - shortfall,
+        max_flow=total if shortfall is None else total - shortfall,
         total_load=total,
     )
 

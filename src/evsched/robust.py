@@ -30,7 +30,7 @@ from .nominal import (
     schedule_from_x,
     scheduling_lp,
 )
-from .solver import NormAugmentedStatus, SolveStats, solve_norm_augmented
+from .solver import Infeasible, NormAugmentedStatus, SolveStats, solve_norm_augmented
 
 
 @dataclass
@@ -91,11 +91,12 @@ def solve(
     elif method is Method.ROBUST_LOAD:
         scenario = replace(scenario, load=scenario.load * load_scale)
     lp, var_index = scheduling_lp(scenario)
-    result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index),
-                                  start=least_cost_start(scenario, var_index))
-    if result.status is NormAugmentedStatus.INFEASIBLE:
+    try:
+        result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index),
+                                      start=least_cost_start(scenario, var_index))
+    except Infeasible as exc:
         raise InfeasibleScenario(scenario.scenario_id,
-                                 _phase_one_report(scenario, result.lp_solution))
+                                 _phase_one_report(scenario, exc.shortfall)) from exc
     schedule = schedule_from_x(scenario, result.x, var_index, method)
     return SolveResult(
         schedule=schedule,

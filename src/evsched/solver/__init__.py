@@ -1,12 +1,12 @@
 """Generic optimization kernels: LP solver and norm cutting planes."""
 
 from .lp import (
+    DUALITY_GAP_TOL,
     FEASIBILITY_TOL,
     BasisStart,
-    GAP_REL_TOL,
+    Infeasible,
     LinearProgram,
     LpSolution,
-    LpStatus,
     NumericalFailure,
     SolveStats,
     solve_lp,
@@ -18,12 +18,12 @@ from .socp import (
 )
 
 __all__ = [
+    "DUALITY_GAP_TOL",
     "FEASIBILITY_TOL",
     "BasisStart",
-    "GAP_REL_TOL",
+    "Infeasible",
     "LinearProgram",
     "LpSolution",
-    "LpStatus",
     "NumericalFailure",
     "SolveStats",
     "solve_lp",

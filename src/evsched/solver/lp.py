@@ -7,14 +7,14 @@ Solves
 
 with a two-phase bounded-variable simplex.  Inequalities get slack
 columns, infeasible starting rows get artificial columns, and phase one
-minimizes the artificial sum; an Infeasible result carries that least
-sum.  A column with equal bounds never enters or flips; phase one ends by
-fixing the artificials at zero, and one still basic there is pivoted out
-by the ratio tests like any fixed basic column.  A caller that knows a
-good starting point can pass it with the basic column of each row it
-covers (`BasisStart`); the default start rests every column at its lower
-bound.  Pricing is Dantzig (most negative reduced cost, ties to the lowest
-column index).
+minimizes the artificial sum; where no point meets the program it raises
+Infeasible, which carries that least sum.  A column with equal bounds never
+enters or flips; phase one ends by fixing the artificials at zero, and one
+still basic there is pivoted out by the ratio tests like any fixed basic
+column.  A caller that knows a good starting point can pass it with the
+basic column of each row it covers (`BasisStart`); the default start rests
+every column at its lower bound.  Pricing is Dantzig (most negative reduced
+cost, ties to the lowest column index).
 
 A solved program can grow by one inequality at a time (the cuts of a
 cutting-plane loop).  The new row's slack starts basic, the old optimal
@@ -36,18 +36,17 @@ Both ratio tests break ties alike: the largest pivot magnitude, then the
 lowest column index.  Every pivot sequence is a pure function of the
 instance, so results are bit-reproducible.
 
-Optimal solutions always carry a dual certificate (multipliers for G, E
-and the active bounds) and the solver re-checks primal residuals, the
-duality gap, the signs of the inequality multipliers and stationarity
-before reporting Optimal; if certification fails at tolerance it raises
-NumericalFailure instead of mislabeling the result.
+Every solution carries a dual certificate (multipliers for G and E; the
+active bounds' multipliers follow from the reduced costs) and the solver
+re-checks primal residuals, the duality gap, the signs of the inequality
+multipliers and stationarity before returning it; if certification fails
+at tolerance it raises NumericalFailure instead of mislabeling the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +54,7 @@ import numpy as np
 # Certification thresholds (see LpSolution): absolute on residuals,
 # relative on the duality gap.
 FEASIBILITY_TOL = 1e-8
-GAP_REL_TOL = 1e-7
+DUALITY_GAP_TOL = 1e-7
 
 _DUAL_TOL = 1e-9  # reduced-cost optimality threshold
 _PIVOT_TOL = 1e-9  # smallest acceptable pivot magnitude
@@ -64,13 +63,20 @@ _REFACTOR_EVERY = 64
 _BLAND_AFTER = 30  # degenerate pivots before switching to Bland
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
 class NumericalFailure(RuntimeError):
     """The solver could not certify a result at tolerance."""
+
+
+class Infeasible(RuntimeError):
+    """No point meets the program.  `shortfall` is phase one's optimum, the
+    least sum of the artificials: the least total violation of the rows that
+    x at its starting point violates; it is None when the dual simplex finds
+    that an added row cannot be met."""
+
+    def __init__(self, shortfall: float | None):
+        super().__init__("infeasible" if shortfall is None
+                         else f"infeasible: least artificial sum {shortfall:.6g}")
+        self.shortfall = shortfall
 
 
 @dataclass(frozen=True)
@@ -145,37 +151,28 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solver result.  For Optimal status the certificate fields hold:
+    """A certified optimum (infeasibility raises Infeasible instead):
 
     dual_ineq  multipliers for G x <= h (nonnegative up to tolerance)
     dual_eq    multipliers for E x = b
-    dual_lo    multipliers for active lower bounds
-    dual_up    multipliers for active upper bounds
 
     with dual_objective <= objective_value (weak duality) and
     duality_gap = objective_value - dual_objective certified at
-    <= GAP_REL_TOL relative; max_residual is the worst primal
-    constraint violation (<= FEASIBILITY_TOL).  For Infeasible status
-    objective_value is phase one's optimum, the least sum of the
-    artificials: the least total violation of the rows that x at its
-    starting point violates; it is None when the dual simplex finds that
-    an added row cannot be met.
+    <= DUALITY_GAP_TOL relative; max_residual is the worst primal
+    constraint violation (<= FEASIBILITY_TOL).
 
     `stats` is the solving simplex's own SolveStats record, not a copy, so
     it goes on counting as `add_inequality` grows the program.
     """
 
-    status: LpStatus
-    x: np.ndarray | None = None
-    objective_value: float | None = None
-    dual_ineq: np.ndarray | None = None
-    dual_eq: np.ndarray | None = None
-    dual_lo: np.ndarray | None = None
-    dual_up: np.ndarray | None = None
-    dual_objective: float | None = None
-    duality_gap: float | None = None
-    max_residual: float | None = None
-    stats: SolveStats | None = None
+    x: np.ndarray
+    objective_value: float
+    dual_ineq: np.ndarray
+    dual_eq: np.ndarray
+    dual_objective: float
+    duality_gap: float
+    max_residual: float
+    stats: SolveStats
 
 
 @dataclass
@@ -324,12 +321,12 @@ class _Simplex:
 
     # -- the pivot loop ----------------------------------------------------
 
-    def _pivot_loop(self, step) -> LpStatus:
-        """Call `step(bland)` until it returns a status, then write the basic
-        values back.  Otherwise the step made one pivot and returns how far
-        its entering column moved (degenerate when it did not), or made
-        none and returns None.  The module docstring gives the budget, Bland
-        and refactorization policy this loop applies."""
+    def _pivot_loop(self, step):
+        """Call `step(bland)` until it returns None, the phase done, then
+        write the basic values back.  Otherwise the step made one pivot and
+        returns how far its entering column moved (degenerate when it did
+        not).  The module docstring gives the budget, Bland and
+        refactorization policy this loop applies."""
         stats = self.stats
         bland = False
         stall = 0
@@ -340,11 +337,9 @@ class _Simplex:
                     f"n={self.n_total})"
                 )
             moved = step(bland)
-            if isinstance(moved, LpStatus):
-                self.values[self.basis] = self.xB
-                return moved
             if moved is None:
-                continue
+                self.values[self.basis] = self.xB
+                return
             stats.pivots += 1
             if moved <= _RATIO_TIE:
                 stats.degenerate_pivots += 1
@@ -422,9 +417,9 @@ class _Simplex:
         self.B_inv[rows] -= w[rows, None] * pivot_row
         self.B_inv[row] = pivot_row
 
-    def run_phase(self, c_work: np.ndarray) -> LpStatus:
+    def run_phase(self, c_work: np.ndarray):
         """Primal simplex on the costs `c_work` from a primal feasible
-        basis: OPTIMAL once no column prices out.  Raises NumericalFailure
+        basis, until no column prices out.  Raises NumericalFailure
         when the entering column can move without end: the programs this
         module solves are bounded below, so an unbounded ray is a fault."""
 
@@ -432,7 +427,7 @@ class _Simplex:
             _, d = self.reduced_costs(c_work)
             j = self.choose_entering(d, bland)
             if j < 0:
-                return LpStatus.OPTIMAL
+                return None
             # an eligible column moves against the sign of its reduced cost
             direction = 1.0 if d[j] < 0 else -1.0
             w = self.B_inv @ self.A[:, j]
@@ -442,33 +437,31 @@ class _Simplex:
             self.pivot(j, direction, t, row, w)
             return t
 
-        return self._pivot_loop(step)
+        self._pivot_loop(step)
 
     # -- phases ------------------------------------------------------------
 
     def solve(self, start: BasisStart | None = None) -> LpSolution:
         """Phase one from `start`, then phase two and the certificate."""
         self.build_initial_basis(start)
-        infeasible = self.phase_one()
-        if infeasible is not None:
-            return infeasible
+        self.phase_one()
         self.run_phase(self.cost)
         if self.stats.pivots != self.factored_at:  # else the inverse is fresh
             self.refactorize()
         return self._certify()
 
-    def phase_one(self) -> LpSolution | None:
+    def phase_one(self):
         """Minimize the artificial sum from the current basis, and set the
         iteration budget of this phase and the next.
 
-        Returns the INFEASIBLE solution, whose objective_value is the least
-        artificial sum, when an artificial stays above FEASIBILITY_TOL.
-        Otherwise returns None, with the artificials fixed at zero
-        (lo = up = 0), so that none enters again, ready for phase two.
+        Raises Infeasible, carrying the least artificial sum, when an
+        artificial stays above FEASIBILITY_TOL.  Otherwise fixes the
+        artificials at zero (lo = up = 0), so that none enters again, ready
+        for phase two.
         """
         self._set_budget()
         if not self.n_art:
-            return None
+            return
         c1 = np.zeros(self.n_total)
         c1[self.art_start :] = 1.0
         before = self.stats.pivots
@@ -479,11 +472,8 @@ class _Simplex:
         # point, which certification would hold to FEASIBILITY_TOL
         artificials = self.values[self.art_start :]
         if artificials.max() > FEASIBILITY_TOL:
-            return LpSolution(status=LpStatus.INFEASIBLE,
-                              objective_value=float(artificials.sum()),
-                              stats=self.stats)
+            raise Infeasible(float(artificials.sum()))
         self.up[self.art_start :] = 0.0
-        return None
 
     def _set_budget(self):
         self.max_iter = self.stats.pivots + max(2000, 60 * (self.m + self.n_total))
@@ -505,9 +495,8 @@ class _Simplex:
         the fresh inverse puts a basic value off its bounds, the dual
         simplex resumes once from there and the basis is refactored again
         before a second certificate, which raises NumericalFailure if it
-        fails too.  Returns INFEASIBLE when no point satisfies the grown
-        program.
-        Raises ValueError on a row that is not a finite vector of the
+        fails too.  Raises Infeasible when no point satisfies the grown
+        program, and ValueError on a row that is not a finite vector of the
         structural width.
         """
         g = np.asarray(g, dtype=float)
@@ -540,15 +529,13 @@ class _Simplex:
         self.m += 1
         self.n_total += 1
         self._set_budget()
-        if self.run_dual_phase() is LpStatus.INFEASIBLE:
-            return LpSolution(status=LpStatus.INFEASIBLE, stats=self.stats)
+        self.run_dual_phase()
         sol, failure = self._certificate()
         if failure is None:
             return sol
         self.refactorize()
         if self.choose_leaving(False)[0] >= 0:
-            if self.run_dual_phase() is LpStatus.INFEASIBLE:
-                return LpSolution(status=LpStatus.INFEASIBLE, stats=self.stats)
+            self.run_dual_phase()
             if self.stats.pivots != self.factored_at:
                 self.refactorize()
         return self._certify()
@@ -627,11 +614,11 @@ class _Simplex:
         self._exchange(row, j, self.values[j] + delta, _AT_LO if to_lower else _AT_UP, w)
         return delta
 
-    def run_dual_phase(self) -> LpStatus:
+    def run_dual_phase(self):
         """Dual simplex (Lemke 1954) from a dual feasible basis, until no
-        basic value is off its bounds at all (OPTIMAL), or until a value off
-        its bound by more than FEASIBILITY_TOL has no column that can move it
-        (INFEASIBLE).  Reduced costs follow the pivot row and are recomputed
+        basic value is off its bounds at all.  Raises Infeasible when a
+        value off its bound by more than FEASIBILITY_TOL has no column that
+        can move it.  Reduced costs follow the pivot row and are recomputed
         whenever the inverse is fresh."""
         d = None
 
@@ -639,20 +626,21 @@ class _Simplex:
             nonlocal d
             if d is None or self.factored_at == self.stats.pivots:
                 _, d = self.reduced_costs(self.cost)
-            row, excess, to_lower = self.choose_leaving(bland)
-            if row < 0:
-                return LpStatus.OPTIMAL
-            leaving = self.basis[row]
-            target = self.lo[leaving] if to_lower else self.up[leaving]
-            alpha = (-self.B_inv[row] if to_lower else self.B_inv[row]) @ self.A
-            j, dual_step, flips = self.dual_ratio_test(alpha, d, excess, bland)
-            if j < 0:
+            while True:
+                row, excess, to_lower = self.choose_leaving(bland)
+                if row < 0:
+                    return None
+                leaving = self.basis[row]
+                target = self.lo[leaving] if to_lower else self.up[leaving]
+                alpha = (-self.B_inv[row] if to_lower else self.B_inv[row]) @ self.A
+                j, dual_step, flips = self.dual_ratio_test(alpha, d, excess, bland)
+                if j >= 0:
+                    break
                 if excess > FEASIBILITY_TOL:
-                    return LpStatus.INFEASIBLE
+                    raise Infeasible(None)
                 # a round-off residue no column can move: leave it to the
                 # refactorization and the certificate that follow the phase
                 self.xB[row] = target
-                return None
             if dual_step:
                 d -= dual_step * alpha
             if dual_step <= _RATIO_TIE:
@@ -662,7 +650,7 @@ class _Simplex:
             self.stats.dual_pivots += 1
             return abs(delta)
 
-        return self._pivot_loop(step)
+        self._pivot_loop(step)
 
     # -- certification ------------------------------------------------------
 
@@ -675,7 +663,7 @@ class _Simplex:
     def _certificate(self) -> tuple[LpSolution, str | None]:
         """The solution at the current basis with its dual certificate, and
         why the certificate fails, or None when it passes: a primal residual
-        above FEASIBILITY_TOL, a duality gap above GAP_REL_TOL relative, an
+        above FEASIBILITY_TOL, a duality gap above DUALITY_GAP_TOL relative, an
         inequality multiplier below zero or a structural column whose
         reduced cost no active bound's multiplier absorbs (a [0, inf)
         column priced below zero), the last two beyond _DUAL_TOL relative.
@@ -711,18 +699,15 @@ class _Simplex:
         stationarity = float(np.abs(d_struct - mu_lo + mu_up).max(initial=0.0))
         # written so that a NaN residual, gap or multiplier fails certification
         failure = None
-        if not (resid <= FEASIBILITY_TOL and abs(gap) <= GAP_REL_TOL * scale
+        if not (resid <= FEASIBILITY_TOL and abs(gap) <= DUALITY_GAP_TOL * scale
                 and sign >= -_DUAL_TOL * scale and stationarity <= _DUAL_TOL * scale):
             failure = (f"certification failed: residual={resid:.3e}, gap={gap:.3e}, "
                        f"least multiplier={sign:.3e}, stationarity={stationarity:.3e}")
         return LpSolution(
-            status=LpStatus.OPTIMAL,
             x=x,
             objective_value=primal,
             dual_ineq=lam,
             dual_eq=nu,
-            dual_lo=mu_lo,
-            dual_up=mu_up,
             dual_objective=dual,
             duality_gap=gap,
             max_residual=resid,
@@ -731,7 +716,7 @@ class _Simplex:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP and certify the result (see module docstring).  Returns
-    OPTIMAL or INFEASIBLE; raises NumericalFailure on an unbounded ray or a
-    certificate that fails at tolerance."""
+    """Solve an LP and certify the result (see module docstring).  Raises
+    Infeasible when no point meets it, and NumericalFailure on an unbounded
+    ray or a certificate that fails at tolerance."""
     return _Simplex(lp).solve()

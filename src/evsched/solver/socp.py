@@ -29,6 +29,11 @@ seed-1 pool of the robust-price benchmark that is 100 refactorizations
 over 3025 cuts, where one per cut made 3125.  The result's `stats` is that
 simplex's SolveStats, so its counters cover every master.
 
+An LP with no feasible point raises the simplex's Infeasible from the first
+master, carrying phase one's least artificial sum.  A cut never makes a
+feasible master infeasible, since tau can rise to meet it, so Infeasible
+from a grown master is a NumericalFailure.
+
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
 Short of the tolerance, the loop stops where Kelley's cut repeats an earlier
@@ -43,8 +48,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import (BasisStart, LinearProgram, LpSolution, LpStatus, NumericalFailure, SolveStats,
-                 _Simplex)
+from .lp import (BasisStart, Infeasible, LinearProgram, LpSolution, NumericalFailure,
+                 SolveStats, _Simplex)
 
 # Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
 # Tight defaults keep the returned iterate close to the true minimizer, not
@@ -60,7 +65,6 @@ IN_OUT_ALPHA = 0.3
 class NormAugmentedStatus(Enum):
     OPTIMAL = "optimal"
     CUT_LIMIT = "cut-limit"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -69,14 +73,14 @@ class NormAugmentedResult:
     solved every master."""
 
     status: NormAugmentedStatus
-    x: np.ndarray | None = None
-    objective: float | None = None  # linear part + weight * norm at x
-    norm_value: float | None = None
-    lower_bound: float | None = None
-    gap: float | None = None
-    cuts: int = 0
-    stats: SolveStats | None = None
-    lp_solution: LpSolution | None = None  # the master x came from, maybe short of its optimum
+    x: np.ndarray
+    objective: float  # linear part + weight * norm at x
+    norm_value: float
+    lower_bound: float
+    gap: float
+    cuts: int
+    stats: SolveStats
+    lp_solution: LpSolution  # the master x came from, maybe short of its optimum
 
 
 def _augmented(lp: LinearProgram, weight: float) -> LinearProgram:
@@ -98,7 +102,6 @@ def solve_norm_augmented(
     norm_map: np.ndarray,
     *,
     start: BasisStart | None = None,
-    max_cuts: int = MAX_CUTS,
 ) -> NormAugmentedResult:
     if weight < 0:
         raise ValueError("weight must be nonnegative")
@@ -116,14 +119,11 @@ def solve_norm_augmented(
     if weight and start is not None:
         start = BasisStart(np.append(start.x, 0.0), start.basic)
     sol = master.solve(start)
-    if sol.status is not LpStatus.OPTIMAL:
-        return NormAugmentedResult(status=NormAugmentedStatus.INFEASIBLE,
-                                   lp_solution=sol, stats=master.stats)
-    dirs = np.empty((max_cuts, M.shape[0]))
+    dirs = np.empty((MAX_CUTS, M.shape[0]))
     best_obj = math.inf  # best_*: the least upper bound, its point, norm and master
     lower = -math.inf
 
-    for k in range(max_cuts + 1):
+    for k in range(MAX_CUTS + 1):
         x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
         obj, nv, v = _evaluate(lp, weight, M, x)
@@ -131,7 +131,7 @@ def solve_norm_augmented(
         if at_master:
             best_obj, best_x, best_nv, best_sol = obj, x, nv, sol
         converged = _converged(best_obj, lower)
-        if converged or k == max_cuts:
+        if converged or k == MAX_CUTS:
             break
         u = None
         if not at_master:
@@ -155,9 +155,10 @@ def solve_norm_augmented(
             if _repeats(dirs[:k], u):
                 break  # duplicate support direction: the master cannot improve
         dirs[k] = u
-        sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
-        if sol.status is not LpStatus.OPTIMAL:  # tau can rise to meet any cut
-            raise NumericalFailure(f"master {sol.status.value} after {k + 1} cuts")
+        try:
+            sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
+        except Infeasible as exc:  # tau can rise to meet any cut
+            raise NumericalFailure(f"master infeasible after {k + 1} cuts") from exc
 
     return NormAugmentedResult(
         status=NormAugmentedStatus.OPTIMAL if converged else NormAugmentedStatus.CUT_LIMIT,

@@ -11,6 +11,7 @@ would fail the benchmark.  This test fails first.
 import numpy as np
 
 import evsched.sim
+import evsched.solver.socp
 from evsched import Method, Scenario, Schedule, occupancy_from_windows, validate_schedule
 from evsched.ingest import save_scenario
 from evsched.nominal import check_feasibility, scheduling_lp
@@ -19,7 +20,7 @@ from evsched.solver import solve_norm_augmented
 from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL
 
 
-def test_benchmark_harness_calls(tmp_path):
+def test_benchmark_harness_calls(tmp_path, monkeypatch):
     # a day as perfbench/workloads.py builds it: scalar station values
     T = 6
     sc = Scenario(horizon_steps=T, step_hours=4.0,
@@ -42,6 +43,10 @@ def test_benchmark_harness_calls(tmp_path):
     result = solve_norm_augmented(lp, 0.5, totals_map(sc, var_index))
     assert result.status.value == "optimal" and result.cuts > 0
     assert result.gap <= max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(result.objective)))
+    # spans.py counts a run stopped by the cut limit by this value
+    monkeypatch.setattr(evsched.solver.socp, "MAX_CUTS", 0)
+    result = solve_norm_augmented(lp, 0.5, totals_map(sc, var_index))
+    assert result.status.value == "cut-limit"
 
     # perfbench/workloads.py wraps these two to capture and time each day
     assert callable(evsched.sim.optimized_schedule)

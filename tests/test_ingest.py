@@ -223,6 +223,27 @@ class TestBuildScenarios:
         assert sc.window(0) == (17, 19)
         assert sc.load[0] == pytest.approx(3.0 / 0.5)
 
+    def test_horizon_past_midnight_uses_next_day_prices(self):
+        recs = sessions_from("s1,2018-05-01T22:00:00,2018-05-02T04:00:00,12.0\n")
+        prices = prices_for([date(2018, 5, 1)], value=0.1)
+        for h in range(24):
+            prices.add(date(2018, 5, 2), h, 0.9)
+        result = build_scenarios(recs, prices, IngestConfig(horizon_steps=48))
+        (sc,) = result.scenarios
+        assert sc.window(0) == (23, 28)
+        assert list(sc.prices[:24]) == [0.1] * 24
+        assert list(sc.prices[24:]) == [0.9] * 24
+
+    def test_missing_next_day_prices_skips_day(self):
+        recs = sessions_from("s1,2018-05-01T22:00:00,2018-05-02T04:00:00,12.0\n")
+        prices = prices_for([date(2018, 5, 1)])
+        for h in range(12):
+            prices.add(date(2018, 5, 2), h, 0.9)
+        result = build_scenarios(recs, prices, IngestConfig(horizon_steps=48))
+        assert result.scenarios == []
+        assert result.skipped_days == [
+            (date(2018, 5, 1), f"missing prices for 2018-05-02 hours {list(range(12, 24))}")]
+
     def test_table_defaults(self):
         cfg = IngestConfig()
         assert cfg.horizon_steps == 24

@@ -8,7 +8,7 @@ import pytest
 
 from evsched import Method, solve
 from evsched.nominal import scheduling_lp
-from evsched.solver import LinearProgram, LpStatus, NumericalFailure, SolveStats, solve_lp
+from evsched.solver import Infeasible, LinearProgram, NumericalFailure, SolveStats, solve_lp
 from evsched.solver import lp as lp_module
 from evsched.synth import random_scenario
 
@@ -50,7 +50,6 @@ def enumerate_optimum(lp, grid=None):
 
 
 def assert_certified(sol):
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.max_residual <= 1e-8
     scale = max(1.0, abs(sol.objective_value))
     assert abs(sol.duality_gap) <= 1e-7 * scale
@@ -79,7 +78,10 @@ class TestExamples:
     def test_infeasible_bounds_vs_row(self):
         lp = LinearProgram(c=[1.0], G=[[-1.0], [1.0]], h=[-1.0, 0.0],
                            lo=[-5.0], up=[np.inf])
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        with pytest.raises(Infeasible) as err:
+            solve_lp(lp)
+        # x <= 0 leaves x >= 1 short by 1 at best
+        assert err.value.shortfall == pytest.approx(1.0)
 
     def test_unbounded(self):
         # every program evsched builds is bounded, so a ray is a fault
@@ -147,7 +149,9 @@ class TestNoVariables:
 
     def test_violated_row_is_infeasible(self):
         lp = LinearProgram(c=[], G=np.zeros((1, 0)), h=[-1.0])
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        with pytest.raises(Infeasible) as err:
+            solve_lp(lp)
+        assert err.value.shortfall == 1.0
 
     def test_two_dimensional_cost_rejected(self):
         with pytest.raises(ValueError, match="c must be a vector"):
@@ -156,7 +160,7 @@ class TestNoVariables:
 
 class TestPhaseOneTolerance:
     """Phase one declares infeasibility at the certificate's own residual
-    tolerance, so a shortage just above it is INFEASIBLE, not a failed
+    tolerance, so a shortage just above it is Infeasible, not a failed
     certificate."""
 
     @staticmethod
@@ -166,7 +170,8 @@ class TestPhaseOneTolerance:
 
     @pytest.mark.parametrize("excess", [1.1e-8, 2e-8, 1e-7, 1e-6])
     def test_shortage_above_tolerance_is_infeasible(self, excess):
-        assert solve_lp(self.short_day(excess)).status is LpStatus.INFEASIBLE
+        with pytest.raises(Infeasible):
+            solve_lp(self.short_day(excess))
 
     @pytest.mark.parametrize("excess", [0.0, 5e-9])
     def test_shortage_within_tolerance_is_certified(self, excess):
@@ -188,7 +193,6 @@ class TestRandomized:
             )
             oracle_obj, _ = enumerate_optimum(lp)
             sol = solve_lp(lp)
-            assert sol.status is LpStatus.OPTIMAL
             assert_certified(sol)
             assert sol.objective_value == pytest.approx(
                 oracle_obj, rel=1e-7, abs=1e-8
@@ -254,7 +258,6 @@ class TestCrossCheck:
             if ref.status == 0:
                 outcomes["optimal"] += 1
                 mine = solve_lp(lp)
-                assert mine.status is LpStatus.OPTIMAL
                 assert mine.objective_value == pytest.approx(
                     ref.fun, rel=1e-7, abs=1e-8
                 )
@@ -271,7 +274,8 @@ class TestCrossCheck:
                     solve_lp(lp)
             else:
                 outcomes["infeasible"] += 1
-                assert solve_lp(lp).status is LpStatus.INFEASIBLE
+                with pytest.raises(Infeasible):
+                    solve_lp(lp)
         assert all(outcomes.values())
 
 
@@ -366,7 +370,7 @@ class TestNonFinite:
     ], ids=["plus-inf", "minus-inf", "minus-inf-to-finite"])
     def test_infinite_lower_bound_rejected(self, lo, up):
         # lo = up = +inf would put the objective at inf, where the
-        # certificate's gap tolerance GAP_REL_TOL * |objective| is infinite too
+        # certificate's gap tolerance DUALITY_GAP_TOL * |objective| is infinite too
         with pytest.raises(ValueError, match="lower bounds must be finite"):
             LinearProgram(c=[1.0], lo=lo, up=up)
 
@@ -442,8 +446,9 @@ class TestAddInequality:
     def test_infeasible_row(self):
         simplex = lp_module._Simplex(self.base())
         simplex.solve()
-        warm = simplex.add_inequality(np.array([-1.0, 0.0, 0.0]), -6.0)
-        assert warm.status is LpStatus.INFEASIBLE
+        with pytest.raises(Infeasible) as err:
+            simplex.add_inequality(np.array([-1.0, 0.0, 0.0]), -6.0)
+        assert err.value.shortfall is None
 
     def test_repeated_rows(self):
         simplex = lp_module._Simplex(self.base())

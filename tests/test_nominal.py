@@ -234,15 +234,6 @@ class TestFeasibilityDecision:
                 optimize(sc)
             assert_same_report(err.value.report, check_feasibility(sc))
 
-    def test_feasible_day_runs_no_max_flow(self, monkeypatch):
-        def refuse(scenario, tol=None):
-            raise AssertionError("max-flow ran on a feasible day")
-
-        monkeypatch.setattr(nominal_module, "check_feasibility", refuse)
-        sc = random_scenario(np.random.default_rng(5), horizon_steps=6, max_vehicles=4)
-        solve(sc)
-        solve(sc, Method.ROBUST_PRICE, radius=0.5)
-
     def test_solver_failure_on_feasible_day_stays_a_failure(self, monkeypatch):
         def failing(simplex, start):
             raise NumericalFailure("certification failed: injected")
