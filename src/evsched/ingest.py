@@ -9,9 +9,9 @@ is 1-based; step t covers wall-clock hours [(t-1)*step_hours, t*step_hours).
 
 Sessions crossing midnight are truncated at the end of the horizon under
 the default Clamp policy, or excluded (and counted) under Drop.  Each step
-is priced at the hour it starts, on the arrival day or, for a horizon past
-midnight, on the day it falls on.  Days missing any needed hourly price are
-skipped and reported rather than guessed at.
+is priced at the hour it starts, on the day that hour falls on.  Days
+missing any needed hourly price are skipped and reported rather than
+guessed at.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -86,6 +86,9 @@ class PriceSeries:
 
     def get(self, day: date, hour: int) -> float | None:
         return self._entries.get((day, int(hour)))
+
+    def missing_hours(self, day: date, hours: Iterable[int]) -> list[int]:
+        return sorted(h for h in set(hours) if (day, h) not in self._entries)
 
     def __len__(self):
         return len(self._entries)
@@ -246,12 +249,17 @@ def build_scenarios(
         by_day.setdefault(rec.arrival.date(), []).append(rec)
 
     needed = [hour_for_step(t, cfg) for t in range(1, cfg.horizon_steps + 1)]
+    hours_on: dict[int, list[int]] = {}  # days after the arrival day -> its hours
+    for offset, hour in needed:
+        hours_on.setdefault(offset, []).append(hour)
     result = ScenarioBuildResult(scenarios=[])
     for day in sorted(by_day):
-        dates = [day + timedelta(days=offset) for offset in range(needed[-1][0] + 1)]
-        pi = [prices.get(dates[offset], hour) for offset, hour in needed]
-        if None in pi:
-            result.skipped_days.append((day, _missing_prices(day, needed, pi)))
+        dates = {offset: day + timedelta(days=offset) for offset in hours_on}
+        missing = [f"missing prices for {f'{dates[offset]} ' if offset else ''}hours {gap}"
+                   for offset, hours in hours_on.items()
+                   if (gap := prices.missing_hours(dates[offset], hours))]
+        if missing:
+            result.skipped_days.append((day, "; ".join(missing)))
             continue
         group = sorted(by_day[day], key=lambda r: (r.arrival, r.session_id))
         windows: list[tuple[int, int]] = []
@@ -265,6 +273,8 @@ def build_scenarios(
             energies.append(rec.energy_kwh)
         if not windows:
             continue
+        pi = np.array([prices.get(dates[offset], hour) for offset, hour in needed],
+                      dtype=float)
         scenario = Scenario(
             horizon_steps=cfg.horizon_steps,
             step_hours=cfg.step_hours,
@@ -273,25 +283,11 @@ def build_scenarios(
             capacity=cfg.capacity,
             socket_limit=cfg.socket_limit,
             waste=cfg.waste,
-            prices=np.array(pi, dtype=float),
+            prices=pi,
             scenario_id=day.isoformat(),
         )
         result.scenarios.append(scenario)
     return result
-
-
-def _missing_prices(day: date, needed: list[tuple[int, int]],
-                    pi: list[float | None]) -> str:
-    """Why `day` is skipped: the hours without a price, under the date
-    they fall on where that is not `day` itself."""
-    missing: dict[int, set[int]] = {}
-    for (offset, hour), price in zip(needed, pi):
-        if price is None:
-            missing.setdefault(offset, set()).add(hour)
-    return "; ".join(
-        f"missing prices for {f'{day + timedelta(days=offset)} ' if offset else ''}"
-        f"hours {sorted(hours)}"
-        for offset, hours in sorted(missing.items()))
 
 
 # -- scenario interchange format ---------------------------------------------

@@ -29,10 +29,8 @@ seed-1 pool of the robust-price benchmark that is 100 refactorizations
 over 3025 cuts, where one per cut made 3125.  The result's `stats` is that
 simplex's SolveStats, so its counters cover every master.
 
-An LP with no feasible point raises the simplex's Infeasible from the first
-master, carrying phase one's least artificial sum.  A cut never makes a
-feasible master infeasible, since tau can rise to meet it, so Infeasible
-from a grown master is a NumericalFailure.
+An infeasible LP raises Infeasible from the first master.  Tau can rise to
+meet any cut, so Infeasible from a grown master is a NumericalFailure.
 
 At weight 0 the master is the LP itself, without tau: its optimum is both
 bounds at once, so the loop stops at its first iterate with a zero gap.
