@@ -327,6 +327,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "robust_objective": result.objective,
                 "cutting_plane_gap": result.gap,
                 "cuts": result.cuts,
+                "polished": result.polished,
                 "master_pivots": result.stats.pivots,
             }
     except InfeasibleScenario as exc:
@@ -344,7 +345,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if "cuts" in extras:
         print(f"cutting planes: {extras['cuts']} cuts, "
               f"{extras['master_pivots']} master pivots, "
-              f"gap {extras['cutting_plane_gap']:.3e}")
+              f"gap {extras['cutting_plane_gap']:.3e}, "
+              f"{'polished' if extras['polished'] else 'not polished'}")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

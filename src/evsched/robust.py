@@ -44,6 +44,7 @@ class SolveResult:
     cuts: int
     stats: SolveStats  # the simplex's counters over every LP the solve ran
     converged: bool  # False when the cut limit stopped the loop
+    polished: bool  # the loop stopped on a certified polish of a master's face
 
 
 def check_options(method: Method | str, radius: float, load_scale: float) -> Method:
@@ -106,4 +107,5 @@ def solve(
         cuts=result.cuts,
         stats=result.stats,
         converged=result.status is NormAugmentedStatus.OPTIMAL,
+        polished=result.polished,
     )

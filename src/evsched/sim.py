@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -136,6 +135,9 @@ def run_comparison(
     config = config or RunConfig()
     if config.workers <= 1 or len(scenarios) < 2:
         return [compare_scenario(sc, config) for sc in scenarios]
+    # imported here: it loads multiprocessing, which no other path needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(_worker, [(sc, config) for sc in scenarios], chunksize=8))
 

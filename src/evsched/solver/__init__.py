@@ -14,6 +14,7 @@ from .lp import (
 from .socp import (
     NormAugmentedResult,
     NormAugmentedStatus,
+    certify,
     solve_norm_augmented,
 )
 
@@ -29,5 +30,6 @@ __all__ = [
     "solve_lp",
     "NormAugmentedResult",
     "NormAugmentedStatus",
+    "certify",
     "solve_norm_augmented",
 ]

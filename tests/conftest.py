@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import evsched
+import evsched.solver.socp as socp_module
 from evsched import Scenario, occupancy_from_windows
+from evsched.solver import DUALITY_GAP_TOL, FEASIBILITY_TOL, NormAugmentedStatus, certify
 
 
 def make_scenario(
@@ -55,3 +57,37 @@ def two_step_vehicle():
     """The hand instance: T=2, prices [2, 1], waste 0.01, one vehicle
     present both steps with demand 5, socket 7, capacity 300."""
     return make_scenario([(1, 2)], [5.0], [2.0, 1.0], waste=0.01)
+
+
+@pytest.fixture
+def no_polish(monkeypatch):
+    """Decline every polish, so that the cutting-plane loop runs its cuts as
+    it would without one; for the tests that exist to exercise the cuts."""
+    monkeypatch.setattr(socp_module, "_polish", lambda *args: None)
+
+
+def assert_certified(lp, M, weight, result):
+    """`certify` on the result's own certificate passes at the loop's
+    tolerances, and its upper bound is the result's objective.  A result of
+    the cuts alone stops on its master's primal objective, and its
+    certificate is that master's duals, so its gap may exceed the loop's
+    tolerance by the master's own duality gap, which the simplex certifies
+    to DUALITY_GAP_TOL (about 1e-10 seen)."""
+    upper, lower, residual = certify(lp, M, weight, result.x, *result.certificate)
+    assert residual <= FEASIBILITY_TOL
+    slack = 0.0 if result.polished else DUALITY_GAP_TOL * max(1.0, abs(upper))
+    assert socp_module._converged(upper, lower + slack), (upper, lower)
+    assert upper == pytest.approx(result.objective, rel=1e-15, abs=1e-15)
+
+
+def certifying(solve_norm_augmented):
+    """`solve_norm_augmented` checking every OPTIMAL result it returns with
+    `assert_certified`."""
+
+    def solve(lp, weight, norm_map, **kwargs):
+        result = solve_norm_augmented(lp, weight, norm_map, **kwargs)
+        if result.status is NormAugmentedStatus.OPTIMAL:
+            assert_certified(lp, np.atleast_2d(norm_map), weight, result)
+        return result
+
+    return solve

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import evsched.solver.socp
 from evsched import cli
 from evsched.cli import (
     EXIT_INFEASIBLE,
@@ -281,19 +282,27 @@ class TestSolveCommand:
         assert main(["solve", "--scenario", str(path), "--method", "robust-load",
                      "--load-scale", "1.1"]) == EXIT_OK
 
-    def test_robust_solve_reports_master_pivots(self, tmp_path, capsys):
+    def test_robust_solve_reports_master_pivots(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(62)
         sc = random_scenario(rng, horizon_steps=5, max_vehicles=3,
                              scenario_id="day")
         path = tmp_path / "day.json"
         save_scenario(sc, path)
-        out = tmp_path / "out"
-        assert main(["solve", "--scenario", str(path), "--method", "robust-price",
-                     "--radius", "0.2", "--out", str(out)]) == EXIT_OK
-        doc = json.loads((out / "schedule_day_robust-price.json").read_text())
+        argv = ["solve", "--scenario", str(path), "--method", "robust-price",
+                "--radius", "0.2", "--out"]
+        assert main([*argv, str(tmp_path / "polished")]) == EXIT_OK
+        doc = json.loads((tmp_path / "polished" / "schedule_day_robust-price.json").read_text())
+        assert (doc["cuts"], doc["polished"]) == (0, True)
+        assert capsys.readouterr().out.endswith(", polished\n")
+        # the cuts alone, with the polish declined
+        monkeypatch.setattr(evsched.solver.socp, "_polish", lambda *args: None)
+        assert main([*argv, str(tmp_path / "cuts")]) == EXIT_OK
+        doc = json.loads((tmp_path / "cuts" / "schedule_day_robust-price.json").read_text())
         assert doc["master_pivots"] >= doc["cuts"] > 0
+        assert doc["polished"] is False
         printed = capsys.readouterr().out
         assert f"{doc['cuts']} cuts, {doc['master_pivots']} master pivots" in printed
+        assert printed.endswith(", not polished\n")
 
     def test_overflowing_objective_exit_code(self, tmp_path, capsys):
         path = tmp_path / "day.json"
@@ -488,18 +497,18 @@ class TestSimulateCommand:
             "fig4_cumulative.csv": "e81d9ced36266d3191b8377ea3ec3c52e43f92a0a7a6bcca96e25c16f90a1079",
         },
         "robust-price": {
-            "comparison.csv": "67410b8b6790692248fbeeb4312e67c0ef59f9d1f86ae7c2e961f6d87ac47eec",
-            "summary.csv": "bedc139ded8e03f6f13dc0dcd3de57526efcec66adab244e5ae3af1517b3e581",
-            "fig2_day.csv": "4eceda698b8e23c879ef0f871522706478790cce0ee202e7ed279837c0720cbd",
-            "fig3_scatter.csv": "cbd437b6dbf14087874ca5848486d419bbbc6f139eb59bfb075bfb9fc732d03a",
-            "fig4_cumulative.csv": "fd76f246c553619994f26c9cd4e5358cd3a3dbdc27f8b25c4074a30023369247",
+            "comparison.csv": "f87405fe2d85d3b9ca75638992101d74ff40a461dc27760302afaa30e30f82bd",
+            "summary.csv": "8bc789495de82b2f8ae2d04cd1da08b4ca4ad23f1f866033fc33461f78c7bf68",
+            "fig2_day.csv": "05118ea370c575adcaf7d724fd42015215041a794aad58e5eb3bc2cf14bc465b",
+            "fig3_scatter.csv": "e92ca3902b496cbf141c9e8d4fcea606d7bd97a8b1f19e0f2ff4fc756f48271b",
+            "fig4_cumulative.csv": "cff53b3d004c49d6912184ddaadd5cedbeb16abbbb9fe07eeb3f9a6184b30ee1",
         },
         "robust-load": {
-            "comparison.csv": "fc247005daa21801bbeb7d5a61dbd7e764ae29d8e45636c01ac85fcf2486a53b",
-            "summary.csv": "7e00a769fb35f61ef840cf2ae891b988ee58b2e5acaab3d889c4a50d7719e542",
-            "fig2_day.csv": "7fd4adc7893d9cdca33cc0e9dda0376e6cb5a7b5295d28c1aaf1e7afd9e6c283",
-            "fig3_scatter.csv": "1142852c7ac5f88ed5322c63e82ab1d9ec4859403d5e388458ad85ecd24696ed",
-            "fig4_cumulative.csv": "821b13abd4142bd4dd74da4d2ed223c488ce81a27ed04348a29a945b7e465f83",
+            "comparison.csv": "cabc8351aea42df0fa47df15c58963f6104977d0e771696e263077e0418bc48d",
+            "summary.csv": "96b739874759610d9fa15009012cc4a3c8b0e87493ff2bfb55c5c893e26c998f",
+            "fig2_day.csv": "31b045570ce99eefd220cb70e01c75cf3ceb063e3ad7c18c6d154c17837573a3",
+            "fig3_scatter.csv": "907e84fbbde84b33da38c023b4321b7be88c704f7d554a91a36f61284451b7cd",
+            "fig4_cumulative.csv": "32e2a954fdd136f533fd7fe53b673644ea1b68d9224e2e88fb2cd9e25f641340",
         },
     }
 

@@ -25,3 +25,20 @@ def test_every_module_imports_only_numpy_beyond_the_stdlib():
     out = subprocess.run([sys.executable, "-c", IMPORT_ALL], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": src}, timeout=120)
     assert out.stdout.split() == ["evsched", "numpy"]
+
+
+IMPORT_CLI = """
+import sys
+import evsched.cli
+print(" ".join(sorted(name for name in sys.modules
+                      if name.partition(".")[0] in ("multiprocessing", "concurrent"))))
+"""
+
+
+def test_the_cli_loads_no_multiprocessing():
+    # only `simulate --workers` above 1 needs a process pool; every other
+    # call of the CLI would pay for loading it (about 2 MB and 9 ms)
+    src = str(Path(evsched.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", IMPORT_CLI], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src}, timeout=120)
+    assert out.stdout.split() == []

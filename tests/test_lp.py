@@ -597,7 +597,7 @@ class TestPricing:
         assert res.stats.phase_one_pivots and entering and all(entering)
 
     @pytest.mark.parametrize("day", range(3))
-    def test_robust_days_never_enter_a_barred_column(self, day, monkeypatch):
+    def test_robust_days_never_enter_a_barred_column(self, day, monkeypatch, no_polish):
         # an 8 kW budget leaves the greedy start short on these days (fleet
         # cap, seed), so the first master's phase one freezes artificials;
         # the cuts' dual simplex must neither enter nor flip one

@@ -1,5 +1,6 @@
 """Robust model tests: ball-radius behavior, worst-case load substitution,
-and the argument checks of the one solve entry point."""
+and the argument checks of the one solve entry point.  Every OPTIMAL
+cutting-plane result a solve here makes must pass `certify`."""
 
 from dataclasses import replace
 
@@ -13,10 +14,17 @@ from evsched import (
     solve,
     validate_schedule,
 )
+import evsched.robust
 from evsched.solver import NumericalFailure
 from evsched.synth import random_scenario
 
-from conftest import make_scenario, run_on_one_blas_thread
+from conftest import certifying, make_scenario, run_on_one_blas_thread
+
+
+@pytest.fixture(autouse=True)
+def certified_solves(monkeypatch):
+    monkeypatch.setattr(evsched.robust, "solve_norm_augmented",
+                        certifying(evsched.robust.solve_norm_augmented))
 
 
 def spreading_scenario():
@@ -210,22 +218,38 @@ class TestSolve:
             solve(spreading_scenario(), Method.FCFS)
 
 
-# Solves the full-size pool and prints its totals: cuts, pivots and the
-# number of days the cut limit stopped.
+# Solves the full-size pool at the radius given and prints its totals:
+# cuts, pivots, the days the cut limit stopped, the days the polish
+# certified and the solver failures.
 FULL_SIZE_TOTALS = """
+import sys
 from evsched import Method, solve
+from evsched.solver import NumericalFailure
 from evsched.synth import random_batch
-results = [solve(sc, Method.ROBUST_PRICE, radius=0.5) for sc in random_batch(5, 30)]
+results, failures = [], 0
+for sc in random_batch(5, 30):
+    try:
+        results.append(solve(sc, Method.ROBUST_PRICE, radius=float(sys.argv[1])))
+    except NumericalFailure:
+        failures += 1
 print(sum(r.cuts for r in results), sum(r.stats.pivots for r in results),
-      sum(not r.converged for r in results))
+      sum(not r.converged for r in results), sum(r.polished for r in results), failures)
 """
 
 
 def test_full_size_day_counts_pinned():
     # T=24 days of up to 20 vehicles, where a 24-dimensional norm needs far
-    # more cuts than the 6-step days above.  The counts are exact, so they
-    # are taken with BLAS on one thread.
-    cuts, pivots, cut_limit_days = map(int, run_on_one_blas_thread(FULL_SIZE_TOTALS).split())
-    assert cut_limit_days == 0
+    # more cuts than the 6-step days above; the polish certifies every day
+    # at its first master.  The counts are exact, so they are taken with
+    # BLAS on one thread.
+    counts = tuple(map(int, run_on_one_blas_thread(FULL_SIZE_TOTALS, "0.5").split()))
     # pinned: a change here means the cut or pivot sequence changed
-    assert (cuts, pivots) == (2558, 9249)
+    assert counts == (0, 52, 0, 30, 0)
+
+
+def test_full_size_day_counts_pinned_at_radius_2():
+    # the same days at radius 2, where the cuts alone stop at the cut
+    # limit on 16 of the 30 days (4967 cuts, 49020 pivots)
+    counts = tuple(map(int, run_on_one_blas_thread(FULL_SIZE_TOTALS, "2").split()))
+    # pinned: cuts, pivots, cut-limit days, polished days, NumericalFailures
+    assert counts == (0, 52, 0, 30, 0)

@@ -2,6 +2,9 @@
 
 The worked instances have 1-D feasible segments, so a dense scan over the
 segment is an independent oracle for both the minimizer and the value.
+Every OPTIMAL result this module obtains must pass `certify` on its own
+certificate (`solve_norm_augmented` below checks it); the tests that exist
+for the cuts decline the polish (`no_polish`).
 """
 
 import numpy as np
@@ -16,15 +19,17 @@ from evsched.solver import (
     NormAugmentedStatus,
     NumericalFailure,
     SolveStats,
+    certify,
     solve_lp,
-    solve_norm_augmented,
 )
 from evsched.solver import lp as lp_module
 from evsched.solver import socp as socp_module
-from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL, _augmented
-from evsched.synth import random_scenario
+from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL, _augmented, _converged
+from evsched.synth import random_batch, random_scenario
 
-from conftest import make_scenario
+from conftest import certifying, make_scenario
+
+solve_norm_augmented = certifying(socp_module.solve_norm_augmented)
 
 
 def segment_scan_oracle(weight, total=6.0, steps=60001):
@@ -125,7 +130,7 @@ class TestCertificates:
         # inf - lower <= GAP_REL_TOL * inf would read as converged
         assert not socp_module._converged(upper, 0.0)
 
-    def test_cut_limit_reports_gap(self, monkeypatch):
+    def test_cut_limit_reports_gap(self, monkeypatch, no_polish):
         # starved of cuts, the solver must return its best iterate honestly
         monkeypatch.setattr(socp_module, "MAX_CUTS", 1)
         res = solve_norm_augmented(segment_lp(), 1.0, np.eye(2))
@@ -176,9 +181,9 @@ def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
         added.append((np.array(g[:-1]), sol))
         return sol
 
-    monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
-    res = solve_norm_augmented(lp, radius, M)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module._Simplex, "add_inequality", record)
+        res = solve_norm_augmented(lp, radius, M)
     assert len(added) == res.cuts
     if added:
         warm = added[-1][1]
@@ -190,6 +195,7 @@ def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
     return res
 
 
+@pytest.mark.usefixtures("no_polish")
 class TestWarmMaster:
     @pytest.mark.parametrize("seed", [2, 3, 8])
     def test_final_master_matches_cold_solve(self, seed, monkeypatch):
@@ -340,11 +346,20 @@ def lp_violation(lp, x):
 
 
 class TestOptimality:
-    """The returned x may be an in-out separation point rather than a master
-    vertex, so it is checked against the LP and a local optimizer alone."""
+    """The returned x may be a polished point or an in-out separation point
+    rather than a master vertex, so it is checked against the LP and a local
+    optimizer alone."""
 
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_seeded_days_are_optimal(self, radius):
+        self.check_seeded_days(radius, polish=True)
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_seeded_days_are_optimal_without_polish(self, radius, no_polish):
+        self.check_seeded_days(radius, polish=False)
+
+    @staticmethod
+    def check_seeded_days(radius, polish):
         minimize = pytest.importorskip("scipy.optimize").minimize
         rng = np.random.default_rng(7)
         separation_points = 0
@@ -354,6 +369,7 @@ class TestOptimality:
             M = totals_map(sc, var_index)
             res = solve_norm_augmented(lp, radius, M)
             assert res.status is NormAugmentedStatus.OPTIMAL
+            assert res.polished is polish
             x = res.x
             separation_points += not np.array_equal(x, res.lp_solution.x[: lp.num_vars])
 
@@ -381,4 +397,156 @@ class TestOptimality:
                               options={"ftol": 1e-14, "maxiter": 500})
             assert lp_violation(lp, oracle.x) <= FEASIBILITY_TOL
             assert f(oracle.x) >= res.objective - tol
-        assert separation_points > 0
+        if not polish:
+            assert separation_points > 0
+
+
+class TestCertify:
+    """`certify` takes a point and multipliers alone, so it can be fed
+    anything; whatever it is fed, a bound it returns is valid or fails."""
+
+    @staticmethod
+    def passes(bounds):
+        upper, lower, residual = bounds
+        return residual <= FEASIBILITY_TOL and _converged(upper, lower)
+
+    def test_segment_optimum_certifies(self):
+        # w = (3, 3): u = w / ||w||, and the row's multiplier cancels the rest
+        u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        nu = np.array([-1.0 - 1.0 / np.sqrt(2.0)])
+        upper, lower, residual = certify(segment_lp(), np.eye(2), 1.0, np.array([3.0, 3.0]),
+                                         np.zeros(0), nu, u)
+        assert residual == 0.0
+        assert upper == pytest.approx(6.0 + 3.0 * np.sqrt(2.0), rel=1e-15)
+        assert lower == pytest.approx(upper, rel=1e-15)
+
+    def test_nan_point_fails_closed(self):
+        lp = segment_lp()
+        u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        nu = np.array([-1.0 - 1.0 / np.sqrt(2.0)])
+        for x in ([np.nan, 3.0], [3.0, np.nan]):
+            upper, _, residual = bounds = certify(lp, np.eye(2), 1.0, np.array(x),
+                                                  np.zeros(0), nu, u)
+            assert np.isnan(upper) and np.isnan(residual)
+            assert not self.passes(bounds)
+        # a NaN multiplier or direction makes the lower bound NaN
+        for nu_bad, u_bad in ((np.array([np.nan]), u), (nu, np.array([np.nan, 0.0]))):
+            bounds = certify(lp, np.eye(2), 1.0, np.array([3.0, 3.0]), np.zeros(0),
+                             nu_bad, u_bad)
+            assert np.isnan(bounds[1]) and not self.passes(bounds)
+
+    def test_negative_multiplier_is_clipped(self):
+        # min x0 + x1 s.t. x0 + x1 >= 2 (as -x0 - x1 <= -2): lam = 1 certifies
+        lp = LinearProgram(c=[1.0, 1.0], G=[[-1.0, -1.0], [1.0, 0.0]], h=[-2.0, 5.0])
+        x = np.array([2.0, 0.0])
+        ok = certify(lp, np.eye(2), 0.0, x, np.array([1.0, 0.0]), np.zeros(0), np.zeros(2))
+        clipped = certify(lp, np.eye(2), 0.0, x, np.array([1.0, -3.0]), np.zeros(0),
+                          np.zeros(2))
+        assert ok == clipped == (2.0, 2.0, 0.0)
+
+    def test_long_direction_is_scaled_to_unit_length(self):
+        lp = segment_lp()
+        x = np.array([3.0, 3.0])
+        nu = np.array([-1.0 - 1.0 / np.sqrt(2.0)])
+        unit = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        long = certify(lp, np.eye(2), 1.0, x, np.zeros(0), nu, 3.0 * unit)
+        assert long[1] == pytest.approx(certify(lp, np.eye(2), 1.0, x, np.zeros(0), nu,
+                                                unit)[1], rel=1e-15)
+        assert self.passes(long)
+
+    def test_infinite_upper_bound_with_negative_reduced_cost_fails(self):
+        # min -x0 + x1 s.t. x0 + x1 <= 4, x >= 0 (no upper bounds): lam = 1
+        # certifies -4; lam = 0 leaves d0 = -1 against up = inf
+        lp = LinearProgram(c=[-1.0, 1.0], G=[[1.0, 1.0]], h=[4.0])
+        x = np.array([4.0, 0.0])
+        good = certify(lp, np.zeros((1, 2)), 0.0, x, np.array([1.0]), np.zeros(0),
+                       np.zeros(1))
+        assert good == (-4.0, -4.0, 0.0)
+        bad = certify(lp, np.zeros((1, 2)), 0.0, x, np.array([0.0]), np.zeros(0),
+                      np.zeros(1))
+        assert bad[1] == -np.inf and not self.passes(bad)
+
+    def test_infeasible_point_reports_its_residual(self):
+        lp = segment_lp()
+        bounds = certify(lp, np.eye(2), 1.0, np.array([3.0, 4.0]), np.zeros(0),
+                         np.array([-1.0 - 1.0 / np.sqrt(2.0)]),
+                         np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert bounds[2] == 1.0 and not self.passes(bounds)
+        bounds = certify(lp, np.eye(2), 1.0, np.array([-1.0, 7.0]), np.zeros(0),
+                         np.zeros(1), np.zeros(2))
+        assert bounds[2] == 1.0
+
+    def test_lp_duals_give_the_simplex_dual_objective(self):
+        # at weight 0 the bound is the LP dual objective, to rounding
+        for k, sc in enumerate(random_batch(3, 40)):
+            lp, var_index = scheduling_lp(sc)
+            sol = solve_lp(lp)
+            M = totals_map(sc, var_index)
+            upper, lower, residual = certify(lp, M, 0.0, sol.x, sol.dual_ineq, sol.dual_eq,
+                                             np.zeros(M.shape[0]))
+            assert upper == sol.objective_value
+            assert residual == sol.max_residual
+            assert abs(lower - sol.dual_objective) <= 1e-15 * max(1.0, abs(sol.dual_objective)), k
+
+
+class TestPolish:
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_full_size_days_certify_at_the_first_master(self, radius):
+        # T=24 days of up to 20 vehicles: Kelley's cuts alone stop at the
+        # cut limit on some of them at radius 2
+        for sc in random_batch(5, 6):
+            lp, var_index = scheduling_lp(sc)
+            res = solve_norm_augmented(lp, radius, totals_map(sc, var_index),
+                                       start=least_cost_start(sc, var_index))
+            assert (res.status, res.polished, res.cuts) == (NormAugmentedStatus.OPTIMAL,
+                                                            True, 0)
+            assert 0.0 <= res.gap <= max(GAP_ABS_TOL, GAP_REL_TOL * abs(res.objective))
+
+    def test_polished_objective_is_not_above_kelley(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for k in range(8):
+            sc = random_scenario(rng, horizon_steps=6, max_vehicles=3, scenario_id=f"d{k}")
+            lp, var_index = scheduling_lp(sc)
+            M = totals_map(sc, var_index)
+            polished = solve_norm_augmented(lp, 2.0, M)
+            with monkeypatch.context() as patch:
+                patch.setattr(socp_module, "_polish", lambda *args: None)
+                kelley = solve_norm_augmented(lp, 2.0, M)
+            assert polished.polished and not kelley.polished
+            assert kelley.cuts > polished.cuts
+            tol = max(GAP_ABS_TOL, GAP_REL_TOL * abs(kelley.objective))
+            assert polished.objective <= kelley.objective + tol
+            assert polished.lower_bound >= kelley.lower_bound - tol
+
+    def test_polish_runs_only_on_a_new_face(self, monkeypatch):
+        # a polish that always fails is tried at the first master and then
+        # only where the master's face has changed
+        faces = []
+        real_face = socp_module._face
+
+        def record(*args):
+            face = real_face(*args)
+            faces.append(face.tobytes())
+            return face
+
+        calls = []
+        monkeypatch.setattr(socp_module, "_face", record)
+        monkeypatch.setattr(socp_module, "_polish", lambda lp, w, M, sol, face:
+                            calls.append(face.tobytes()))
+        lp, M = robust_day(39)
+        res = socp_module.solve_norm_augmented(lp, 2.0, M)
+        assert not res.polished and res.cuts == 61
+        assert calls[0] == faces[0]
+        assert len(calls) == 1 + sum(a != b for a, b in zip(faces, faces[1:]))
+        assert 1 < len(calls) < len(faces)
+
+    def test_weight_zero_never_polishes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("polished at weight 0")
+
+        monkeypatch.setattr(socp_module, "_polish", refuse)
+        monkeypatch.setattr(socp_module, "_face", refuse)
+        for sc in random_batch(2, 10):
+            lp, var_index = scheduling_lp(sc)
+            res = solve_norm_augmented(lp, 0.0, totals_map(sc, var_index))
+            assert (res.cuts, res.polished, res.gap) == (0, False, 0.0)
