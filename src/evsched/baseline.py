@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Method, Scenario, Schedule
+from .model import Method, Scenario, Schedule, greedy_fill
 
 
 @dataclass
@@ -30,27 +30,18 @@ class FcfsResult:
 def fcfs_with_report(scenario: Scenario) -> FcfsResult:
     T, n = scenario.horizon_steps, scenario.num_vehicles
     occ = scenario.occupancy
+    # service order: arrival step, then vehicle index (a vehicle never
+    # present has no pair to serve, so its place does not matter)
+    queue = np.argsort(occ.argmax(axis=0), kind="stable")
+    # the pairs served, step by step, in service order within a step
+    steps, place = np.nonzero(occ[:, queue])
+    vehicles = queue[place]
+    remaining = scenario.load.tolist()
+    fills, _ = greedy_fill(steps.tolist(), vehicles.tolist(),
+                           scenario.socket_limit.tolist(), scenario.capacity.tolist(),
+                           remaining)
     x = np.zeros((T, n))
-    # the loop works on Python floats, which are cheaper than numpy scalars
-    remaining = scenario.load.astype(float).tolist()
-    capacity = scenario.capacity.tolist()
-    socket_limit = scenario.socket_limit.tolist()
-
-    # service order: arrival step, then vehicle index
-    arrivals = np.where(occ.any(axis=0), occ.argmax(axis=0), T)
-    queue = np.lexsort((np.arange(n), arrivals))
-
-    for t in range(T):
-        budget = capacity[t]
-        socket = socket_limit[t]
-        for i in queue[occ[t, queue] == 1].tolist():
-            give = min(socket, remaining[i], budget)
-            if give <= 0.0:
-                continue
-            x[t, i] = give
-            remaining[i] -= give
-            budget -= give
-
+    x[steps, vehicles] = fills
     schedule = Schedule(
         allocation=x, method=Method.FCFS, scenario_id=scenario.scenario_id
     )

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable
@@ -60,7 +60,7 @@ class MidnightPolicy(str, Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots make the one per row cheaper to build
 class SessionRecord:
     session_id: str
     arrival: datetime
@@ -137,6 +137,10 @@ def _header_index(header: list[str], required: tuple[str, ...]) -> dict[str, int
     return index
 
 
+def _blank(row: list[str]) -> bool:
+    return all(not cell.strip() for cell in row)
+
+
 def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
     """Read session records in file order; bad rows raise MalformedRow
     with their line number.  Timestamps with and without a UTC offset
@@ -146,18 +150,19 @@ def parse_sessions(stream: IO[str]) -> list[SessionRecord]:
         header = next(rows)
     except StopIteration:
         raise MissingColumn("session_id") from None
-    idx = _header_index(header, ("session_id", "arrival", "departure", "energy_kwh"))
+    c_sid, c_arr, c_dep, c_energy = _header_index(
+        header, ("session_id", "arrival", "departure", "energy_kwh")).values()
     records: list[SessionRecord] = []
     naive = None  # whether the file's timestamps lack a UTC offset
     for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
         try:
-            sid = row[idx["session_id"]].strip()
-            arrival = datetime.fromisoformat(row[idx["arrival"]].strip())
-            departure = datetime.fromisoformat(row[idx["departure"]].strip())
-            energy = float(row[idx["energy_kwh"]].strip())
+            sid = row[c_sid].strip()
+            arrival = datetime.fromisoformat(row[c_arr].strip())
+            departure = datetime.fromisoformat(row[c_dep].strip())
+            energy = float(row[c_energy].strip())
         except (IndexError, ValueError) as exc:
+            if _blank(row):  # a blank row has no timestamp to parse
+                continue
             raise MalformedRow(line_no, f"unparseable row: {exc}") from None
         if not math.isfinite(energy):
             raise MalformedRow(line_no, f"non-finite energy {energy}")
@@ -182,17 +187,20 @@ def parse_prices(stream: IO[str], unit: PriceUnit = PriceUnit.PER_KWH) -> PriceS
         header = next(rows)
     except StopIteration:
         raise MissingColumn("date") from None
-    idx = _header_index(header, ("date", "hour", "price"))
+    c_date, c_hour, c_price = _header_index(header, ("date", "hour", "price")).values()
     series = PriceSeries()
     scale = 1e-3 if unit is PriceUnit.PER_MWH else 1.0
+    days: dict[str, date] = {}  # each date string is parsed once
     for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
         try:
-            day = date.fromisoformat(row[idx["date"]].strip())
-            hour = int(row[idx["hour"]].strip())
-            price = float(row[idx["price"]].strip())
+            day = days.get(row[c_date])
+            if day is None:
+                day = days[row[c_date]] = date.fromisoformat(row[c_date].strip())
+            hour = int(row[c_hour].strip())
+            price = float(row[c_price].strip())
         except (IndexError, ValueError) as exc:
+            if _blank(row):  # a blank row has no date to parse
+                continue
             raise MalformedRow(line_no, f"unparseable row: {exc}") from None
         if not 0 <= hour <= 23:
             raise MalformedRow(line_no, f"hour {hour} outside 0..23")
@@ -202,18 +210,19 @@ def parse_prices(stream: IO[str], unit: PriceUnit = PriceUnit.PER_KWH) -> PriceS
     return series
 
 
-def _hours_since_midnight(ts: datetime, midnight_of: date) -> float:
-    base = datetime.combine(midnight_of, datetime.min.time(), tzinfo=ts.tzinfo)
-    return (ts - base).total_seconds() / 3600.0
-
-
 def _step_window(
     record: SessionRecord, cfg: IngestConfig
 ) -> tuple[int, int] | str:
     """1-based (arrival, departure) steps, or a reason string for exclusion."""
     T, delta = cfg.horizon_steps, cfg.step_hours
-    arr_h = _hours_since_midnight(record.arrival, record.arrival.date())
-    dep_h = _hours_since_midnight(record.departure, record.arrival.date())
+    # hours since the arrival day's midnight, each on its own timestamp's
+    # clock (timestamps with one tzinfo subtract as wall-clock times)
+    day, tz = record.arrival.date(), record.arrival.tzinfo
+    midnight = datetime.combine(day, time(), tzinfo=tz)
+    arr_h = (record.arrival - midnight).total_seconds() / 3600.0
+    if record.departure.tzinfo is not tz:
+        midnight = datetime.combine(day, time(), tzinfo=record.departure.tzinfo)
+    dep_h = (record.departure - midnight).total_seconds() / 3600.0
     a = int(math.floor(arr_h / delta)) + 1
     if a > T:
         return f"arrival at hour {arr_h:.2f} is after the {T * delta:.0f}h horizon"
@@ -255,10 +264,11 @@ def build_scenarios(
     result = ScenarioBuildResult(scenarios=[])
     for day in sorted(by_day):
         dates = {offset: day + timedelta(days=offset) for offset in hours_on}
-        missing = [f"missing prices for {f'{dates[offset]} ' if offset else ''}hours {gap}"
-                   for offset, hours in hours_on.items()
-                   if (gap := prices.missing_hours(dates[offset], hours))]
-        if missing:
+        pi = [prices.get(dates[offset], hour) for offset, hour in needed]
+        if None in pi:
+            missing = [f"missing prices for {f'{dates[offset]} ' if offset else ''}hours {gap}"
+                       for offset, hours in hours_on.items()
+                       if (gap := prices.missing_hours(dates[offset], hours))]
             result.skipped_days.append((day, "; ".join(missing)))
             continue
         group = sorted(by_day[day], key=lambda r: (r.arrival, r.session_id))
@@ -273,8 +283,6 @@ def build_scenarios(
             energies.append(rec.energy_kwh)
         if not windows:
             continue
-        pi = np.array([prices.get(dates[offset], hour) for offset, hour in needed],
-                      dtype=float)
         scenario = Scenario(
             horizon_steps=cfg.horizon_steps,
             step_hours=cfg.step_hours,
@@ -283,7 +291,7 @@ def build_scenarios(
             capacity=cfg.capacity,
             socket_limit=cfg.socket_limit,
             waste=cfg.waste,
-            prices=pi,
+            prices=np.array(pi, dtype=float),
             scenario_id=day.isoformat(),
         )
         result.scenarios.append(scenario)

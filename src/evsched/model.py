@@ -38,6 +38,11 @@ class Method(str, Enum):
     FCFS = "fcfs"
 
 
+# A scenario's per-step vectors, in the order they are checked; prices go
+# last, as the one that may be negative.
+_PER_STEP = ("capacity", "socket_limit", "waste", "prices")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
@@ -73,7 +78,7 @@ class Scenario:
         occ = np.asarray(self.occupancy)
         if occ.ndim != 2 or occ.shape[0] != T:
             raise ValueError(f"occupancy must be {T} x N, got shape {occ.shape}")
-        if not np.isin(occ, (0, 1)).all():
+        if not ((occ == 0) | (occ == 1)).all():
             raise ValueError("occupancy must be binary")
         occ = np.ascontiguousarray(occ, dtype=np.uint8)
         occ.setflags(write=False)
@@ -85,21 +90,31 @@ class Scenario:
         if load.shape != (n,):
             raise ValueError(f"load must have length {n}, got {load.shape}")
         object.__setattr__(self, "load", load)
-        for name in ("capacity", "socket_limit", "waste", "prices"):
+        # the per-step vectors are the rows of one read-only block
+        per_step = np.empty((len(_PER_STEP), T))
+        for k, name in enumerate(_PER_STEP):
             vec = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if vec.size == 1:
-                vec = np.full(T, float(vec[0]))
-            if vec.shape != (T,):
+                per_step[k] = float(vec[0])
+            elif vec.shape == (T,):
+                per_step[k] = vec
+            else:
                 raise ValueError(f"{name} must have length {T}, got {vec.shape}")
-            object.__setattr__(self, name, _freeze(vec))
-        for name in ("load", "capacity", "socket_limit", "waste", "prices"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+        per_step.setflags(write=False)
+        for name, row in zip(_PER_STEP, per_step):
+            object.__setattr__(self, name, row)
+        # one pass per rule; only a rule that fails looks for the first
+        # vector that breaks it
+        if not (np.isfinite(load).all() and np.isfinite(per_step).all()):
+            for name in ("load",) + _PER_STEP:
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} must be finite")
         if (load < 0).any():
             raise ValueError("load must be nonnegative")
-        for name in ("capacity", "socket_limit", "waste"):
-            if (getattr(self, name) < 0).any():
-                raise ValueError(f"{name} must be nonnegative")
+        if (per_step[:-1] < 0).any():  # every vector but prices
+            for name in _PER_STEP[:-1]:
+                if (getattr(self, name) < 0).any():
+                    raise ValueError(f"{name} must be nonnegative")
         # Every column must be one contiguous presence interval, and a
         # vehicle with positive demand must be present at least once.
         count = occ.sum(axis=0, dtype=int)
@@ -121,6 +136,38 @@ class Scenario:
         if rows.size == 0:
             return None
         return int(rows[0]) + 1, int(rows[-1]) + 1
+
+
+def greedy_fill(
+    steps: list[int],
+    vehicles: list[int],
+    socket: list[float],
+    budget: list[float],
+    unmet: list[float],
+) -> tuple[list[float], list[tuple[int, bool]]]:
+    """Fill the (step, vehicle) pairs in the order given, each by the least
+    of the socket limit at its step, its vehicle's unmet demand and its
+    step's budget left, drawing `unmet` and `budget` down in place.  FCFS
+    and the LP's least-cost start are this fill in two orders.
+
+    Returns each pair's fill (0.0 where nothing fits) and, for each fill
+    cut short of the socket limit, its position and whether it emptied its
+    step's budget (else it met its vehicle's demand)."""
+    fills = [0.0] * len(steps)
+    short: list[tuple[int, bool]] = []
+    for p, (t, i) in enumerate(zip(steps, vehicles)):
+        # min(limit, unmet[i], budget[t]), the first of equals, without the call
+        limit = socket[t]
+        fill = unmet[i] if unmet[i] < limit else limit
+        if budget[t] < fill:
+            fill = budget[t]
+        if fill > 0.0:
+            if fill < limit:
+                short.append((p, fill == budget[t]))
+            unmet[i] -= fill
+            budget[t] -= fill
+            fills[p] = fill
+    return fills, short
 
 
 def occupancy_from_windows(
@@ -215,8 +262,9 @@ def evaluate_cost(schedule: Schedule, scenario: Scenario) -> CostBreakdown:
     per_step = scenario.prices * (1.0 + scenario.waste) * step_power * delta
     delivered = float(y.sum() * delta)
     wasted = float((scenario.waste * y.sum(axis=1) * delta).sum())
+    per_step.setflags(write=False)
     return CostBreakdown(
-        per_step_cost=_freeze(per_step),
+        per_step_cost=per_step,
         total_cost=float(per_step.sum()),
         total_energy_delivered=delivered,
         total_energy_wasted=wasted,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Method, Scenario, Schedule
+from .model import Method, Scenario, Schedule, greedy_fill
 from .solver import BasisStart, Infeasible, LinearProgram
 from .solver.lp import _Simplex
 
@@ -132,23 +132,16 @@ def least_cost_start(
     """
     steps, vehicles = var_index
     n = scenario.num_vehicles
-    socket = scenario.socket_limit.tolist()
-    budget = scenario.capacity.tolist()
-    unmet = scenario.load.tolist()
-    step_of, vehicle_of = steps.tolist(), vehicles.tolist()
-    x = np.zeros(steps.size)
-    basic = np.full(n + scenario.horizon_steps, -1)
     # vehicle-major, cheapest first; lexsort is stable, so ties keep step order
-    for k in np.lexsort((_unit_cost(scenario)[steps], vehicles)).tolist():
-        i, t = vehicle_of[k], step_of[k]
-        fill = min(socket[t], unmet[i], budget[t])
-        if fill <= 0.0:
-            continue
-        x[k] = fill
-        if fill < socket[t]:  # cut short: basic in the row that cut it
-            basic[n + t if fill == budget[t] else i] = k
-        unmet[i] -= fill
-        budget[t] -= fill
+    order = np.lexsort((_unit_cost(scenario)[steps], vehicles))
+    step_of, vehicle_of = steps[order].tolist(), vehicles[order].tolist()
+    fills, short = greedy_fill(step_of, vehicle_of, scenario.socket_limit.tolist(),
+                               scenario.capacity.tolist(), scenario.load.tolist())
+    x = np.empty(order.size)
+    x[order] = fills
+    basic = np.full(n + scenario.horizon_steps, -1)
+    for p, emptied in short:  # cut short: basic in the row that cut it
+        basic[n + step_of[p] if emptied else vehicle_of[p]] = order[p]
     return BasisStart(x, basic)
 
 

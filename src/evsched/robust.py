@@ -92,8 +92,10 @@ def solve(
     elif method is Method.ROBUST_LOAD:
         scenario = replace(scenario, load=scenario.load * load_scale)
     lp, var_index = scheduling_lp(scenario)
+    # at radius 0 the norm has no weight, so it gets a map with no rows
+    norm_map = totals_map(scenario, var_index) if radius else np.empty((0, lp.num_vars))
     try:
-        result = solve_norm_augmented(lp, radius, totals_map(scenario, var_index),
+        result = solve_norm_augmented(lp, radius, norm_map,
                                       start=least_cost_start(scenario, var_index))
     except Infeasible as exc:
         raise InfeasibleScenario(scenario.scenario_id,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +227,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _values(row) -> tuple:
+    """A report row's field values in order: `dataclasses.astuple` without
+    its deep copy of each value, which scalars do not need."""
+    return tuple(getattr(row, f.name) for f in fields(row))
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     with path.open("w", newline="", encoding="utf-8") as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -236,11 +242,11 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def write_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
-    _write_csv(Path(path), COMPARISON_HEADER, [astuple(r) for r in rows])
+    _write_csv(Path(path), COMPARISON_HEADER, [_values(r) for r in rows])
 
 
 def write_summary_csv(summary: list[SummaryRow], path: str | Path) -> None:
-    _write_csv(Path(path), SUMMARY_HEADER, [astuple(r) for r in summary])
+    _write_csv(Path(path), SUMMARY_HEADER, [_values(r) for r in summary])
 
 
 def write_summary_json(

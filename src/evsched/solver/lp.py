@@ -249,8 +249,10 @@ class _Simplex:
         self.n_struct = n
         self.m_eq = m_eq
         self.m = m_eq + m_ineq
-        self.A = np.vstack([np.hstack([lp.E, np.zeros((m_eq, m_ineq))]),
-                            np.hstack([lp.G, np.eye(m_ineq)])])
+        self.A = np.zeros((self.m, n + m_ineq))
+        self.A[:m_eq, :n] = lp.E
+        self.A[m_eq:, :n] = lp.G
+        self.A[m_eq:, n:].flat[:: m_ineq + 1] = 1.0  # the slacks' identity block
         self.rhs = np.concatenate([lp.b, lp.h])
         self.lo = np.concatenate([lp.lo, np.zeros(m_ineq)])
         self.up = np.concatenate([lp.up, np.full(m_ineq, np.inf)])
@@ -283,12 +285,11 @@ class _Simplex:
             self.values[:n] = x
 
         residual = self.rhs - self.A @ self.values
-        rows = np.arange(m)
-        slack_ok = (rows >= self.m_eq) & (residual >= 0.0)
+        slack_ok = residual >= 0.0
+        slack_ok[: self.m_eq] = False  # an equality row has no slack
         art_rows = np.flatnonzero((named < 0) & ~slack_ok)
         self.n_art = art_rows.size
-        self.basis = np.where(named >= 0, named,
-                              np.where(slack_ok, self.n_struct - self.m_eq + rows, 0))
+        self.basis = np.where(named >= 0, named, n - self.m_eq + np.arange(m))
         self.basis[art_rows] = self.n_total + np.arange(self.n_art)
         if self.n_art:
             art_block = np.zeros((m, self.n_art))
@@ -419,14 +420,19 @@ class _Simplex:
         self.B_inv[rows] -= w[rows, None] * pivot_row
         self.B_inv[row] = pivot_row
 
-    def run_phase(self, c_work: np.ndarray):
+    def run_phase(self, c_work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primal simplex on the costs `c_work` from a primal feasible
-        basis, until no column prices out.  Raises NumericalFailure
-        when the entering column can move without end: the programs this
-        module solves are bounded below, so an unbounded ray is a fault."""
+        basis, until no column prices out; returns that last pricing, the
+        (y, d) of `reduced_costs`.  Raises NumericalFailure when the
+        entering column can move without end: the programs this module
+        solves are bounded below, so an unbounded ray is a fault."""
+
+        priced = None
 
         def step(bland):
-            _, d = self.reduced_costs(c_work)
+            nonlocal priced
+            priced = self.reduced_costs(c_work)
+            d = priced[1]
             j = self.choose_entering(d, bland)
             if j < 0:
                 return None
@@ -440,6 +446,7 @@ class _Simplex:
             return t
 
         self._pivot_loop(step)
+        return priced
 
     # -- phases ------------------------------------------------------------
 
@@ -447,10 +454,11 @@ class _Simplex:
         """Phase one from `start`, then phase two and the certificate."""
         self.build_initial_basis(start)
         self.phase_one()
-        self.run_phase(self.cost)
-        if self.stats.pivots != self.factored_at:  # else the inverse is fresh
-            self.refactorize()
-        return self._certify()
+        priced = self.run_phase(self.cost)
+        if self.stats.pivots != self.factored_at:  # else the inverse is fresh,
+            self.refactorize()  # and phase two's last pricing was made on it
+            priced = None
+        return self._certify(priced)
 
     def phase_one(self):
         """Minimize the artificial sum from the current basis, and set the
@@ -579,7 +587,9 @@ class _Simplex:
         cand = ((room > _PIVOT_TOL) & (self.lo < self.up)).nonzero()[0]
         mag = room[cand]
         span = (self.up[cand] - self.lo[cand]) * mag
-        ratios = np.maximum(d[cand] / alpha[cand], 0.0)
+        # a quotient past the float range is a breakpoint at infinity
+        with np.errstate(over="ignore"):
+            ratios = np.maximum(d[cand] / alpha[cand], 0.0)
         # how much of the excess the breakpoints take up, in order (stable,
         # so index order breaks the last ties)
         order = np.lexsort((-mag, ratios))
@@ -656,13 +666,13 @@ class _Simplex:
 
     # -- certification ------------------------------------------------------
 
-    def _certify(self) -> LpSolution:
-        sol, failure = self._certificate()
+    def _certify(self, priced=None) -> LpSolution:
+        sol, failure = self._certificate(priced)
         if failure is not None:
             raise NumericalFailure(failure)
         return sol
 
-    def _certificate(self) -> tuple[LpSolution, str | None]:
+    def _certificate(self, priced=None) -> tuple[LpSolution, str | None]:
         """The solution at the current basis with its dual certificate, and
         why the certificate fails, or None when it passes: a primal residual
         above FEASIBILITY_TOL, a duality gap above DUALITY_GAP_TOL relative, an
@@ -670,7 +680,9 @@ class _Simplex:
         reduced cost no active bound's multiplier absorbs (a [0, inf)
         column priced below zero), the last two beyond _DUAL_TOL relative.
         The gap alone misses those two: a tight row or a column at its
-        bound adds nothing to it whatever the multiplier's sign."""
+        bound adds nothing to it whatever the multiplier's sign.  `priced`
+        is the reduced_costs of self.cost at the current basis and inverse,
+        when the caller has them, or None."""
         lp = self.lp
         n = self.n_struct
         x = np.clip(self.values[:n], lp.lo, lp.up)
@@ -680,7 +692,7 @@ class _Simplex:
         row_resid[:m_eq] = np.abs(row_resid[:m_eq])
         resid = float(row_resid.max(initial=0.0))
 
-        y, d = self.reduced_costs(self.cost)
+        y, d = priced or self.reduced_costs(self.cost)
         lam = -y[m_eq:]
         nu = -y[:m_eq]
         d_struct = d[:n]

@@ -106,7 +106,6 @@ class NormAugmentedResult:
     status: NormAugmentedStatus
     x: np.ndarray
     objective: float  # linear part + weight * norm at x
-    norm_value: float
     lower_bound: float
     gap: float
     cuts: int
@@ -155,7 +154,7 @@ def solve_norm_augmented(
         start = BasisStart(np.append(start.x, 0.0), start.basic)
     sol = master.solve(start)
     dirs = np.empty((MAX_CUTS, M.shape[0]))
-    best_obj = math.inf  # best_*: the least upper bound, its point, norm and master
+    best_obj = math.inf  # best_*: the least upper bound, its point and master
     lower = -math.inf
     tried = None  # the face of the last polish
 
@@ -165,7 +164,7 @@ def solve_norm_augmented(
         obj, nv, v = _evaluate(lp, weight, M, x)
         at_master = obj < best_obj
         if at_master:
-            best_obj, best_x, best_nv, best_sol = obj, x, nv, sol
+            best_obj, best_x, best_sol = obj, x, sol
         converged = _converged(best_obj, lower)
         if converged:
             break
@@ -178,9 +177,8 @@ def solve_norm_augmented(
                 x, upper, bound, certificate = polish
                 return NormAugmentedResult(
                     status=NormAugmentedStatus.OPTIMAL, x=x, objective=upper,
-                    norm_value=float(np.linalg.norm(M @ x)), lower_bound=bound,
-                    gap=upper - bound, cuts=k, stats=master.stats, lp_solution=sol,
-                    polished=True, certificate=certificate)
+                    lower_bound=bound, gap=upper - bound, cuts=k, stats=master.stats,
+                    lp_solution=sol, polished=True, certificate=certificate)
         if k == MAX_CUTS:
             break
         u = None
@@ -190,7 +188,7 @@ def solve_norm_augmented(
             xs = best_x + IN_OUT_ALPHA * (x - best_x)
             obj_s, nv_s, v_s = _evaluate(lp, weight, M, xs)
             if obj_s < best_obj:
-                best_obj, best_x, best_nv, best_sol = obj_s, xs, nv_s, sol
+                best_obj, best_x, best_sol = obj_s, xs, sol
                 converged = _converged(best_obj, lower)
                 if converged:
                     break
@@ -212,7 +210,7 @@ def solve_norm_augmented(
 
     return NormAugmentedResult(
         status=NormAugmentedStatus.OPTIMAL if converged else NormAugmentedStatus.CUT_LIMIT,
-        x=best_x, objective=best_obj, norm_value=best_nv, lower_bound=lower,
+        x=best_x, objective=best_obj, lower_bound=lower,
         gap=float(best_obj - lower), cuts=k, stats=master.stats, lp_solution=best_sol,
         polished=False, certificate=_master_certificate(lp, weight, sol, dirs[:k]))
 

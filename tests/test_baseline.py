@@ -5,7 +5,7 @@ import pytest
 
 from evsched import evaluate_cost, fcfs_schedule, fcfs_with_report, validate_schedule
 from evsched.model import ViolationKind
-from evsched.synth import random_scenario
+from evsched.synth import random_batch, random_scenario
 
 from conftest import make_scenario
 
@@ -117,3 +117,62 @@ class TestProperties:
         assert result.shortfall == pytest.approx(
             sc.load - result.schedule.allocation.sum(axis=0), abs=1e-9
         )
+
+
+def fcfs_reference(sc):
+    """FCFS as a plain per-step loop: at each step the vehicles present are
+    served in arrival order (ties by index), each by the least of the socket
+    limit, its unmet demand and the budget left."""
+    T, n = sc.horizon_steps, sc.num_vehicles
+    occ = sc.occupancy
+    x = np.zeros((T, n))
+    remaining = sc.load.astype(float).tolist()
+    capacity = sc.capacity.tolist()
+    socket_limit = sc.socket_limit.tolist()
+    arrivals = np.where(occ.any(axis=0), occ.argmax(axis=0), T)
+    queue = np.lexsort((np.arange(n), arrivals))
+    for t in range(T):
+        budget = capacity[t]
+        socket = socket_limit[t]
+        for i in queue[occ[t, queue] == 1].tolist():
+            give = min(socket, remaining[i], budget)
+            if give <= 0.0:
+                continue
+            x[t, i] = give
+            remaining[i] -= give
+            budget -= give
+    return x, np.maximum(np.array(remaining), 0.0)
+
+
+class TestAgainstReferenceLoop:
+    """fcfs_with_report equals the reference loop bit for bit."""
+
+    def assert_same(self, days):
+        for sc in days:
+            result = fcfs_with_report(sc)
+            x, shortfall = fcfs_reference(sc)
+            assert result.schedule.allocation.tobytes() == x.tobytes(), sc.scenario_id
+            assert result.shortfall.tobytes() == shortfall.tobytes(), sc.scenario_id
+
+    def test_default_capacity(self):
+        self.assert_same(random_batch(41, 60))
+
+    def test_binding_capacity(self):
+        days = random_batch(42, 60, capacity=10.0)
+        assert sum(not fcfs_with_report(sc).fully_served for sc in days) > 10
+        self.assert_same(days)
+
+    def test_arrival_ties(self):
+        # three steps and up to eight vehicles: most arrivals tie
+        self.assert_same(random_batch(43, 60, horizon_steps=3, max_vehicles=8,
+                                      capacity=12.0))
+
+    def test_half_hour_steps(self):
+        self.assert_same(random_batch(44, 30, horizon_steps=48, step_hours=0.5,
+                                      capacity=20.0))
+
+    def test_zero_budget_demand_and_absent_vehicles(self):
+        sc = make_scenario([(1, 3), None, (2, 3), (1, 1), (2, 2)],
+                           [9.0, 0.0, 0.0, 3.0, 8.0], [1.0, 1.0, 1.0],
+                           capacity=[5.0, 0.0, 7.0], socket=[7.0, 7.0, 2.0])
+        self.assert_same([sc])

@@ -528,6 +528,43 @@ class TestSimulateCommand:
         assert sorted(p.name for p in out.glob("fig*_*.csv")) == sorted(
             name for name in digests if name.startswith("fig"))
 
+    # sha256 of the reports of `simulate --sessions/--prices` on the 30-day
+    # corpus of write_synthetic_corpus(days=30, seed=9), nominal: the ingest
+    # path, which the synthetic runs above skip.  At the default 300 kW no
+    # budget binds; at 30 kW FCFS falls short on 9 days and the simplex
+    # pivots on 22.  Taken with BLAS on one thread, like the digests above.
+    CSV_DIGESTS = {
+        "300": {
+            "comparison.csv": "31eecc49e1fb72b58fb1131be0dbf9007985523dcabc668dc521062883b4e9fe",
+            "summary.csv": "aba177f68b0cbf9df1a2ddf91b9b31a1392be3854779907d06dfac3ca6c99768",
+            "fig2_day.csv": "7850395c0c15b05f74482c095fcb2c0b99fcad3c0b0abd96300593deee72caf0",
+            "fig3_scatter.csv": "1785b32e6815fde6ad6e2af5036cf2ef10d81c78ba8fa9fbca5e1e150704cfcb",
+            "fig4_cumulative.csv": "681d1132b99f1aadc23b2581516b23ff7531369df6257e366382c8e6d561d731",
+        },
+        "30": {
+            "comparison.csv": "dcb1cb435fc936348093f45a4bced4de21f0ce4d680740a2180fe04b3d61c2a1",
+            "summary.csv": "2ec1e53626e8094c70ac8a2273cb39060abd063eb1ba2d5b8ea0bdff03c9c315",
+            "fig2_day.csv": "9737fd61651f67d3554ccbf42b62fb497b95dbbdf20637cddfd3a1bd1dea98b2",
+            "fig3_scatter.csv": "f2829f4cef21e36aca2c216634e936766bd6f77d88eaa40135ff138b6810fe76",
+            "fig4_cumulative.csv": "fa45b75e48376336f7769fb9947a380969b4c8177d66d1e0d6b8daa5b93b9756",
+        },
+    }
+
+    @pytest.mark.parametrize("capacity", ["300", "30"])
+    def test_csv_report_bytes_pinned(self, tmp_path, capacity):
+        sessions, prices = tmp_path / "s.csv", tmp_path / "p.csv"
+        write_synthetic_corpus(sessions, prices, days=30, seed=9)
+        out = tmp_path / "r"
+        run_on_one_blas_thread(CLI_MAIN, "simulate", "--sessions", str(sessions),
+                               "--prices", str(prices), "--capacity", capacity,
+                               "--out", str(out))
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.CSV_DIGESTS[capacity]}
+        assert digests == self.CSV_DIGESTS[capacity]
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        short = sum(row.split(",")[6] == "1" for row in rows)
+        assert (len(rows), short) == (30, 0 if capacity == "300" else 9)
+
     def test_corpus_round_trip(self, tmp_path):
         sessions = tmp_path / "s.csv"
         prices = tmp_path / "p.csv"

@@ -45,6 +45,50 @@ class TestScenarioInvariants:
                      load=[1.0, 2.0, 1.0, 2.0], capacity=10.0, socket_limit=7.0,
                      waste=0.0, prices=[1, 1, 1])
 
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+    def test_non_binary_occupancy_rejected(self, value):
+        occ = np.ones((3, 2))
+        occ[1, 1] = value
+        with pytest.raises(ValueError, match="occupancy must be binary"):
+            Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[1.0, 1.0],
+                     capacity=10.0, socket_limit=7.0, waste=0.0, prices=[1, 1, 1])
+
+    @pytest.mark.parametrize("dtype", [bool, float])
+    def test_bool_and_float_occupancy_accepted(self, dtype):
+        occ = np.array([[1, 0], [1, 1], [0, 1]], dtype=dtype)
+        sc = Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[1.0, 1.0],
+                      capacity=10.0, socket_limit=7.0, waste=0.0, prices=[1, 1, 1])
+        assert sc.occupancy.dtype == np.uint8
+        assert sc.occupancy.tolist() == [[1, 0], [1, 1], [0, 1]]
+
+    @pytest.mark.parametrize("bad, message", [
+        # every vector is checked for finiteness before any for its sign,
+        # each rule in the order load, capacity, socket_limit, waste, prices
+        ({"capacity": -1.0, "prices": [np.nan, 1, 1]}, "prices must be finite"),
+        ({"load": [np.inf, -1.0], "waste": -1.0}, "load must be finite"),
+        ({"socket_limit": [7, np.inf, 7], "waste": np.nan}, "socket_limit must be finite"),
+        ({"load": [-1.0, 1.0], "capacity": -1.0}, "load must be nonnegative"),
+        ({"socket_limit": -1.0, "waste": -1.0}, "socket_limit must be nonnegative"),
+        ({"waste": [0, 0, -0.5], "prices": -1.0}, "waste must be nonnegative"),
+        ({"capacity": [1.0, 2.0], "prices": [np.nan]}, "capacity must have length 3"),
+    ])
+    def test_first_broken_rule_reported(self, bad, message):
+        kwargs = dict(horizon_steps=3, step_hours=1.0, occupancy=np.ones((3, 2)),
+                      load=[1.0, 1.0], capacity=10.0, socket_limit=7.0, waste=0.0,
+                      prices=[1, 1, 1])
+        with pytest.raises(ValueError, match=message):
+            Scenario(**{**kwargs, **bad})
+
+    def test_vectors_are_read_only_copies(self):
+        prices = np.array([1.0, 2.0, 3.0])
+        sc = make_scenario([(1, 3)], [1.0], prices, capacity=[5.0, 6.0, 7.0])
+        prices[0] = 9.0
+        assert sc.prices.tolist() == [1.0, 2.0, 3.0]
+        assert sc.capacity.tolist() == [5.0, 6.0, 7.0]
+        for name in ("occupancy", "load", "capacity", "socket_limit", "waste", "prices"):
+            with pytest.raises(ValueError):
+                getattr(sc, name)[0] = 0
+
     def test_zero_demand_empty_window_ok(self):
         occ = np.zeros((3, 1))
         sc = Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[0.0],

@@ -2,6 +2,7 @@
 and the argument checks of the one solve entry point.  Every OPTIMAL
 cutting-plane result a solve here makes must pass `certify`."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestSolve:
         sc = random_scenario(np.random.default_rng(3), horizon_steps=6, num_vehicles=2)
         with pytest.raises(NumericalFailure, match="objective inf"):
             solve(sc, Method.ROBUST_PRICE, radius=1e308)
+
+    def test_huge_radius_converges_without_a_warning(self):
+        # a dual ratio past the float range is a breakpoint at infinity,
+        # not an overflow warning (an error under the suite's filters)
+        sc = random_scenario(np.random.default_rng(4), horizon_steps=6, num_vehicles=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve(sc, Method.ROBUST_PRICE, radius=1e306)
+        assert result.converged
+        assert result.cuts > 0  # the dual simplex ran
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nominal_is_the_radius_zero_price_ball(self, seed):
