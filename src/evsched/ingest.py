@@ -210,6 +210,9 @@ def parse_prices(stream: IO[str], unit: PriceUnit = PriceUnit.PER_KWH) -> PriceS
     return series
 
 
+_MIDNIGHT = time()
+
+
 def _step_window(
     record: SessionRecord, cfg: IngestConfig
 ) -> tuple[int, int] | str:
@@ -218,10 +221,10 @@ def _step_window(
     # hours since the arrival day's midnight, each on its own timestamp's
     # clock (timestamps with one tzinfo subtract as wall-clock times)
     day, tz = record.arrival.date(), record.arrival.tzinfo
-    midnight = datetime.combine(day, time(), tzinfo=tz)
+    midnight = datetime.combine(day, _MIDNIGHT, tz)
     arr_h = (record.arrival - midnight).total_seconds() / 3600.0
     if record.departure.tzinfo is not tz:
-        midnight = datetime.combine(day, time(), tzinfo=record.departure.tzinfo)
+        midnight = datetime.combine(day, _MIDNIGHT, record.departure.tzinfo)
     dep_h = (record.departure - midnight).total_seconds() / 3600.0
     a = int(math.floor(arr_h / delta)) + 1
     if a > T:
