@@ -78,7 +78,7 @@ class Scenario:
         occ = np.asarray(self.occupancy)
         if occ.ndim != 2 or occ.shape[0] != T:
             raise ValueError(f"occupancy must be {T} x N, got shape {occ.shape}")
-        if not ((occ == 0) | (occ == 1)).all():
+        if occ.dtype.kind == "c" or not ((occ == 0) | (occ == 1)).all():
             raise ValueError("occupancy must be binary")
         occ = np.ascontiguousarray(occ, dtype=np.uint8)
         occ.setflags(write=False)

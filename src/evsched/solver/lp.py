@@ -23,11 +23,7 @@ steepest-edge row choice and a bound-flipping ratio test (Fourer 1994)
 restores primal feasibility; phase one runs only on the first program.
 The grown program is certified on the basis inverse as it stands, bordered
 for the new row and product-form updated by the dual pivots; only a failed
-certificate refactors it (Koberstein 2005).  On the seed-1 pool of the
-robust-price benchmark (100 six-step days) with the cutting-plane loop's
-polish declined, that is 100 basis inverses built from scratch over 3025
-cuts instead of 3125, one per cut; with the polish, those days take no
-cut at all.
+certificate refactors it (Koberstein 2005).
 
 The primal and the dual simplex are step functions of one pivot loop,
 which keeps the iteration budget, refactors the basis inverse every

@@ -3,10 +3,12 @@ stopped early by a certified polish of the master's face.
 
 Minimizes  c.x + weight * ||M x||_2  over an LP feasible set by lifting
 the norm into an epigraph variable tau and approximating  tau >= ||M x||
-with supporting hyperplanes  u_k . (M x) <= tau,  u_k = M x_k / ||M x_k||.
-Each master LP is a relaxation, so its optimum is a valid lower bound;
-evaluating the true objective at the iterate gives an upper bound, and the
-loop stops once the best upper bound meets the lower bound at tolerance.
+with supporting hyperplanes  u_k . (M x) <= tau,  u_k = M x_k / ||M x_k||,
+each Kelley's cut at the master optimum x_k.  Each master LP is a
+relaxation, so its optimum is a valid lower bound; evaluating the true
+objective at the master optimum gives an upper bound, and the loop stops
+once the best upper bound meets the lower bound at tolerance.  The
+returned x is the best master optimum or a polished point.
 
 `certify` bounds the program from a point x and multipliers alone, with no
 solver state: the upper bound c.x + weight ||M x||, x's worst residual, and
@@ -27,21 +29,11 @@ bounds whose multiplier has the wrong sign leave it (`_polish`).  When
 `certify`, at the Newton multipliers and u = M x / ||M x||, passes at
 FEASIBILITY_TOL and the loop's gap tolerances, the loop returns the
 polished point with `polished` set and the cuts made so far; otherwise it
-cuts as it would without the polish, and tries again only at a master
-whose face differs from the last one that failed.  At weight 0 the loop
-stops at its first master, before any polish.  On the seed-1 pool of the
-robust-price benchmark, and on every day of `synth.random_batch(5, 30)` at
-radius 0.5 and 2, the polish certifies the first master, before any cut.
-
-Cuts are placed by in-out separation (Ben-Ameur & Neto 2007): once the best
-iterate x_b is not the master optimum x_k, the loop separates at
-x_s = x_b + IN_OUT_ALPHA (x_k - x_b) instead of at x_k, which damps the
-zig-zag of Kelley's cuts on a curved norm.  x_s is a convex combination of
-two LP-feasible points, so its true objective is one more upper bound, and
-the returned x may be such a point rather than a master vertex.  The cut at
-x_s is kept only if it cuts off the master optimum and its direction is
-new; otherwise the loop takes Kelley's cut at x_k, which always cuts it
-off, so the loop converges as Kelley's does.
+takes Kelley's cut, and tries again only at a master whose face differs
+from the last one that failed.  At weight 0 the loop stops at its first
+master, before any polish.  On the seed-1 pool of the robust-price
+benchmark, and on every day of `synth.random_batch(5, 30)` at radius 0.5
+and 2, the polish certifies the first master, before any cut.
 
 One simplex serves the whole loop (Kelley 1960): the first master is
 solved from the caller's starting basis, if any, with tau resting at 0,
@@ -50,9 +42,7 @@ previous optimal basis stays dual feasible for the grown master, so the
 dual simplex re-optimizes it (Lemke 1954).  Every master is still certified
 against its full constraint set, on the basis inverse the cut's pivots
 updated: the basis is refactored every _REFACTOR_EVERY pivots, counted
-across cuts, and after a cut only when its certificate fails.  With the
-polish declined, the seed-1 pool of the robust-price benchmark takes 100
-refactorizations over 3025 cuts, where one per cut made 3125.  The result's
+across cuts, and after a cut only when its certificate fails.  The result's
 `stats` is that simplex's SolveStats, so its counters cover every master.
 
 An infeasible LP raises Infeasible from the first master.  Tau can rise to
@@ -81,9 +71,6 @@ from .lp import (FEASIBILITY_TOL, BasisStart, Infeasible, LinearProgram, LpSolut
 GAP_ABS_TOL = 1e-9
 GAP_REL_TOL = 1e-10
 MAX_CUTS = 200
-# Where the in-out separation point sits on the segment from the best
-# iterate (0) to the master optimum (1).
-IN_OUT_ALPHA = 0.3
 # The face of a master optimum: its LP rows whose multiplier is above this,
 # and its columns at a bound whose reduced cost is beyond it.
 _FACE_TOL = 1e-12
@@ -110,8 +97,7 @@ class NormAugmentedResult:
     gap: float
     cuts: int
     stats: SolveStats
-    lp_solution: LpSolution  # the master x came from, maybe short of its optimum
-    polished: bool  # x is the certified polish of that master's face
+    polished: bool  # x is the certified polish of a master's face, not a vertex
     # (lam, nu, u) for `certify`, which turns them into lower_bound: the
     # polish's multipliers, or the final master's, u from its cut multipliers
     certificate: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -154,7 +140,7 @@ def solve_norm_augmented(
         start = BasisStart(np.append(start.x, 0.0), start.basic)
     sol = master.solve(start)
     dirs = np.empty((MAX_CUTS, M.shape[0]))
-    best_obj = math.inf  # best_*: the least upper bound, its point and master
+    best_obj = math.inf  # the least upper bound, at the master vertex best_x
     lower = -math.inf
     tried = None  # the face of the last polish
 
@@ -162,9 +148,8 @@ def solve_norm_augmented(
         x = sol.x[: lp.num_vars]
         lower = max(lower, float(sol.objective_value))
         obj, nv, v = _evaluate(lp, weight, M, x)
-        at_master = obj < best_obj
-        if at_master:
-            best_obj, best_x, best_sol = obj, x, sol
+        if obj < best_obj:
+            best_obj, best_x = obj, x
         converged = _converged(best_obj, lower)
         if converged:
             break
@@ -178,30 +163,14 @@ def solve_norm_augmented(
                 return NormAugmentedResult(
                     status=NormAugmentedStatus.OPTIMAL, x=x, objective=upper,
                     lower_bound=bound, gap=upper - bound, cuts=k, stats=master.stats,
-                    lp_solution=sol, polished=True, certificate=certificate)
+                    polished=True, certificate=certificate)
         if k == MAX_CUTS:
             break
-        u = None
-        if not at_master:
-            # in-out separation: the point between the best iterate and the
-            # master optimum is LP-feasible, so it bounds from above too
-            xs = best_x + IN_OUT_ALPHA * (x - best_x)
-            obj_s, nv_s, v_s = _evaluate(lp, weight, M, xs)
-            if obj_s < best_obj:
-                best_obj, best_x, best_sol = obj_s, xs, sol
-                converged = _converged(best_obj, lower)
-                if converged:
-                    break
-            if nv_s > 0.0:
-                u = v_s / nv_s
-                if u @ v <= sol.x[lp.num_vars] or _repeats(dirs[:k], u):
-                    u = None  # it keeps the master optimum, or is no new cut
-        if u is None:  # Kelley's cut at the master optimum
-            if nv == 0.0:
-                break  # M x = 0: no supporting hyperplane cuts the optimum off
-            u = v / nv
-            if _repeats(dirs[:k], u):
-                break  # duplicate support direction: the master cannot improve
+        if nv == 0.0:
+            break  # M x = 0: no supporting hyperplane cuts the optimum off
+        u = v / nv  # Kelley's cut at the master optimum
+        if _repeats(dirs[:k], u):
+            break  # duplicate support direction: the master cannot improve
         dirs[k] = u
         try:
             sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
@@ -211,8 +180,8 @@ def solve_norm_augmented(
     return NormAugmentedResult(
         status=NormAugmentedStatus.OPTIMAL if converged else NormAugmentedStatus.CUT_LIMIT,
         x=best_x, objective=best_obj, lower_bound=lower,
-        gap=float(best_obj - lower), cuts=k, stats=master.stats, lp_solution=best_sol,
-        polished=False, certificate=_master_certificate(lp, weight, sol, dirs[:k]))
+        gap=float(best_obj - lower), cuts=k, stats=master.stats, polished=False,
+        certificate=_master_certificate(lp, weight, sol, dirs[:k]))
 
 
 def certify(lp: LinearProgram, M: np.ndarray, r: float, x: np.ndarray,

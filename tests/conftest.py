@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import evsched
+import evsched.robust
 import evsched.solver.socp as socp_module
 from evsched import Scenario, occupancy_from_windows
 from evsched.solver import DUALITY_GAP_TOL, FEASIBILITY_TOL, NormAugmentedStatus, certify
@@ -91,3 +92,12 @@ def certifying(solve_norm_augmented):
         return result
 
     return solve
+
+
+@pytest.fixture
+def certified_solves(monkeypatch):
+    """Every `solve` checks each OPTIMAL result of its cutting-plane kernel
+    with `assert_certified`, nominal (radius 0) and robust alike; a module
+    applies it with `pytestmark`."""
+    monkeypatch.setattr(evsched.robust, "solve_norm_augmented",
+                        certifying(evsched.robust.solve_norm_augmented))

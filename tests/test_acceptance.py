@@ -9,6 +9,7 @@ absolute for the golden hand instance and dominance, 1e-8 feasibility.
 import time
 
 import numpy as np
+import pytest
 
 from evsched import Method, evaluate_cost, fcfs_with_report, solve, validate_schedule
 from evsched.model import ViolationKind
@@ -27,6 +28,8 @@ from evsched.ingest import IngestConfig, build_scenarios, parse_prices, parse_se
 
 from conftest import make_scenario
 from flow_oracle import FlowStatus, scheduling_network, solve_min_cost_flow
+
+pytestmark = pytest.mark.usefixtures("certified_solves")
 
 
 def report(criterion: int, ok: bool, detail: str):

@@ -23,6 +23,8 @@ from evsched.synth import random_scenario, write_synthetic_corpus
 
 from conftest import make_scenario, run_on_one_blas_thread
 
+pytestmark = pytest.mark.usefixtures("certified_solves")
+
 SESSIONS = (
     "session_id,arrival,departure,energy_kwh\n"
     "s1,2018-04-25T08:15:00,2018-04-25T11:40:00,12.5\n"

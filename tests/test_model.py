@@ -53,6 +53,14 @@ class TestScenarioInvariants:
             Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[1.0, 1.0],
                      capacity=10.0, socket_limit=7.0, waste=0.0, prices=[1, 1, 1])
 
+    def test_complex_occupancy_rejected(self):
+        # 1+0j and 0j compare equal to 1 and 0, but casting them to uint8
+        # would drop the imaginary part, so no complex dtype is binary
+        occ = np.array([[1 + 0j, 0j], [1 + 0j, 1 + 0j], [0j, 1 + 0j]])
+        with pytest.raises(ValueError, match="occupancy must be binary"):
+            Scenario(horizon_steps=3, step_hours=1.0, occupancy=occ, load=[1.0, 1.0],
+                     capacity=10.0, socket_limit=7.0, waste=0.0, prices=[1, 1, 1])
+
     @pytest.mark.parametrize("dtype", [bool, float])
     def test_bool_and_float_occupancy_accepted(self, dtype):
         occ = np.array([[1, 0], [1, 1], [0, 1]], dtype=dtype)

@@ -29,6 +29,8 @@ from evsched.synth import random_batch, random_scenario
 from conftest import make_scenario
 from flow_oracle import FlowStatus, max_flow_value, scheduling_network, solve_min_cost_flow
 
+pytestmark = pytest.mark.usefixtures("certified_solves")
+
 
 class TestFeasibilityCheck:
     def test_window_capacity_sufficient(self):

@@ -15,17 +15,12 @@ from evsched import (
     solve,
     validate_schedule,
 )
-import evsched.robust
 from evsched.solver import NumericalFailure
 from evsched.synth import random_scenario
 
-from conftest import certifying, make_scenario, run_on_one_blas_thread
+from conftest import make_scenario, run_on_one_blas_thread
 
-
-@pytest.fixture(autouse=True)
-def certified_solves(monkeypatch):
-    monkeypatch.setattr(evsched.robust, "solve_norm_augmented",
-                        certifying(evsched.robust.solve_norm_augmented))
+pytestmark = pytest.mark.usefixtures("certified_solves")
 
 
 def spreading_scenario():
@@ -264,3 +259,39 @@ def test_full_size_day_counts_pinned_at_radius_2():
     counts = tuple(map(int, run_on_one_blas_thread(FULL_SIZE_TOTALS, "2").split()))
     # pinned: cuts, pivots, cut-limit days, polished days, NumericalFailures
     assert counts == (0, 52, 0, 30, 0)
+
+
+# Solves random_batch(seed, 100) by the method, radius and load scale given
+# and prints the traffic the cutting-plane loop serves: the days that took
+# a cut, cuts, pivots, the days the cut limit stopped, the days the polish
+# certified, the solver failures and the infeasible days.
+CUT_TRAFFIC = """
+import sys
+from evsched import InfeasibleScenario, solve
+from evsched.solver import NumericalFailure
+from evsched.synth import random_batch
+seed, method, radius, scale = int(sys.argv[1]), sys.argv[2], float(sys.argv[3]), float(sys.argv[4])
+results, failures, infeasible = [], 0, 0
+for sc in random_batch(seed, 100):
+    try:
+        results.append(solve(sc, method, radius=radius, load_scale=scale))
+    except NumericalFailure:
+        failures += 1
+    except InfeasibleScenario:
+        infeasible += 1
+print(sum(r.cuts > 0 for r in results), sum(r.cuts for r in results),
+      sum(r.stats.pivots for r in results), sum(not r.converged for r in results),
+      sum(r.polished for r in results), failures, infeasible)
+"""
+
+
+@pytest.mark.parametrize("args, counts", [
+    # one day here converges on Kelley's cuts alone after 20, where the
+    # polish declines every face it meets
+    (("2", "robust-price", "0.1", "1"), (4, 23, 462, 0, 99, 0, 0)),
+    (("1", "robust-load", "0.5", "1.2"), (2, 4, 221, 0, 84, 0, 16)),
+])
+def test_cut_traffic_pinned(args, counts):
+    # the few days the polish does not certify at the first master are the
+    # cutting-plane loop's whole traffic; exact counts, so BLAS on one thread
+    assert tuple(map(int, run_on_one_blas_thread(CUT_TRAFFIC, *args).split())) == counts

@@ -26,6 +26,8 @@ from evsched.synth import random_batch, random_scenario
 
 from conftest import make_scenario
 
+pytestmark = pytest.mark.usefixtures("certified_solves")
+
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as stream:
