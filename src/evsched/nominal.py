@@ -6,16 +6,18 @@ step costs subject to demand satisfaction, the station power budget and
 per-socket limits (`robust.solve` runs it for every method).  Every solve
 of it starts from the least-cost greedy allocation (`least_cost_start`),
 the starting solution of the transportation simplex (Dantzig 1951); on a
-day whose station budget does not bind, that start is already optimal.
+day whose station budget does not bind, that start is already optimal,
+and its u-v potentials certify it without a simplex.
 
-Phase one of the simplex decides whether a schedule meeting all demand
-exists, and its optimum says by how much a day falls short.  At the start
-only the demand rows the greedy leaves short are violated, and the least
-artificial sum is the least total shortfall: augmenting paths never take
-flow from a vehicle, so the greedy flow grows into a maximum flow that
-still meets every demand it met.  Total load minus the shortfall is the
-max-flow of the equivalent transportation network (max-flow/min-cut, Ford
-& Fulkerson 1956).  Infeasible scenarios are a hard error because silently
+A start that meets every demand is feasible.  Otherwise phase one of the
+simplex decides whether a schedule meeting all demand exists, and its
+optimum says by how much a day falls short.  At the start only the demand
+rows the greedy leaves short are violated, and the least artificial sum
+is the least total shortfall: augmenting paths never take flow from a
+vehicle, so the greedy flow grows into a maximum flow that still meets
+every demand it met.  Total load minus the shortfall is the max-flow of
+the equivalent transportation network (max-flow/min-cut, Ford & Fulkerson
+1956).  Infeasible scenarios are a hard error because silently
 under-delivering would corrupt every cost comparison downstream.
 """
 
@@ -64,15 +66,16 @@ def variable_index(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_feasibility(scenario: Scenario) -> FeasibilityReport:
-    """Can all demand be met?  Runs phase one of the allocation LP alone,
-    the test that `robust.solve` applies to every day."""
-    lp, var_index = scheduling_lp(scenario)
-    simplex = _Simplex(lp)
-    simplex.build_initial_basis(least_cost_start(scenario, var_index))
-    try:
-        simplex.phase_one()
-    except Infeasible as exc:
-        return _phase_one_report(scenario, exc.shortfall)
+    """Can all demand be met?  Yes where the least-cost start meets it all;
+    otherwise phase one of the allocation LP decides, as in `robust.solve`."""
+    start = least_cost_start(scenario, variable_index(scenario))
+    if start.duals is None:  # the greedy leaves a demand short
+        simplex = _Simplex(scheduling_lp(scenario)[0])
+        simplex.build_initial_basis(start)
+        try:
+            simplex.phase_one()
+        except Infeasible as exc:
+            return _phase_one_report(scenario, exc.shortfall)
     return _phase_one_report(scenario, None)
 
 
@@ -129,20 +132,36 @@ def least_cost_start(
     then need ever smaller vehicle indices, so the named columns and the
     slacks form a spanning forest of the transportation network: the
     basis is invertible.
-    """
+
+    Its row multipliers, the u-v potentials of the transportation simplex,
+    are 0 where a slack is basic, lam[n + t] = lam[i] - c for a fill basic
+    in step t's capacity row and lam[i] = c + lam[n + t] for one in vehicle
+    i's demand row; set from the last fill back, each finds the one it needs
+    already set, by the same argument.  None where a demand is left short."""
     steps, vehicles = var_index
     n = scenario.num_vehicles
+    unit_cost = _unit_cost(scenario)
     # vehicle-major, cheapest first; lexsort is stable, so ties keep step order
-    order = np.lexsort((_unit_cost(scenario)[steps], vehicles))
+    order = np.lexsort((unit_cost[steps], vehicles))
     step_of, vehicle_of = steps[order].tolist(), vehicles[order].tolist()
+    unmet = scenario.load.tolist()
     fills, short = greedy_fill(step_of, vehicle_of, scenario.socket_limit.tolist(),
-                               scenario.capacity.tolist(), scenario.load.tolist())
+                               scenario.capacity.tolist(), unmet)
     x = np.empty(order.size)
     x[order] = fills
     basic = np.full(n + scenario.horizon_steps, -1)
     for p, emptied in short:  # cut short: basic in the row that cut it
         basic[n + step_of[p] if emptied else vehicle_of[p]] = order[p]
-    return BasisStart(x, basic)
+    if any(unmet):
+        return BasisStart(x, basic)
+    lam, cost = [0.0] * basic.size, unit_cost.tolist()
+    for p, emptied in reversed(short):
+        t, i = step_of[p], vehicle_of[p]
+        if emptied:
+            lam[n + t] = lam[i] - cost[t]
+        else:
+            lam[i] = cost[t] + lam[n + t]
+    return BasisStart(x, basic, np.array(lam))
 
 
 def schedule_from_x(

@@ -13,8 +13,9 @@ enters or flips; phase one ends by fixing the artificials at zero, and one
 still basic there is pivoted out by the ratio tests like any fixed basic
 column.  A caller that knows a good starting point can pass it with the
 basic column of each row it covers (`BasisStart`); the default start rests
-every column at its lower bound.  Pricing is Dantzig (most negative reduced
-cost, ties to the lowest column index).
+every column at its lower bound; a start whose row multipliers certify it
+needs no simplex (`socp.solve_norm_augmented`).  Pricing is Dantzig (most
+negative reduced cost, ties to the lowest column index).
 
 A solved program can grow by one inequality at a time (the cuts of a
 cutting-plane loop).  The new row's slack starts basic, the old optimal
@@ -154,10 +155,8 @@ class LpSolution:
     dual_ineq  multipliers for G x <= h (nonnegative up to tolerance)
     dual_eq    multipliers for E x = b
 
-    with dual_objective <= objective_value (weak duality) and
-    duality_gap = objective_value - dual_objective certified at
-    <= DUALITY_GAP_TOL relative; max_residual is the worst primal
-    constraint violation (<= FEASIBILITY_TOL).
+    which `socp.certify` turns into a lower bound that meets
+    objective_value at tolerance.
 
     `stats` is the solving simplex's own SolveStats record, not a copy, so
     it goes on counting as `add_inequality` grows the program.
@@ -167,9 +166,6 @@ class LpSolution:
     objective_value: float
     dual_ineq: np.ndarray
     dual_eq: np.ndarray
-    dual_objective: float
-    duality_gap: float
-    max_residual: float
     stats: SolveStats
 
 
@@ -192,10 +188,12 @@ class BasisStart(NamedTuple):
     at one of its bounds unless basic, and `basic[r]`, the structural
     column basic in row r, or -1 where the row starts with its slack or an
     artificial.  Rows are E's, then G's.  The named columns must form a
-    nonsingular basis together with the unit columns of the other rows."""
+    nonsingular basis together with the unit columns of the other rows;
+    `duals`, the row multipliers or None, are for `socp.certify` alone."""
 
     x: np.ndarray
     basic: np.ndarray
+    duals: np.ndarray | None = None
 
 
 # Nonbasic rest states.
@@ -713,16 +711,8 @@ class _Simplex:
                 and sign >= -_DUAL_TOL * scale and stationarity <= _DUAL_TOL * scale):
             failure = (f"certification failed: residual={resid:.3e}, gap={gap:.3e}, "
                        f"least multiplier={sign:.3e}, stationarity={stationarity:.3e}")
-        return LpSolution(
-            x=x,
-            objective_value=primal,
-            dual_ineq=lam,
-            dual_eq=nu,
-            dual_objective=dual,
-            duality_gap=gap,
-            max_residual=resid,
-            stats=self.stats,
-        ), failure
+        return LpSolution(x=x, objective_value=primal, dual_ineq=lam, dual_eq=nu,
+                          stats=self.stats), failure
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

@@ -35,15 +35,18 @@ master, before any polish.  On the seed-1 pool of the robust-price
 benchmark, and on every day of `synth.random_batch(5, 30)` at radius 0.5
 and 2, the polish certifies the first master, before any cut.
 
-One simplex serves the whole loop (Kelley 1960): the first master is
-solved from the caller's starting basis, if any, with tau resting at 0,
-and each cut is appended to it as one more row with its slack.  The
+The first master starts from the caller's starting basis, if any, with
+tau resting at 0; where `certify` passes on the start's row multipliers
+it is optimal (tau's reduced cost is the weight) and no simplex is built
+before the first cut.  One simplex serves the rest of the loop (Kelley
+1960), and each cut is appended to it as one more row with its slack.  The
 previous optimal basis stays dual feasible for the grown master, so the
 dual simplex re-optimizes it (Lemke 1954).  Every master is still certified
 against its full constraint set, on the basis inverse the cut's pivots
 updated: the basis is refactored every _REFACTOR_EVERY pivots, counted
 across cuts, and after a cut only when its certificate fails.  The result's
-`stats` is that simplex's SolveStats, so its counters cover every master.
+`stats` is that simplex's SolveStats (all 0 where none is built), so its
+counters cover every master.
 
 An infeasible LP raises Infeasible from the first master.  Tau can rise to
 meet any cut, so Infeasible from a grown master is a NumericalFailure.
@@ -88,7 +91,7 @@ class NormAugmentedStatus(Enum):
 @dataclass
 class NormAugmentedResult:
     """One cutting-plane run; `stats` is the SolveStats of the simplex that
-    solved every master."""
+    solved every master, all 0 where the start needed none."""
 
     status: NormAugmentedStatus
     x: np.ndarray
@@ -131,14 +134,16 @@ def solve_norm_augmented(
             f"norm_map has {M.shape[1]} columns, expected {lp.num_vars}"
         )
 
-    # One simplex lives for the whole loop: the first master is solved from
-    # `start` and every cut is appended to it and re-optimized from the last
-    # basis.  At weight 0 tau would cost nothing, so the master is the LP
-    # itself; otherwise tau starts nonbasic at 0.
-    master = _Simplex(_augmented(lp, weight) if weight else lp)
+    # At weight 0 tau would cost nothing, so the master is the LP itself;
+    # otherwise tau starts nonbasic at 0.
+    master_lp = _augmented(lp, weight) if weight else lp
     if weight and start is not None:
-        start = BasisStart(np.append(start.x, 0.0), start.basic)
-    sol = master.solve(start)
+        start = BasisStart(np.append(start.x, 0.0), start.basic, start.duals)
+    master = None
+    sol = _certified_start(lp, master_lp, start)
+    if sol is None:
+        master = _Simplex(master_lp)
+        sol = master.solve(start)
     dirs = np.empty((MAX_CUTS, M.shape[0]))
     best_obj = math.inf  # the least upper bound, at the master vertex best_x
     lower = -math.inf
@@ -162,7 +167,7 @@ def solve_norm_augmented(
                 x, upper, bound, certificate = polish
                 return NormAugmentedResult(
                     status=NormAugmentedStatus.OPTIMAL, x=x, objective=upper,
-                    lower_bound=bound, gap=upper - bound, cuts=k, stats=master.stats,
+                    lower_bound=bound, gap=upper - bound, cuts=k, stats=sol.stats,
                     polished=True, certificate=certificate)
         if k == MAX_CUTS:
             break
@@ -172,6 +177,9 @@ def solve_norm_augmented(
         if _repeats(dirs[:k], u):
             break  # duplicate support direction: the master cannot improve
         dirs[k] = u
+        if master is None:
+            master = _Simplex(master_lp)
+            master.solve(start)  # the certified start: no pivot
         try:
             sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
         except Infeasible as exc:  # tau can rise to meet any cut
@@ -180,7 +188,7 @@ def solve_norm_augmented(
     return NormAugmentedResult(
         status=NormAugmentedStatus.OPTIMAL if converged else NormAugmentedStatus.CUT_LIMIT,
         x=best_x, objective=best_obj, lower_bound=lower,
-        gap=float(best_obj - lower), cuts=k, stats=master.stats, polished=False,
+        gap=float(best_obj - lower), cuts=k, stats=sol.stats, polished=False,
         certificate=_master_certificate(lp, weight, sol, dirs[:k]))
 
 
@@ -208,6 +216,19 @@ def certify(lp: LinearProgram, M: np.ndarray, r: float, x: np.ndarray,
     residual = np.concatenate([lp.G @ x - lp.h, np.abs(lp.E @ x - lp.b),
                                lp.lo - x, x - lp.up]).max(initial=0.0)
     return upper, lower, float(residual)
+
+
+def _certified_start(lp: LinearProgram, master_lp: LinearProgram,
+                     start: BasisStart | None) -> LpSolution | None:
+    """`start` as the optimum of `master_lp`, the LP with or without tau,
+    where `certify` passes on its multipliers for `lp` at the loop's tolerances."""
+    if start is not None and start.duals is not None:
+        nu, lam = np.split(start.duals, [lp.E.shape[0]])
+        upper, lower, residual = certify(lp, np.empty((0, lp.num_vars)), 0.0,
+                                         start.x[: lp.num_vars], lam, nu, np.empty(0))
+        if residual <= FEASIBILITY_TOL and _converged(upper, lower):
+            return LpSolution(start.x, float(master_lp.c @ start.x), lam, nu, SolveStats())
+    return None
 
 
 def _master_certificate(lp: LinearProgram, weight: float, sol: LpSolution,

@@ -8,7 +8,8 @@ import pytest
 
 from evsched import Method, solve
 from evsched.nominal import scheduling_lp
-from evsched.solver import Infeasible, LinearProgram, NumericalFailure, SolveStats, solve_lp
+from evsched.solver import (Infeasible, LinearProgram, NumericalFailure, SolveStats, certify,
+                            solve_lp)
 from evsched.solver import lp as lp_module
 from evsched.synth import random_scenario
 
@@ -49,18 +50,28 @@ def enumerate_optimum(lp, grid=None):
     return best, best_x
 
 
-def assert_certified(sol):
-    assert sol.max_residual <= 1e-8
+def bounds(lp, sol):
+    """`certify`'s (upper, lower, residual) for `lp` at the solution's x and
+    multipliers, with no norm term."""
+    return certify(lp, np.zeros((0, lp.num_vars)), 0.0, sol.x, sol.dual_ineq, sol.dual_eq,
+                   np.zeros(0))
+
+
+def assert_certified(lp, sol):
+    upper, lower, residual = bounds(lp, sol)
+    assert residual <= 1e-8
+    assert upper == sol.objective_value
     scale = max(1.0, abs(sol.objective_value))
-    assert abs(sol.duality_gap) <= 1e-7 * scale
+    assert abs(upper - lower) <= 1e-7 * scale
     # weak duality
-    assert sol.dual_objective <= sol.objective_value + 1e-7 * scale
+    assert lower <= sol.objective_value + 1e-7 * scale
 
 
 class TestExamples:
     def test_bound_active(self):
-        sol = solve_lp(LinearProgram(c=[1.0], lo=[3.0], up=[np.inf]))
-        assert_certified(sol)
+        lp = LinearProgram(c=[1.0], lo=[3.0], up=[np.inf])
+        sol = solve_lp(lp)
+        assert_certified(lp, sol)
         assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
         assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
 
@@ -71,7 +82,7 @@ class TestExamples:
         assert oracle_obj == pytest.approx(5.0)
         assert oracle_x == pytest.approx([0.0, 5.0])
         sol = solve_lp(lp)
-        assert_certified(sol)
+        assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(oracle_obj, abs=1e-9)
         assert sol.x == pytest.approx([0.0, 5.0], abs=1e-9)
 
@@ -92,7 +103,7 @@ class TestExamples:
     def test_equality_system(self):
         lp = LinearProgram(c=[1.0, 2.0], E=[[1.0, 1.0]], b=[4.0], lo=[0, 0])
         sol = solve_lp(lp)
-        assert_certified(sol)
+        assert_certified(lp, sol)
         assert sol.x == pytest.approx([4.0, 0.0], abs=1e-9)
         assert sol.objective_value == pytest.approx(4.0)
 
@@ -101,7 +112,7 @@ class TestExamples:
                            lo=[0, 0], up=[2.0, 2.0])
         oracle_obj, _ = enumerate_optimum(lp)
         sol = solve_lp(lp)
-        assert_certified(sol)
+        assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(oracle_obj, abs=1e-9)
 
 
@@ -115,10 +126,12 @@ class TestConstraintFree:
         ([-1.0, 0.5], [-1.0, -2.0], [1.0, 2.0], -2.0),
     ])
     def test_optimal(self, c, lo, up, objective):
-        sol = solve_lp(LinearProgram(c=c, lo=lo, up=up))
-        assert_certified(sol)
+        lp = LinearProgram(c=c, lo=lo, up=up)
+        sol = solve_lp(lp)
+        assert_certified(lp, sol)
         assert sol.objective_value == objective
-        assert sol.duality_gap == 0.0
+        upper, lower, _ = bounds(lp, sol)
+        assert lower == upper
 
     @pytest.mark.parametrize("c, lo, up", [
         ([-1.0], [-5.0], [np.inf]),
@@ -141,8 +154,9 @@ class TestNoVariables:
         {"G": np.zeros((1, 0)), "h": [1.0], "E": np.zeros((2, 0)), "b": [0.0, 0.0]},
     ])
     def test_optimal_at_the_empty_point(self, rows):
-        sol = solve_lp(LinearProgram(c=np.zeros(0), **rows))
-        assert_certified(sol)
+        lp = LinearProgram(c=np.zeros(0), **rows)
+        sol = solve_lp(lp)
+        assert_certified(lp, sol)
         assert sol.x.shape == (0,)
         assert sol.objective_value == 0.0
         assert sol.stats.pivots == 0
@@ -175,7 +189,8 @@ class TestPhaseOneTolerance:
 
     @pytest.mark.parametrize("excess", [0.0, 5e-9])
     def test_shortage_within_tolerance_is_certified(self, excess):
-        assert_certified(solve_lp(self.short_day(excess)))
+        lp = self.short_day(excess)
+        assert_certified(lp, solve_lp(lp))
 
 
 class TestRandomized:
@@ -193,7 +208,7 @@ class TestRandomized:
             )
             oracle_obj, _ = enumerate_optimum(lp)
             sol = solve_lp(lp)
-            assert_certified(sol)
+            assert_certified(lp, sol)
             assert sol.objective_value == pytest.approx(
                 oracle_obj, rel=1e-7, abs=1e-8
             )
@@ -211,7 +226,7 @@ class TestRandomized:
             lp = LinearProgram(c=rng.normal(0, 1, n), G=G, h=h,
                                lo=np.zeros(n), up=np.full(n, 5.0))
             sol = solve_lp(lp)
-            assert_certified(sol)
+            assert_certified(lp, sol)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -286,7 +301,7 @@ class TestDegeneracy:
                            G=[[-1.0, -1.0]] * 4, h=[-2.0] * 4,
                            lo=[0, 0], up=[5, 5])
         sol = solve_lp(lp)
-        assert_certified(sol)
+        assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
     def test_redundant_equalities(self):
@@ -294,7 +309,7 @@ class TestDegeneracy:
                            E=[[1.0, 1.0], [2.0, 2.0]], b=[3.0, 6.0],
                            lo=[0, 0], up=[5, 5])
         sol = solve_lp(lp)
-        assert_certified(sol)
+        assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_run_switches_to_bland(self):
@@ -304,7 +319,7 @@ class TestDegeneracy:
         lp = LinearProgram(c=[1.0, 1.0], G=[[-1.0, -1.0]] * 40, h=[-2.0] * 40,
                            lo=[0, 0], up=[5, 5])
         simplex = lp_module._Simplex(lp)
-        assert_certified(simplex.solve())
+        assert_certified(lp, simplex.solve())
         assert simplex.stats == SolveStats(pivots=40, phase_one_pivots=40, dual_pivots=0,
                                            zero_dual_steps=0, degenerate_pivots=39,
                                            bland_switches=1, refactorizations=2)
@@ -319,8 +334,9 @@ class TestDegeneracy:
             [0.0, 0.0, 1.0, 0.0],
         ])
         h = np.array([0.0, 0.0, 1.0])
-        sol = solve_lp(LinearProgram(c=c, G=G, h=h, lo=np.zeros(4)))
-        assert_certified(sol)
+        lp = LinearProgram(c=c, G=G, h=h, lo=np.zeros(4))
+        sol = solve_lp(lp)
+        assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
 
@@ -376,9 +392,10 @@ class TestNonFinite:
 
     def test_infinite_bounds_allowed(self):
         # an infinite upper bound stays valid: slacks and tau have one
-        sol = solve_lp(LinearProgram(c=[1.0, -1.0], G=[[1.0, 1.0]], h=[3.0],
-                                     lo=[-1.0, -5.0], up=[np.inf, 2.0]))
-        assert_certified(sol)
+        lp = LinearProgram(c=[1.0, -1.0], G=[[1.0, 1.0]], h=[3.0],
+                           lo=[-1.0, -5.0], up=[np.inf, 2.0])
+        sol = solve_lp(lp)
+        assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
 
 
@@ -417,6 +434,7 @@ class TestAddInequality:
                              E=[[1.0, 0.0, -1.0]], b=[1.0], lo=[0, 0, 0], up=[5, 3, 5])
 
     def grown(self, g, h):
+        """The base program with the rows g . x <= h appended."""
         lp = self.base()
         return LinearProgram(c=lp.c, G=np.vstack([lp.G, g]), h=np.append(lp.h, h),
                              E=lp.E, b=lp.b, lo=lp.lo, up=lp.up)
@@ -428,11 +446,12 @@ class TestAddInequality:
     ])
     def test_matches_cold_solve(self, g, h):
         simplex = lp_module._Simplex(self.base())
-        assert_certified(simplex.solve())
+        assert_certified(self.base(), simplex.solve())
         warm = simplex.add_inequality(np.array(g), h)
-        cold = solve_lp(self.grown(g, h))
-        assert_certified(warm)
-        assert_certified(cold)
+        grown = self.grown(g, h)
+        cold = solve_lp(grown)
+        assert_certified(grown, warm)
+        assert_certified(grown, cold)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
         assert warm.dual_ineq.shape == (2,)
         assert warm.dual_eq.shape == (1,)
@@ -455,7 +474,8 @@ class TestAddInequality:
         simplex.solve()
         for k in range(4):
             warm = simplex.add_inequality(np.array([0.0, 1.0, 0.0]), 2.5 - 0.5 * k)
-            assert_certified(warm)
+            assert_certified(self.grown([[0.0, 1.0, 0.0]] * (k + 1),
+                                        2.5 - 0.5 * np.arange(k + 1)), warm)
         cold = solve_lp(LinearProgram(
             c=[-1.0, -2.0, 0.5], G=[[1.0, 1.0, 0.0]] + [[0.0, 1.0, 0.0]] * 4,
             h=[4.0, 2.5, 2.0, 1.5, 1.0], E=[[1.0, 0.0, -1.0]], b=[1.0],
@@ -469,7 +489,7 @@ class TestAddInequality:
         lp = LinearProgram(c=[1.0, 2.0, 0.0], G=[[1.0, 1.0, 1.0]], h=[100.0],
                            lo=[0, 0, 0], up=[1, 5, 10])
         simplex = lp_module._Simplex(lp)
-        assert_certified(simplex.solve())
+        assert_certified(lp, simplex.solve())
         flipped = []
         ratio_test = lp_module._Simplex.dual_ratio_test
 
@@ -480,12 +500,13 @@ class TestAddInequality:
 
         monkeypatch.setattr(lp_module._Simplex, "dual_ratio_test", record)
         warm = simplex.add_inequality(np.array([-1.0, -1.0, 0.0]), -3.0)
-        cold = solve_lp(LinearProgram(c=lp.c, G=[[1.0, 1.0, 1.0], [-1.0, -1.0, 0.0]],
-                                      h=[100.0, -3.0], lo=lp.lo, up=lp.up))
+        grown = LinearProgram(c=lp.c, G=[[1.0, 1.0, 1.0], [-1.0, -1.0, 0.0]],
+                              h=[100.0, -3.0], lo=lp.lo, up=lp.up)
+        cold = solve_lp(grown)
         assert flipped == [[0]]
         assert simplex.stats.dual_pivots == 1
-        assert_certified(warm)
-        assert_certified(cold)
+        assert_certified(grown, warm)
+        assert_certified(grown, cold)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
         assert warm.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-12)
 
@@ -514,8 +535,8 @@ class TestAddInequality:
         assert calls == [0, 0]
         assert simplex.stats.dual_pivots == 1
         assert simplex.stats.refactorizations == before + 2
-        assert_certified(warm)
-        assert warm.max_residual <= lp_module.FEASIBILITY_TOL
+        assert_certified(self.grown(g, h), warm)
+        assert bounds(self.grown(g, h), warm)[2] <= lp_module.FEASIBILITY_TOL
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
 
     def test_artificial_basic_at_zero_stays_there(self):
@@ -525,14 +546,14 @@ class TestAddInequality:
         E, b = [[1.0, 1.0], [2.0, 2.0]], [3.0, 6.0]
         lp = LinearProgram(c=[1.0, 0.0], E=E, b=b, lo=[0, 0], up=[5, 5])
         simplex = lp_module._Simplex(lp)
-        assert_certified(simplex.solve())
+        assert_certified(lp, simplex.solve())
         artificials = np.arange(simplex.art_start, simplex.art_start + simplex.n_art)
         assert np.isin(simplex.basis, artificials).any()
         warm = simplex.add_inequality(np.array([0.0, 1.0]), 1.0)
-        cold = solve_lp(LinearProgram(c=lp.c, G=[[0.0, 1.0]], h=[1.0], E=E, b=b,
-                                      lo=lp.lo, up=lp.up))
-        assert_certified(warm)
-        assert_certified(cold)
+        grown = LinearProgram(c=lp.c, G=[[0.0, 1.0]], h=[1.0], E=E, b=b, lo=lp.lo, up=lp.up)
+        cold = solve_lp(grown)
+        assert_certified(grown, warm)
+        assert_certified(grown, cold)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
         assert warm.x == pytest.approx(cold.x, abs=1e-12)
         assert np.isin(simplex.basis, artificials).any()

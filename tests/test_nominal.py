@@ -241,7 +241,10 @@ class TestFeasibilityDecision:
             raise NumericalFailure("certification failed: injected")
 
         monkeypatch.setattr(socp_module._Simplex, "solve", failing)
-        sc = make_scenario([(1, 2)], [5.0], [1.0, 2.0])
+        # vehicle 1 finds 2 of its 5 kW left at its one step, so the start
+        # leaves it short and the simplex runs, though the day is feasible
+        sc = make_scenario([(1, 2), (1, 1)], [5.0, 5.0], [1.0, 2.0], socket=7.0, capacity=7.0)
+        assert check_feasibility(sc).feasible
         with pytest.raises(NumericalFailure, match="injected"):
             solve(sc)
 
@@ -251,7 +254,8 @@ class TestFeasibilityDecision:
     ], ids=["nominal", "robust-price"])
     def test_one_simplex_per_solve(self, monkeypatch, optimize):
         # an infeasible day's report comes from the solve's own phase one,
-        # and a feasible day builds no report at all
+        # its one simplex, and a feasible day builds no report at all; on
+        # this one the start's multipliers certify it, so it builds no simplex
         built = []
         init = lp_module._Simplex.__init__
 
@@ -275,7 +279,7 @@ class TestFeasibilityDecision:
         monkeypatch.setattr(robust_module, "_phase_one_report", refuse)
         monkeypatch.setattr(nominal_module, "check_feasibility", refuse)
         optimize(day)
-        assert len(built) == 1
+        assert len(built) == 0  # the start's multipliers certify it
 
 
 def edge_days(seed):
@@ -374,13 +378,12 @@ class TestLpBuild:
 def test_criterion_9_day_pivot_count_pinned():
     # the N=100 day of acceptance criterion 9; a change here means the
     # pivot sequence changed (688 until solves started from the least-cost
-    # greedy basis, which is optimal on this day).  The greedy start is
-    # optimal: no pivot follows the inverse of the starting basis, so phase
-    # two certifies with it
+    # greedy basis, which is optimal on this day).  The start's multipliers
+    # certify it, so no simplex is built
     big = random_scenario(np.random.default_rng(1009), horizon_steps=24,
                           num_vehicles=100, capacity=300.0, scenario_id="big-day")
     result = solve(big)
-    assert result.stats == SolveStats(refactorizations=1)
+    assert result.stats == SolveStats()
     assert result.objective == 300.7872625388697
     assert result.cost.total_cost == 300.78726253886964
 

@@ -7,6 +7,8 @@ certificate (`solve_norm_augmented` below checks it); the tests that exist
 for the cuts decline the polish (`no_polish`).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,9 +166,24 @@ def cold_master(lp, weight, cut_rows):
                          E=master.E, b=master.b, lo=master.lo, up=master.up)
 
 
-def assert_master_certified(sol):
-    assert sol.max_residual <= FEASIBILITY_TOL
-    assert abs(sol.duality_gap) <= lp_module.DUALITY_GAP_TOL * max(1.0, abs(sol.objective_value))
+def assert_master_certified(master, sol):
+    """`certify` at the master solution's multipliers, with no norm term:
+    its point meets `master`, and the bound meets its objective.
+
+    Tau, the last column, has no upper bound, so a reduced cost of tau that
+    rounds below zero would make the bound -inf.  Each cut row reads
+    u_k . M x - tau <= 0, so tau at a master optimum is at most the largest
+    cut's |u_k M| . max(|lo|, |up|).  Capped there, tau keeps every optimum,
+    and a reduced cost that rounds below zero lowers the bound by no more
+    than itself times the cap."""
+    cuts = master.G[master.G[:, -1] == -1.0, :-1]
+    reach = np.maximum(np.abs(master.lo), np.abs(master.up))[:-1]
+    cap = float((np.abs(cuts) @ reach).max(initial=0.0))
+    master = dataclasses.replace(master, up=np.append(master.up[:-1], cap))
+    upper, lower, residual = certify(master, np.zeros((0, master.num_vars)), 0.0, sol.x,
+                                     sol.dual_ineq, sol.dual_eq, np.zeros(0))
+    assert residual <= FEASIBILITY_TOL
+    assert abs(upper - lower) <= lp_module.DUALITY_GAP_TOL * max(1.0, abs(sol.objective_value))
 
 
 def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
@@ -187,9 +204,10 @@ def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
     assert len(added) == res.cuts
     if added:
         warm = added[-1][1]
-        cold = solve_lp(cold_master(lp, radius, np.array([g for g, _ in added])))
-        assert_master_certified(warm)
-        assert_master_certified(cold)
+        master = cold_master(lp, radius, np.array([g for g, _ in added]))
+        cold = solve_lp(master)
+        assert_master_certified(master, warm)
+        assert_master_certified(master, cold)
         scale = max(1.0, abs(cold.objective_value))
         assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
     return res
@@ -217,9 +235,10 @@ class TestWarmMaster:
         cut_rows = np.array([g[:-1] for g, _ in added])
         assert np.all(np.array([g[-1] for g, _ in added]) == -1.0)
         warm = added[-1][1]
-        cold = solve_lp(cold_master(lp, 0.5, cut_rows))
-        assert_master_certified(warm)
-        assert_master_certified(cold)
+        master = cold_master(lp, 0.5, cut_rows)
+        cold = solve_lp(master)
+        assert_master_certified(master, warm)
+        assert_master_certified(master, cold)
         scale = max(1.0, abs(cold.objective_value))
         assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
 
@@ -303,9 +322,10 @@ class TestWarmMaster:
         every = lp_module._REFACTOR_EVERY
         for k, (_, warm, pivots, refactors) in enumerate(cuts):
             assert refactors == first_refactors + (pivots - first_pivots) // every
-            cold = solve_lp(cold_master(lp, 2.0, np.array([g for g, *_ in cuts[: k + 1]])))
-            assert_master_certified(warm)
-            assert_master_certified(cold)
+            master = cold_master(lp, 2.0, np.array([g for g, *_ in cuts[: k + 1]]))
+            cold = solve_lp(master)
+            assert_master_certified(master, warm)
+            assert_master_certified(master, cold)
             scale = max(1.0, abs(cold.objective_value))
             assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
         assert res.status is NormAugmentedStatus.OPTIMAL
@@ -472,7 +492,8 @@ class TestCertify:
         assert bounds[2] == 1.0
 
     def test_lp_duals_give_the_simplex_dual_objective(self):
-        # at weight 0 the bound is the LP dual objective, to rounding
+        # at weight 0 the bound at the simplex's multipliers is the LP dual
+        # objective, which meets the simplex's objective to rounding
         for k, sc in enumerate(random_batch(3, 40)):
             lp, var_index = scheduling_lp(sc)
             sol = solve_lp(lp)
@@ -480,8 +501,8 @@ class TestCertify:
             upper, lower, residual = certify(lp, M, 0.0, sol.x, sol.dual_ineq, sol.dual_eq,
                                              np.zeros(M.shape[0]))
             assert upper == sol.objective_value
-            assert residual == sol.max_residual
-            assert abs(lower - sol.dual_objective) <= 1e-15 * max(1.0, abs(sol.dual_objective)), k
+            assert residual == float((lp.G @ sol.x - lp.h).max(initial=0.0))
+            assert abs(lower - upper) <= 1e-15 * max(1.0, abs(upper)), k
 
 
 class TestPolish:

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from evsched import InfeasibleScenario, solve
+from evsched import InfeasibleScenario, Method, solve
 from evsched.model import COST_REL_TOL
-from evsched.nominal import least_cost_start, scheduling_lp
-from evsched.solver import FEASIBILITY_TOL, BasisStart, LinearProgram, SolveStats
+from evsched.nominal import least_cost_start, schedule_from_x, scheduling_lp
+from evsched.robust import totals_map
+from evsched.solver import (FEASIBILITY_TOL, BasisStart, LinearProgram, SolveStats, certify,
+                            solve_norm_augmented)
+from evsched.solver import socp as socp_module
 from evsched.solver.lp import _Simplex
+from evsched.synth import random_batch, random_scenario
 
 from conftest import make_scenario
 from flow_oracle import surplus_cost
@@ -104,7 +108,7 @@ class TestStartingBasis:
         sc = make_scenario([(1, 3), (2, 4), (1, 4)], [9.0, 4.0, 12.5],
                            [0.3, 0.1, 0.2, 0.4], socket=7.0)
         result = solve(sc)
-        assert result.stats == SolveStats(refactorizations=1)
+        assert result.stats == SolveStats()
 
 
 def test_nonbasic_start_off_its_bounds_is_rejected():
@@ -114,3 +118,75 @@ def test_nonbasic_start_off_its_bounds_is_rejected():
     # the same point is a start once column 0 is basic in the row
     sol = _Simplex(lp).solve(BasisStart(np.array([3.0, 0.0]), np.array([0])))
     assert (sol.objective_value, sol.stats.pivots) == (3.0, 0)
+
+
+class TestPotentials:
+    """The start's row multipliers, the u-v potentials of the transportation
+    simplex, certify it without a simplex wherever it is optimal."""
+
+    @staticmethod
+    def simplex_path(sc):
+        """The LP, its start and the simplex's solve from that start, which
+        the potentials stand in for where they certify it."""
+        lp, var_index = scheduling_lp(sc)
+        start = least_cost_start(sc, var_index)
+        return lp, start, _Simplex(lp).solve(start), var_index
+
+    def test_potentials_are_the_simplex_duals(self):
+        zero_pivot = 0
+        for sc in random_batch(1, 365):
+            _, start, sol, var_index = self.simplex_path(sc)
+            if sol.stats.pivots:
+                continue
+            zero_pivot += 1
+            scale = np.maximum(1.0, np.abs(sol.dual_ineq))
+            assert (np.abs(start.duals - sol.dual_ineq) <= 1e-12 * scale).all(), sc.scenario_id
+            want = schedule_from_x(sc, sol.x, var_index, Method.NOMINAL).allocation
+            assert solve(sc).schedule.allocation.tobytes() == want.tobytes(), sc.scenario_id
+        assert zero_pivot == 292
+
+    @pytest.mark.parametrize("seed, kwargs, certified", [
+        (1, {}, 292),
+        (2, {"capacity": 60.0}, 343),
+    ])
+    def test_certified_days_pinned(self, seed, kwargs, certified):
+        # a certified start builds no simplex, so its stats stay empty;
+        # these are exactly the days whose simplex solve makes no pivot
+        days = random_batch(seed, 365, **kwargs)
+        assert sum(solve(sc).stats == SolveStats() for sc in days) == certified
+
+    @pytest.mark.parametrize("sc", [
+        random_batch(1, 8)[7],  # the budget binds: 14 pivots from the start
+        make_scenario([(1, 2)], [5.0], [1.0, -2.0]),  # over-delivery pays
+    ], ids=["non-optimal-start", "negative-price"])
+    def test_failed_potentials_run_the_simplex(self, sc):
+        lp, start, sol, var_index = self.simplex_path(sc)
+        assert start.duals is not None and sol.stats.pivots > 0
+        upper, lower, _ = certify(lp, np.zeros((0, lp.num_vars)), 0.0, start.x,
+                                  start.duals, np.zeros(0), np.zeros(0))
+        assert upper - lower > 1e-6
+        result = solve(sc)
+        assert result.stats == sol.stats
+        assert result.objective == sol.objective_value
+        want = schedule_from_x(sc, sol.x, var_index, Method.NOMINAL).allocation
+        assert result.schedule.allocation.tobytes() == want.tobytes()
+
+    @pytest.mark.usefixtures("no_polish")
+    @pytest.mark.parametrize("seed", [2, 8])
+    def test_lazy_master_cuts_as_an_eager_one(self, seed):
+        # with the polish declined the day takes cuts: the master built at
+        # the first cut, from the certified start, makes the cuts and counts
+        # of one solved before the loop, from the same start without its
+        # multipliers
+        sc = random_scenario(np.random.default_rng(seed), horizon_steps=6, max_vehicles=3)
+        lp, var_index = scheduling_lp(sc)
+        M = totals_map(sc, var_index)
+        start = least_cost_start(sc, var_index)
+        assert socp_module._certified_start(lp, lp, start) is not None
+        lazy = solve_norm_augmented(lp, 0.5, M, start=start)
+        eager = solve_norm_augmented(lp, 0.5, M, start=start._replace(duals=None))
+        assert lazy.cuts == eager.cuts >= 5
+        assert lazy.stats == eager.stats
+        assert lazy.stats.pivots == lazy.stats.dual_pivots  # the start took no pivot
+        assert lazy.x.tobytes() == eager.x.tobytes()
+        assert (lazy.objective, lazy.lower_bound) == (eager.objective, eager.lower_bound)
