@@ -10,29 +10,19 @@ columns, infeasible starting rows get artificial columns, and phase one
 minimizes the artificial sum; where no point meets the program it raises
 Infeasible, which carries that least sum.  A column with equal bounds never
 enters or flips; phase one ends by fixing the artificials at zero, and one
-still basic there is pivoted out by the ratio tests like any fixed basic
+still basic there is pivoted out by the ratio test like any fixed basic
 column.  A caller that knows a good starting point can pass it with the
 basic column of each row it covers (`BasisStart`); the default start rests
 every column at its lower bound; a start whose row multipliers certify it
 needs no simplex (`socp.solve_norm_augmented`).  Pricing is Dantzig (most
 negative reduced cost, ties to the lowest column index).
 
-A solved program can grow by one inequality at a time (the cuts of a
-cutting-plane loop).  The new row's slack starts basic, the old optimal
-basis stays dual feasible, and a dual simplex (Lemke 1954) with dual
-steepest-edge row choice and a bound-flipping ratio test (Fourer 1994)
-restores primal feasibility; phase one runs only on the first program.
-The grown program is certified on the basis inverse as it stands, bordered
-for the new row and product-form updated by the dual pivots; only a failed
-certificate refactors it (Koberstein 2005).
-
-The primal and the dual simplex are step functions of one pivot loop,
-which keeps the iteration budget, refactors the basis inverse every
-_REFACTOR_EVERY pivots and, after _BLAND_AFTER degenerate pivots in a row
-(the entering column does not move), switches every choice to the lowest
-index (Bland's rule) until a pivot moves again, which prevents cycling.
-Both ratio tests break ties alike: the largest pivot magnitude, then the
-lowest column index.  Every pivot sequence is a pure function of the
+The pivot loop keeps the iteration budget, refactors the basis inverse
+every _REFACTOR_EVERY pivots and, after _BLAND_AFTER degenerate pivots in a
+row (the entering column does not move), switches every choice to the
+lowest index (Bland's rule) until a pivot moves again, which prevents
+cycling.  The ratio test breaks ties by the largest pivot magnitude, then
+the lowest column index.  Every pivot sequence is a pure function of the
 instance, so results are bit-reproducible.
 
 Every solution carries a dual certificate (multipliers for G and E; the
@@ -45,7 +35,7 @@ at tolerance it raises NumericalFailure instead of mislabeling the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,12 +59,10 @@ class NumericalFailure(RuntimeError):
 class Infeasible(RuntimeError):
     """No point meets the program.  `shortfall` is phase one's optimum, the
     least sum of the artificials: the least total violation of the rows that
-    x at its starting point violates; it is None when the dual simplex finds
-    that an added row cannot be met."""
+    x at its starting point violates."""
 
-    def __init__(self, shortfall: float | None):
-        super().__init__("infeasible" if shortfall is None
-                         else f"infeasible: least artificial sum {shortfall:.6g}")
+    def __init__(self, shortfall: float):
+        super().__init__(f"infeasible: least artificial sum {shortfall:.6g}")
         self.shortfall = shortfall
 
 
@@ -156,10 +144,7 @@ class LpSolution:
     dual_eq    multipliers for E x = b
 
     which `socp.certify` turns into a lower bound that meets
-    objective_value at tolerance.
-
-    `stats` is the solving simplex's own SolveStats record, not a copy, so
-    it goes on counting as `add_inequality` grows the program.
+    objective_value at tolerance; `stats` counts the simplex's work.
     """
 
     x: np.ndarray
@@ -171,16 +156,17 @@ class LpSolution:
 
 @dataclass
 class SolveStats:
-    """How a simplex run got its result, counted over every phase and every
-    added row so far."""
+    """How a simplex run got its result, counted over every phase; `+` sums
+    the counters of several runs."""
 
     pivots: int = 0  # pivots of every phase, the clock of the iteration budget
     phase_one_pivots: int = 0  # phase one's share of `pivots`
-    dual_pivots: int = 0  # the dual simplex's share of `pivots`
-    zero_dual_steps: int = 0  # dual pivots whose dual step was zero
     degenerate_pivots: int = 0  # pivots whose entering column did not move
     bland_switches: int = 0  # runs of degenerate pivots that switched to Bland's rule
     refactorizations: int = 0  # basis inverses built from scratch
+
+    def __add__(self, other: SolveStats) -> SolveStats:
+        return SolveStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 class BasisStart(NamedTuple):
@@ -203,37 +189,12 @@ _BASIC = 0
 # Sign that turns a nonbasic column's reduced cost into its pricing
 # violation, by rest state.
 _PRICE_SIGN = np.array([0.0, -1.0, 1.0])
-# Sign that makes a nonbasic column's pivot-row entry positive when the
-# column can move in the direction the dual ratio test needs.
-_ENTER_SIGN = -_PRICE_SIGN
-
-
-def _tie_break(index: np.ndarray, mag: np.ndarray, bland: bool) -> int:
-    """Position of the pivot among tied candidates with column indices
-    `index` and pivot magnitudes `mag`: the largest magnitude (within
-    1e-12) for stability, then the lowest index; Bland's rule takes the
-    lowest index alone."""
-    if index.size == 1:
-        return 0
-    keep = np.arange(index.size) if bland else np.flatnonzero(mag >= mag.max() - 1e-12)
-    return int(keep[np.argmin(index[keep])])
-
-
-def _appended(vec: np.ndarray, value) -> np.ndarray:
-    """A copy of `vec` with `value` appended, in `vec`'s dtype; on the short
-    vectors a cut grows, np.append's argument handling costs more than the
-    copy."""
-    out = np.empty(vec.size + 1, vec.dtype)
-    out[:-1] = vec
-    out[-1] = value
-    return out
 
 
 class _Simplex:
-    """Working state for one solve, which `add_inequality` can extend row by
-    row.  Rows are [E | G | added], so every row from `m_eq` on is an
-    inequality; columns are [structural | slack | artificial | added
-    slack].  `stats` (SolveStats) counts the work so far."""
+    """Working state for one solve.  Rows are [E | G], so every row from
+    `m_eq` on is an inequality; columns are [structural | slack |
+    artificial].  `stats` (SolveStats) counts the work so far."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -316,40 +277,6 @@ class _Simplex:
         self.xB = self.B_inv @ (self.rhs - self.A @ v)
         self.values[self.basis] = self.xB
 
-    # -- the pivot loop ----------------------------------------------------
-
-    def _pivot_loop(self, step):
-        """Call `step(bland)` until it returns None, the phase done, then
-        write the basic values back.  Otherwise the step made one pivot and
-        returns how far its entering column moved (degenerate when it did
-        not).  The module docstring gives the budget, Bland and
-        refactorization policy this loop applies."""
-        stats = self.stats
-        bland = False
-        stall = 0
-        while True:
-            if stats.pivots >= self.max_iter:
-                raise NumericalFailure(
-                    f"iteration limit {self.max_iter} exceeded (m={self.m}, "
-                    f"n={self.n_total})"
-                )
-            moved = step(bland)
-            if moved is None:
-                self.values[self.basis] = self.xB
-                return
-            stats.pivots += 1
-            if moved <= _RATIO_TIE:
-                stats.degenerate_pivots += 1
-                stall += 1
-                if stall >= _BLAND_AFTER and not bland:
-                    stats.bland_switches += 1
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            if stats.pivots - self.factored_at >= _REFACTOR_EVERY:
-                self.refactorize()
-
     # -- primal simplex ----------------------------------------------------
 
     def reduced_costs(self, c_work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +294,9 @@ class _Simplex:
 
     def ratio_test(self, j: int, direction: float, w: np.ndarray, bland: bool):
         """Largest step t moving x_j by `direction * t`; returns
-        (t, leaving_row) where leaving_row is -1 for a bound flip."""
+        (t, leaving_row) where leaving_row is -1 for a bound flip.  Tied rows
+        go to the largest pivot magnitude, then the lowest basic column;
+        Bland's rule takes the lowest basic column alone."""
         t_flip = self.up[j] - self.lo[j]
         delta = direction * w
         lo_b = self.lo[self.basis]
@@ -381,7 +310,10 @@ class _Simplex:
         if rows_min >= t_flip - _RATIO_TIE:
             return t_flip, -1  # bound flip wins ties
         tied = np.flatnonzero(ratios <= rows_min + _RATIO_TIE)
-        return rows_min, int(tied[_tie_break(self.basis[tied], np.abs(w[tied]), bland)])
+        if not bland:  # the largest pivot magnitude (within 1e-12) for stability
+            mag = np.abs(w[tied])
+            tied = tied[mag >= mag.max() - 1e-12]
+        return rows_min, int(tied[np.argmin(self.basis[tied])])
 
     def pivot(self, j: int, direction: float, t: float, row: int, w: np.ndarray):
         """Move column j by `direction * t` along w = B^-1 A_j; flip or exchange it."""
@@ -392,16 +324,12 @@ class _Simplex:
             self.values[j] = self.up[j] if flip_up else self.lo[j]
             self.state[j] = _AT_UP if flip_up else _AT_LO
             return
-        # the leaving variable stops on the bound it reached
-        self._exchange(row, j, self.values[j] + direction * t,
-                       _AT_LO if direction * w[row] > 0 else _AT_UP, w)
-
-    def _exchange(self, row: int, j: int, value: float, leaving_state: int, w: np.ndarray):
-        """Make column j, with `w` = B^-1 A_j, basic in `row` at `value`; the
-        leaving variable rests exactly on the bound `leaving_state` names."""
+        # the leaving variable stops exactly on the bound it reached
         leaving = self.basis[row]
-        self.values[leaving] = self.lo[leaving] if leaving_state == _AT_LO else self.up[leaving]
-        self.state[leaving] = leaving_state
+        to_lo = direction * w[row] > 0
+        self.values[leaving] = self.lo[leaving] if to_lo else self.up[leaving]
+        self.state[leaving] = _AT_LO if to_lo else _AT_UP
+        value = self.values[j] + direction * t
         self.basis[row] = j
         self.state[j] = _BASIC
         self.xB[row] = value
@@ -417,19 +345,26 @@ class _Simplex:
     def run_phase(self, c_work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primal simplex on the costs `c_work` from a primal feasible
         basis, until no column prices out; returns that last pricing, the
-        (y, d) of `reduced_costs`.  Raises NumericalFailure when the
-        entering column can move without end: the programs this module
-        solves are bounded below, so an unbounded ray is a fault."""
-
-        priced = None
-
-        def step(bland):
-            nonlocal priced
+        (y, d) of `reduced_costs`, with the basic values written back.  The
+        module docstring gives the budget, Bland and refactorization policy
+        it applies.  Raises NumericalFailure when the entering column can
+        move without end: the programs this module solves are bounded
+        below, so an unbounded ray is a fault."""
+        stats = self.stats
+        bland = False
+        stall = 0
+        while True:
+            if stats.pivots >= self.max_iter:
+                raise NumericalFailure(
+                    f"iteration limit {self.max_iter} exceeded (m={self.m}, "
+                    f"n={self.n_total})"
+                )
             priced = self.reduced_costs(c_work)
             d = priced[1]
             j = self.choose_entering(d, bland)
             if j < 0:
-                return None
+                self.values[self.basis] = self.xB
+                return priced
             # an eligible column moves against the sign of its reduced cost
             direction = 1.0 if d[j] < 0 else -1.0
             w = self.B_inv @ self.A[:, j]
@@ -437,10 +372,18 @@ class _Simplex:
             if not math.isfinite(t):
                 raise NumericalFailure(f"unbounded ray: column {j} can move without end")
             self.pivot(j, direction, t, row, w)
-            return t
-
-        self._pivot_loop(step)
-        return priced
+            stats.pivots += 1
+            if t <= _RATIO_TIE:
+                stats.degenerate_pivots += 1
+                stall += 1
+                if stall >= _BLAND_AFTER and not bland:
+                    stats.bland_switches += 1
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+            if stats.pivots - self.factored_at >= _REFACTOR_EVERY:
+                self.refactorize()
 
     # -- phases ------------------------------------------------------------
 
@@ -463,7 +406,7 @@ class _Simplex:
         artificials at zero (lo = up = 0), so that none enters again, ready
         for phase two.
         """
-        self._set_budget()
+        self.max_iter = max(2000, 60 * (self.m + self.n_total))
         if not self.n_art:
             return
         c1 = np.zeros(self.n_total)
@@ -479,196 +422,11 @@ class _Simplex:
             raise Infeasible(float(artificials.sum()))
         self.up[self.art_start :] = 0.0
 
-    def _set_budget(self):
-        self.max_iter = self.stats.pivots + max(2000, 60 * (self.m + self.n_total))
-
-    # -- dual simplex ------------------------------------------------------
-
-    def add_inequality(self, g: np.ndarray, h: float) -> LpSolution:
-        """Append the row g . x <= h to the solved program and re-optimize
-        from the current basis.
-
-        The row goes last, with its slack as the last column, basic at
-        h - g . x; the bordered basis inverse gains the row [-g_B B^-1, 1].
-        The old basis stays dual feasible, so the dual simplex restores
-        primal feasibility, and the grown program is certified against its
-        full constraint set on the inverse as it stands.  No refactorization
-        follows a cut beyond those the pivot loop makes every
-        _REFACTOR_EVERY pivots, counted across cuts.  Only a certificate
-        that fails (round-off the product form hid) refactors the basis; if
-        the fresh inverse puts a basic value off its bounds, the dual
-        simplex resumes once from there and the basis is refactored again
-        before a second certificate, which raises NumericalFailure if it
-        fails too.  Raises Infeasible when no point satisfies the grown
-        program, and ValueError on a row that is not a finite vector of the
-        structural width.
-        """
-        g = np.asarray(g, dtype=float)
-        n = self.n_struct
-        if g.shape != (n,):
-            raise ValueError(f"row has shape {g.shape}, expected ({n},)")
-        if not (np.isfinite(g).all() and math.isfinite(h)):
-            raise ValueError("row and bound must be finite")
-        m, n_total = self.m, self.n_total
-        A = np.zeros((m + 1, n_total + 1))
-        A[:m, :n_total] = self.A
-        A[m, :n] = g
-        A[m, n_total] = 1.0
-        slack = h - float(g @ self.values[:n])
-        # with the new row and its slack last the basis is [[B, 0], [g_B, 1]],
-        # whose inverse is [[B^-1, 0], [-g_B B^-1, 1]]
-        B_inv = np.zeros((m + 1, m + 1))
-        B_inv[:m, :m] = self.B_inv
-        B_inv[m, :m] = -(A[m, self.basis] @ self.B_inv)
-        B_inv[m, m] = 1.0
-        self.A, self.B_inv = A, B_inv
-        self.basis = _appended(self.basis, n_total)
-        self.rhs = _appended(self.rhs, h)
-        self.xB = _appended(self.xB, slack)
-        self.values = _appended(self.values, slack)
-        self.lo = _appended(self.lo, 0.0)
-        self.up = _appended(self.up, np.inf)
-        self.cost = _appended(self.cost, 0.0)
-        self.state = _appended(self.state, _BASIC)
-        self.m += 1
-        self.n_total += 1
-        self._set_budget()
-        self.run_dual_phase()
-        sol, failure = self._certificate()
-        if failure is None:
-            return sol
-        self.refactorize()
-        if self.choose_leaving(False)[0] >= 0:
-            self.run_dual_phase()
-            if self.stats.pivots != self.factored_at:
-                self.refactorize()
-        return self._certify()
-
-    def choose_leaving(self, bland: bool) -> tuple[int, float, bool]:
-        """The basic value that leaves: its row, how far it is off its
-        bounds and whether it is below its lower bound; the row is -1 when no
-        basic value is off its bounds at all.  The choice is the dual steepest
-        edge, the largest excess^2 / ||B^-1 row||^2, exact because the inverse
-        is explicit; Bland takes the lowest basic column instead."""
-        below = self.lo[self.basis] - self.xB
-        excess = np.maximum(below, self.xB - self.up[self.basis])
-        off = (excess > 0.0).nonzero()[0]
-        if not off.size:
-            return -1, 0.0, False
-        if off.size == 1:
-            row = int(off[0])
-        elif bland:
-            row = int(off[np.argmin(self.basis[off])])
-        else:
-            B_off = self.B_inv[off]
-            edge = np.einsum("ij,ij->i", B_off, B_off)
-            row = int(off[np.argmax(excess[off] ** 2 / edge)])
-        return row, float(excess[row]), bool(below[row] > 0.0)
-
-    def dual_ratio_test(self, alpha: np.ndarray, d: np.ndarray, excess: float,
-                        bland: bool) -> tuple[int, float, np.ndarray]:
-        """Bound-flipping ratio test (Fourer 1994) for a leaving value
-        `excess` off its bound, with pivot row `alpha` signed so that
-        alpha[j] > 0 where raising x_j moves that value towards its bound.
-
-        Passing a breakpoint flips its boxed column to the other bound, for
-        as long as the leaving value stays off its bound; the column at the
-        breakpoint where it would not enters, or a near tie of it that can
-        take up the rest, chosen as in the primal ratio test.  Returns
-        (entering column, dual step, flipped columns), with entering column
-        -1 when no column can take up the excess."""
-        room = _ENTER_SIGN[self.state] * alpha
-        cand = ((room > _PIVOT_TOL) & (self.lo < self.up)).nonzero()[0]
-        mag = room[cand]
-        span = (self.up[cand] - self.lo[cand]) * mag
-        # a quotient past the float range is a breakpoint at infinity
-        with np.errstate(over="ignore"):
-            ratios = np.maximum(d[cand] / alpha[cand], 0.0)
-        # how much of the excess the breakpoints take up, in order (stable,
-        # so index order breaks the last ties)
-        order = np.lexsort((-mag, ratios))
-        reach = np.cumsum(span[order])
-        k = int(np.searchsorted(reach, excess))
-        if k == order.size:
-            return -1, 0.0, cand[:0]
-        rest = excess - (reach[k - 1] if k else 0.0)
-        group = order[k:]
-        tied = (ratios[group] <= ratios[group[0]] + _RATIO_TIE) & (span[group] >= rest)
-        tied[0] = True  # the breakpoint itself always takes up the rest
-        group = group[tied]
-        pick = group[_tie_break(cand[group], mag[group], bland)]
-        return int(cand[pick]), float(ratios[pick]), cand[order[:k]]
-
-    def dual_pivot(self, row: int, j: int, flips: np.ndarray, alpha: np.ndarray,
-                   target: float, to_lower: bool) -> float:
-        """Flip `flips` to their other bound, then move column j until the
-        value basic in `row` reaches `target`, where it leaves; returns how
-        far j moved."""
-        if flips.size:
-            rise = alpha[flips] > 0.0
-            shift = np.where(rise, self.up[flips] - self.lo[flips],
-                             self.lo[flips] - self.up[flips])
-            self.values[flips] = np.where(rise, self.up[flips], self.lo[flips])
-            self.state[flips] = np.where(rise, _AT_UP, _AT_LO)
-            w, moved = (self.B_inv @ np.column_stack(
-                (self.A[:, j], self.A[:, flips] @ shift))).T
-            self.xB -= moved
-        else:
-            w = self.B_inv @ self.A[:, j]
-        delta = (self.xB[row] - target) / w[row]
-        self.xB -= delta * w
-        self._exchange(row, j, self.values[j] + delta, _AT_LO if to_lower else _AT_UP, w)
-        return delta
-
-    def run_dual_phase(self):
-        """Dual simplex (Lemke 1954) from a dual feasible basis, until no
-        basic value is off its bounds at all.  Raises Infeasible when a
-        value off its bound by more than FEASIBILITY_TOL has no column that
-        can move it.  Reduced costs follow the pivot row and are recomputed
-        whenever the inverse is fresh."""
-        d = None
-
-        def step(bland):
-            nonlocal d
-            if d is None or self.factored_at == self.stats.pivots:
-                _, d = self.reduced_costs(self.cost)
-            while True:
-                row, excess, to_lower = self.choose_leaving(bland)
-                if row < 0:
-                    return None
-                leaving = self.basis[row]
-                target = self.lo[leaving] if to_lower else self.up[leaving]
-                alpha = (-self.B_inv[row] if to_lower else self.B_inv[row]) @ self.A
-                j, dual_step, flips = self.dual_ratio_test(alpha, d, excess, bland)
-                if j >= 0:
-                    break
-                if excess > FEASIBILITY_TOL:
-                    raise Infeasible(None)
-                # a round-off residue no column can move: leave it to the
-                # refactorization and the certificate that follow the phase
-                self.xB[row] = target
-            if dual_step:
-                d -= dual_step * alpha
-            if dual_step <= _RATIO_TIE:
-                self.stats.zero_dual_steps += 1
-            delta = self.dual_pivot(row, j, flips, alpha, target, to_lower)
-            d[j] = 0.0
-            self.stats.dual_pivots += 1
-            return abs(delta)
-
-        self._pivot_loop(step)
-
     # -- certification ------------------------------------------------------
 
     def _certify(self, priced=None) -> LpSolution:
-        sol, failure = self._certificate(priced)
-        if failure is not None:
-            raise NumericalFailure(failure)
-        return sol
-
-    def _certificate(self, priced=None) -> tuple[LpSolution, str | None]:
-        """The solution at the current basis with its dual certificate, and
-        why the certificate fails, or None when it passes: a primal residual
+        """The solution at the current basis with its dual certificate, or
+        NumericalFailure when that certificate fails: a primal residual
         above FEASIBILITY_TOL, a duality gap above DUALITY_GAP_TOL relative, an
         inequality multiplier below zero or a structural column whose
         reduced cost no active bound's multiplier absorbs (a [0, inf)
@@ -680,7 +438,7 @@ class _Simplex:
         lp = self.lp
         n = self.n_struct
         x = np.clip(self.values[:n], lp.lo, lp.up)
-        # every row, appended ones too, from the program's own coefficients
+        # every row, from the program's own coefficients
         m_eq = self.m_eq
         row_resid = self.A[:, :n] @ x - self.rhs
         row_resid[:m_eq] = np.abs(row_resid[:m_eq])
@@ -706,13 +464,13 @@ class _Simplex:
         sign = float(lam.min(initial=0.0))
         stationarity = float(np.abs(d_struct - mu_lo + mu_up).max(initial=0.0))
         # written so that a NaN residual, gap or multiplier fails certification
-        failure = None
         if not (resid <= FEASIBILITY_TOL and abs(gap) <= DUALITY_GAP_TOL * scale
                 and sign >= -_DUAL_TOL * scale and stationarity <= _DUAL_TOL * scale):
-            failure = (f"certification failed: residual={resid:.3e}, gap={gap:.3e}, "
-                       f"least multiplier={sign:.3e}, stationarity={stationarity:.3e}")
+            raise NumericalFailure(
+                f"certification failed: residual={resid:.3e}, gap={gap:.3e}, "
+                f"least multiplier={sign:.3e}, stationarity={stationarity:.3e}")
         return LpSolution(x=x, objective_value=primal, dual_ineq=lam, dual_eq=nu,
-                          stats=self.stats), failure
+                          stats=self.stats)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

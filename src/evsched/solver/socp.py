@@ -4,11 +4,12 @@ stopped early by a certified polish of the master's face.
 Minimizes  c.x + weight * ||M x||_2  over an LP feasible set by lifting
 the norm into an epigraph variable tau and approximating  tau >= ||M x||
 with supporting hyperplanes  u_k . (M x) <= tau,  u_k = M x_k / ||M x_k||,
-each Kelley's cut at the master optimum x_k.  Each master LP is a
-relaxation, so its optimum is a valid lower bound; evaluating the true
-objective at the master optimum gives an upper bound, and the loop stops
-once the best upper bound meets the lower bound at tolerance.  The
-returned x is the best master optimum or a polished point.
+each Kelley's cut at the master optimum x_k (Kelley 1960).  Each master LP
+is a relaxation, so its optimum is a valid lower bound, and so is
+`certify`'s bound at its multipliers, which the loop takes after a cut;
+evaluating the true objective at the master optimum gives an upper bound,
+and the loop stops once the best upper bound meets the lower bound at
+tolerance.  The returned x is the best master optimum or a polished point.
 
 `certify` bounds the program from a point x and multipliers alone, with no
 solver state: the upper bound c.x + weight ||M x||, x's worst residual, and
@@ -37,16 +38,11 @@ and 2, the polish certifies the first master, before any cut.
 
 The first master starts from the caller's starting basis, if any, with
 tau resting at 0; where `certify` passes on the start's row multipliers
-it is optimal (tau's reduced cost is the weight) and no simplex is built
-before the first cut.  One simplex serves the rest of the loop (Kelley
-1960), and each cut is appended to it as one more row with its slack.  The
-previous optimal basis stays dual feasible for the grown master, so the
-dual simplex re-optimizes it (Lemke 1954).  Every master is still certified
-against its full constraint set, on the basis inverse the cut's pivots
-updated: the basis is refactored every _REFACTOR_EVERY pivots, counted
-across cuts, and after a cut only when its certificate fails.  The result's
-`stats` is that simplex's SolveStats (all 0 where none is built), so its
-counters cover every master.
+it is optimal (tau's reduced cost is the weight) and no simplex is built.
+Each cut makes a new master, the LP with every cut so far stacked under
+its rows, which a simplex solves from the same start, each cut row
+starting with its slack or an artificial.  The result's `stats` sums the
+SolveStats of every master (all 0 where none is built).
 
 An infeasible LP raises Infeasible from the first master.  Tau can rise to
 meet any cut, so Infeasible from a grown master is a NumericalFailure.
@@ -59,6 +55,7 @@ direction, and where M x = 0 at the master optimum, which no cut separates.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -90,8 +87,8 @@ class NormAugmentedStatus(Enum):
 
 @dataclass
 class NormAugmentedResult:
-    """One cutting-plane run; `stats` is the SolveStats of the simplex that
-    solved every master, all 0 where the start needed none."""
+    """One cutting-plane run; `stats` sums the SolveStats of every master's
+    simplex, all 0 where the start needed none."""
 
     status: NormAugmentedStatus
     x: np.ndarray
@@ -101,8 +98,8 @@ class NormAugmentedResult:
     cuts: int
     stats: SolveStats
     polished: bool  # x is the certified polish of a master's face, not a vertex
-    # (lam, nu, u) for `certify`, which turns them into lower_bound: the
-    # polish's multipliers, or the final master's, u from its cut multipliers
+    # (lam, nu, u) for `certify`: the polish's multipliers, or those of the
+    # master that gave lower_bound, u from its cut multipliers
     certificate: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -139,20 +136,26 @@ def solve_norm_augmented(
     master_lp = _augmented(lp, weight) if weight else lp
     if weight and start is not None:
         start = BasisStart(np.append(start.x, 0.0), start.basic, start.duals)
-    master = None
     sol = _certified_start(lp, master_lp, start)
     if sol is None:
-        master = _Simplex(master_lp)
-        sol = master.solve(start)
+        sol = _Simplex(master_lp).solve(start)
+    stats = sol.stats
     dirs = np.empty((MAX_CUTS, M.shape[0]))
     best_obj = math.inf  # the least upper bound, at the master vertex best_x
-    lower = -math.inf
+    # the first master's objective bounds the minimum from below; a grown
+    # master's bound is `certify`'s at its multipliers, and the loop keeps the
+    # greatest with the certificate that gave it (None: the current master's)
+    lower, certificate = float(sol.objective_value), None
     tried = None  # the face of the last polish
 
     for k in range(MAX_CUTS + 1):
         x = sol.x[: lp.num_vars]
-        lower = max(lower, float(sol.objective_value))
         obj, nv, v = _evaluate(lp, weight, M, x)
+        if k:
+            master_cert = _master_certificate(lp, weight, sol, dirs[:k])
+            bound = certify(lp, M, weight, x, *master_cert)[1]
+            if bound > lower:
+                lower, certificate = bound, master_cert
         if obj < best_obj:
             best_obj, best_x = obj, x
         converged = _converged(best_obj, lower)
@@ -167,7 +170,7 @@ def solve_norm_augmented(
                 x, upper, bound, certificate = polish
                 return NormAugmentedResult(
                     status=NormAugmentedStatus.OPTIMAL, x=x, objective=upper,
-                    lower_bound=bound, gap=upper - bound, cuts=k, stats=sol.stats,
+                    lower_bound=bound, gap=upper - bound, cuts=k, stats=stats,
                     polished=True, certificate=certificate)
         if k == MAX_CUTS:
             break
@@ -177,19 +180,22 @@ def solve_norm_augmented(
         if _repeats(dirs[:k], u):
             break  # duplicate support direction: the master cannot improve
         dirs[k] = u
-        if master is None:
-            master = _Simplex(master_lp)
-            master.solve(start)  # the certified start: no pivot
+        cuts = np.hstack([dirs[: k + 1] @ M, np.full((k + 1, 1), -1.0)])
+        grown = dataclasses.replace(master_lp, G=np.vstack([master_lp.G, cuts]),
+                                    h=np.append(master_lp.h, np.zeros(k + 1)))
+        grown_start = None if start is None else BasisStart(
+            start.x, np.append(start.basic, np.full(k + 1, -1)))
         try:
-            sol = master.add_inequality(np.append(u @ M, -1.0), 0.0)
+            sol = _Simplex(grown).solve(grown_start)
         except Infeasible as exc:  # tau can rise to meet any cut
             raise NumericalFailure(f"master infeasible after {k + 1} cuts") from exc
+        stats += sol.stats
 
     return NormAugmentedResult(
         status=NormAugmentedStatus.OPTIMAL if converged else NormAugmentedStatus.CUT_LIMIT,
         x=best_x, objective=best_obj, lower_bound=lower,
-        gap=float(best_obj - lower), cuts=k, stats=sol.stats, polished=False,
-        certificate=_master_certificate(lp, weight, sol, dirs[:k]))
+        gap=float(best_obj - lower), cuts=k, stats=stats, polished=False,
+        certificate=certificate or _master_certificate(lp, weight, sol, dirs[:k]))
 
 
 def certify(lp: LinearProgram, M: np.ndarray, r: float, x: np.ndarray,

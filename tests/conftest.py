@@ -10,7 +10,7 @@ import evsched
 import evsched.robust
 import evsched.solver.socp as socp_module
 from evsched import Scenario, occupancy_from_windows
-from evsched.solver import DUALITY_GAP_TOL, FEASIBILITY_TOL, NormAugmentedStatus, certify
+from evsched.solver import FEASIBILITY_TOL, NormAugmentedStatus, certify
 
 
 def make_scenario(
@@ -69,15 +69,10 @@ def no_polish(monkeypatch):
 
 def assert_certified(lp, M, weight, result):
     """`certify` on the result's own certificate passes at the loop's
-    tolerances, and its upper bound is the result's objective.  A result of
-    the cuts alone stops on its master's primal objective, and its
-    certificate is that master's duals, so its gap may exceed the loop's
-    tolerance by the master's own duality gap, which the simplex certifies
-    to DUALITY_GAP_TOL (about 1e-10 seen)."""
+    tolerances, and its upper bound is the result's objective."""
     upper, lower, residual = certify(lp, M, weight, result.x, *result.certificate)
     assert residual <= FEASIBILITY_TOL
-    slack = 0.0 if result.polished else DUALITY_GAP_TOL * max(1.0, abs(upper))
-    assert socp_module._converged(upper, lower + slack), (upper, lower)
+    assert socp_module._converged(upper, lower), (upper, lower)
     assert upper == pytest.approx(result.objective, rel=1e-15, abs=1e-15)
 
 

@@ -320,8 +320,7 @@ class TestDegeneracy:
                            lo=[0, 0], up=[5, 5])
         simplex = lp_module._Simplex(lp)
         assert_certified(lp, simplex.solve())
-        assert simplex.stats == SolveStats(pivots=40, phase_one_pivots=40, dual_pivots=0,
-                                           zero_dual_steps=0, degenerate_pivots=39,
+        assert simplex.stats == SolveStats(pivots=40, phase_one_pivots=40, degenerate_pivots=39,
                                            bland_switches=1, refactorizations=2)
 
     def test_beale_cycling_instance(self):
@@ -425,7 +424,10 @@ class TestCertificate:
 
 
 class TestAddInequality:
-    """Rows appended to a solved simplex must give the cold solve's optimum."""
+    """A solved program grown by inequalities and solved again from its
+    optimum, each added row's start entry -1 (so that the row starts with
+    its slack, or with an artificial where the optimum violates it), as the
+    cutting-plane loop solves each grown master: the cold solve's optimum."""
 
     def base(self):
         # the equality row sits between the inequality row and the rows added
@@ -433,11 +435,24 @@ class TestAddInequality:
         return LinearProgram(c=[-1.0, -2.0, 0.5], G=[[1.0, 1.0, 0.0]], h=[4.0],
                              E=[[1.0, 0.0, -1.0]], b=[1.0], lo=[0, 0, 0], up=[5, 3, 5])
 
-    def grown(self, g, h):
-        """The base program with the rows g . x <= h appended."""
-        lp = self.base()
-        return LinearProgram(c=lp.c, G=np.vstack([lp.G, g]), h=np.append(lp.h, h),
-                             E=lp.E, b=lp.b, lo=lp.lo, up=lp.up)
+    @staticmethod
+    def grown(lp, g, h):
+        """`lp` with the rows g . x <= h appended."""
+        return dataclasses.replace(lp, G=np.vstack([lp.G, g]), h=np.append(lp.h, h))
+
+    @staticmethod
+    def resolve(lp, g, h):
+        """Solve `lp`, then `grown(lp, g, h)` from its optimum; returns both
+        solutions and the grown simplex."""
+        simplex = lp_module._Simplex(lp)
+        first = simplex.solve()
+        assert_certified(lp, first)
+        basic = np.where(simplex.basis < simplex.n_struct, simplex.basis, -1)
+        grown = TestAddInequality.grown(lp, g, h)
+        added = grown.G.shape[0] - lp.G.shape[0]
+        again = lp_module._Simplex(grown)
+        sol = again.solve(lp_module.BasisStart(first.x, np.append(basic, np.full(added, -1))))
+        return first, sol, again
 
     @pytest.mark.parametrize("g, h", [
         ([0.0, 1.0, 0.0], 1.5),  # violated at the first optimum
@@ -445,10 +460,8 @@ class TestAddInequality:
         ([-1.0, -1.0, 1.0], -1.0),
     ])
     def test_matches_cold_solve(self, g, h):
-        simplex = lp_module._Simplex(self.base())
-        assert_certified(self.base(), simplex.solve())
-        warm = simplex.add_inequality(np.array(g), h)
-        grown = self.grown(g, h)
+        _, warm, _ = self.resolve(self.base(), g, h)
+        grown = self.grown(self.base(), g, h)
         cold = solve_lp(grown)
         assert_certified(grown, warm)
         assert_certified(grown, cold)
@@ -457,25 +470,22 @@ class TestAddInequality:
         assert warm.dual_eq.shape == (1,)
 
     def test_satisfied_row_keeps_the_optimum(self):
-        simplex = lp_module._Simplex(self.base())
-        first = simplex.solve()
-        warm = simplex.add_inequality(np.array([1.0, 0.0, 0.0]), 5.0)
-        assert warm.objective_value == pytest.approx(first.objective_value, abs=1e-12)
+        # the row's slack starts basic, so the optimum is the start itself
+        first, warm, simplex = self.resolve(self.base(), [1.0, 0.0, 0.0], 5.0)
+        assert warm.objective_value == first.objective_value
+        assert simplex.stats.pivots == 0
 
     def test_infeasible_row(self):
-        simplex = lp_module._Simplex(self.base())
-        simplex.solve()
+        # x0 >= 6 against x0 + x1 <= 4: phase one stops two units short
         with pytest.raises(Infeasible) as err:
-            simplex.add_inequality(np.array([-1.0, 0.0, 0.0]), -6.0)
-        assert err.value.shortfall is None
+            self.resolve(self.base(), [-1.0, 0.0, 0.0], -6.0)
+        assert err.value.shortfall == pytest.approx(2.0, abs=1e-12)
 
     def test_repeated_rows(self):
-        simplex = lp_module._Simplex(self.base())
-        simplex.solve()
-        for k in range(4):
-            warm = simplex.add_inequality(np.array([0.0, 1.0, 0.0]), 2.5 - 0.5 * k)
-            assert_certified(self.grown([[0.0, 1.0, 0.0]] * (k + 1),
-                                        2.5 - 0.5 * np.arange(k + 1)), warm)
+        h = 2.5 - 0.5 * np.arange(4)
+        _, warm, _ = self.resolve(self.base(), [[0.0, 1.0, 0.0]] * 4, h)
+        grown = self.grown(self.base(), [[0.0, 1.0, 0.0]] * 4, h)
+        assert_certified(grown, warm)
         cold = solve_lp(LinearProgram(
             c=[-1.0, -2.0, 0.5], G=[[1.0, 1.0, 0.0]] + [[0.0, 1.0, 0.0]] * 4,
             h=[4.0, 2.5, 2.0, 1.5, 1.0], E=[[1.0, 0.0, -1.0]], b=[1.0],
@@ -484,78 +494,45 @@ class TestAddInequality:
 
     def test_ratio_test_flips_a_boxed_column(self, monkeypatch):
         # x1 in [0, 1] is the cheapest way to meet x1 + x2 >= 3 but covers
-        # only 1 of the 3: the ratio test flips it to its upper bound and
-        # lets x2 enter, all in one dual pivot
+        # only 1 of the 3: phase one's ratio test flips it to its upper bound
+        # and then lets x2 enter
         lp = LinearProgram(c=[1.0, 2.0, 0.0], G=[[1.0, 1.0, 1.0]], h=[100.0],
                            lo=[0, 0, 0], up=[1, 5, 10])
-        simplex = lp_module._Simplex(lp)
-        assert_certified(lp, simplex.solve())
-        flipped = []
-        ratio_test = lp_module._Simplex.dual_ratio_test
+        steps = []
+        ratio_test = lp_module._Simplex.ratio_test
 
-        def record(self, *args):
-            j, step, flips = ratio_test(self, *args)
-            flipped.append(flips.tolist())
-            return j, step, flips
+        def record(self, j, *args):
+            t, row = ratio_test(self, j, *args)
+            if self.lp.G.shape[0] == 2:
+                steps.append((j, row))
+            return t, row
 
-        monkeypatch.setattr(lp_module._Simplex, "dual_ratio_test", record)
-        warm = simplex.add_inequality(np.array([-1.0, -1.0, 0.0]), -3.0)
-        grown = LinearProgram(c=lp.c, G=[[1.0, 1.0, 1.0], [-1.0, -1.0, 0.0]],
-                              h=[100.0, -3.0], lo=lp.lo, up=lp.up)
+        monkeypatch.setattr(lp_module._Simplex, "ratio_test", record)
+        _, warm, simplex = self.resolve(lp, [-1.0, -1.0, 0.0], -3.0)
+        assert steps == [(0, -1), (1, 1)]  # x1 flips, then x2 takes the new row
+        assert simplex.stats.pivots == 2
+        monkeypatch.undo()
+        grown = self.grown(lp, [-1.0, -1.0, 0.0], -3.0)
         cold = solve_lp(grown)
-        assert flipped == [[0]]
-        assert simplex.stats.dual_pivots == 1
         assert_certified(grown, warm)
         assert_certified(grown, cold)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
         assert warm.x == pytest.approx([1.0, 2.0, 0.0], abs=1e-12)
 
-    def test_dual_phase_resumes_after_drift(self, monkeypatch):
-        # the product form believes the new row is met, but it is violated
-        # by 3e-8: the refactorization after the dual phase shows the slack
-        # off its bound, and the dual phase resumes instead of handing the
-        # certificate a 3e-8 residual
-        simplex = lp_module._Simplex(self.base())
-        first = simplex.solve()
-        g = np.array([0.0, 1.0, 0.0])
-        h = float(g @ first.x) - 3e-8
-        dual_phase = lp_module._Simplex.run_dual_phase
-        calls = []
-
-        def drift(self):
-            if not calls:
-                self.xB[-1] += 3e-8
-            calls.append(self.stats.dual_pivots)
-            return dual_phase(self)
-
-        monkeypatch.setattr(lp_module._Simplex, "run_dual_phase", drift)
-        before = simplex.stats.refactorizations
-        warm = simplex.add_inequality(g, h)
-        cold = solve_lp(self.grown(g, h))
-        assert calls == [0, 0]
-        assert simplex.stats.dual_pivots == 1
-        assert simplex.stats.refactorizations == before + 2
-        assert_certified(self.grown(g, h), warm)
-        assert bounds(self.grown(g, h), warm)[2] <= lp_module.FEASIBILITY_TOL
-        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
-
     def test_artificial_basic_at_zero_stays_there(self):
         # the redundant equalities of TestDegeneracy end phase one with an
         # artificial basic at zero in the redundant row; fixed at zero, it
-        # stays there through phase two and the dual simplex of a new row
+        # stays there through phase two of the grown program too
         E, b = [[1.0, 1.0], [2.0, 2.0]], [3.0, 6.0]
         lp = LinearProgram(c=[1.0, 0.0], E=E, b=b, lo=[0, 0], up=[5, 5])
-        simplex = lp_module._Simplex(lp)
-        assert_certified(lp, simplex.solve())
-        artificials = np.arange(simplex.art_start, simplex.art_start + simplex.n_art)
-        assert np.isin(simplex.basis, artificials).any()
-        warm = simplex.add_inequality(np.array([0.0, 1.0]), 1.0)
-        grown = LinearProgram(c=lp.c, G=[[0.0, 1.0]], h=[1.0], E=E, b=b, lo=lp.lo, up=lp.up)
+        _, warm, simplex = self.resolve(lp, [0.0, 1.0], 1.0)
+        grown = self.grown(lp, [0.0, 1.0], 1.0)
         cold = solve_lp(grown)
         assert_certified(grown, warm)
         assert_certified(grown, cold)
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
         assert warm.x == pytest.approx(cold.x, abs=1e-12)
+        artificials = np.arange(simplex.art_start, simplex.art_start + simplex.n_art)
         assert np.isin(simplex.basis, artificials).any()
         assert np.all(simplex.values[artificials] == 0.0)
 
@@ -566,14 +543,9 @@ class TestAddInequality:
         ([0.0, 1.0, 0.0], -np.inf),
     ])
     def test_non_finite_row_rejected(self, g, h):
-        # a cut is not validated as a LinearProgram, so the simplex itself
-        # fails closed, before it grows
-        simplex = lp_module._Simplex(self.base())
-        simplex.solve()
-        size = (simplex.m, simplex.n_total)
+        # an added row is validated with the program it grows
         with pytest.raises(ValueError, match="finite"):
-            simplex.add_inequality(np.array(g), h)
-        assert (simplex.m, simplex.n_total) == size
+            self.grown(self.base(), g, h)
 
 
 class TestPricing:
@@ -618,25 +590,25 @@ class TestPricing:
         assert res.stats.phase_one_pivots and entering and all(entering)
 
     @pytest.mark.parametrize("day", range(3))
-    def test_robust_days_never_enter_a_barred_column(self, day, monkeypatch, no_polish):
+    def test_robust_days_never_enter_a_barred_column(self, day, entering, monkeypatch,
+                                                      no_polish):
         # an 8 kW budget leaves the greedy start short on these days (fleet
-        # cap, seed), so the first master's phase one freezes artificials;
-        # the cuts' dual simplex must neither enter nor flip one
+        # cap, seed), and every cut row starts violated, so each master's
+        # phase one freezes artificials; no master's ratio test may then
+        # move one, as an entering column or a flip
         max_vehicles, seed = [(3, 1), (5, 0), (5, 2)][day]
-        picks = []
-        ratio_test = lp_module._Simplex.dual_ratio_test
+        moved = []
+        ratio_test = lp_module._Simplex.ratio_test
 
-        def record(self, *args):
-            j, step, flips = ratio_test(self, *args)
-            if j >= 0:
-                picks.append(bool(self.lo[j] < self.up[j]
-                                  and (self.lo[flips] < self.up[flips]).all()))
-            return j, step, flips
+        def record(self, j, *args):
+            moved.append(bool(self.lo[j] < self.up[j]))
+            return ratio_test(self, j, *args)
 
-        monkeypatch.setattr(lp_module._Simplex, "dual_ratio_test", record)
+        monkeypatch.setattr(lp_module._Simplex, "ratio_test", record)
         sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
                              max_vehicles=max_vehicles, capacity=8.0)
         res = solve(sc, Method.ROBUST_PRICE, radius=0.5)
-        assert res.cuts > 0 and res.stats.phase_one_pivots > 0
-        assert len(picks) == res.stats.dual_pivots > 0
-        assert all(picks)
+        assert res.cuts > 0 and res.stats.phase_one_pivots > res.cuts
+        # the feasibility check's phase one pivots too, outside res.stats
+        assert len(moved) >= res.stats.pivots > 0
+        assert all(moved) and all(entering)

@@ -270,9 +270,10 @@ import sys
 from evsched import InfeasibleScenario, solve
 from evsched.solver import NumericalFailure
 from evsched.synth import random_batch
-seed, method, radius, scale = int(sys.argv[1]), sys.argv[2], float(sys.argv[3]), float(sys.argv[4])
+seed, days, steps, step_hours = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+method, radius, scale = sys.argv[5], float(sys.argv[6]), float(sys.argv[7])
 results, failures, infeasible = [], 0, 0
-for sc in random_batch(seed, 100):
+for sc in random_batch(seed, days, horizon_steps=steps, step_hours=step_hours):
     try:
         results.append(solve(sc, method, radius=radius, load_scale=scale))
     except NumericalFailure:
@@ -286,10 +287,12 @@ print(sum(r.cuts > 0 for r in results), sum(r.cuts for r in results),
 
 
 @pytest.mark.parametrize("args, counts", [
-    # one day here converges on Kelley's cuts alone after 20, where the
-    # polish declines every face it meets
-    (("2", "robust-price", "0.1", "1"), (4, 23, 462, 0, 99, 0, 0)),
-    (("1", "robust-load", "0.5", "1.2"), (2, 4, 221, 0, 84, 0, 16)),
+    # one day in each robust-price batch converges on Kelley's cuts alone,
+    # where the polish declines every face it meets: after 20 cuts in the
+    # first, after 13 in the half-hour batch
+    (("2", "100", "24", "1", "robust-price", "0.1", "1"), (4, 23, 787, 0, 99, 0, 0)),
+    (("1", "100", "24", "1", "robust-load", "0.5", "1.2"), (2, 4, 270, 0, 84, 0, 16)),
+    (("3", "20", "48", "0.5", "robust-price", "0.1", "1"), (2, 15, 1065, 0, 19, 0, 0)),
 ])
 def test_cut_traffic_pinned(args, counts):
     # the few days the polish does not certify at the first master are the

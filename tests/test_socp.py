@@ -29,7 +29,7 @@ from evsched.solver import socp as socp_module
 from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL, _augmented, _converged
 from evsched.synth import random_batch, random_scenario
 
-from conftest import certifying, make_scenario
+from conftest import certifying, make_scenario, run_on_one_blas_thread
 
 solve_norm_augmented = certifying(socp_module.solve_norm_augmented)
 
@@ -149,11 +149,11 @@ class TestCertificates:
 
 
 def robust_day(seed):
-    """A seeded small day and its robust-price master data (radius 0.5)."""
+    """A seeded small day's LP, norm map and least-cost start."""
     sc = random_scenario(np.random.default_rng(seed), horizon_steps=6,
                          max_vehicles=3, scenario_id=f"day{seed}")
     lp, var_index = scheduling_lp(sc)
-    return lp, totals_map(sc, var_index)
+    return lp, totals_map(sc, var_index), least_cost_start(sc, var_index)
 
 
 def cold_master(lp, weight, cut_rows):
@@ -186,160 +186,109 @@ def assert_master_certified(master, sol):
     assert abs(upper - lower) <= lp_module.DUALITY_GAP_TOL * max(1.0, abs(sol.objective_value))
 
 
-def assert_warm_master_matches_cold(lp, M, radius, monkeypatch):
-    """Solve with every cut recorded, then re-solve the final master from
-    scratch: both must be certified at the same optimum.  Returns the
-    solve's result."""
-    added = []
-    add = lp_module._Simplex.add_inequality
+def record_masters(patch):
+    """Patch `_Simplex.solve` to record every master solved, as (program,
+    solution), in the list returned."""
+    masters = []
+    solve = lp_module._Simplex.solve
 
-    def record(self, g, h):
-        sol = add(self, g, h)
-        added.append((np.array(g[:-1]), sol))
+    def record(self, start=None):
+        sol = solve(self, start)
+        masters.append((self.lp, sol))
         return sol
 
+    patch.setattr(lp_module._Simplex, "solve", record)
+    return masters
+
+
+def assert_masters_match_cold(lp, M, radius, monkeypatch, start=None, every=True):
+    """Solve with every master recorded.  Each grown master (only the final
+    one unless `every`) must be the program `cold_master` builds from the
+    cuts so far, certified at the optimum of a solve of that program from
+    scratch, and the result's stats must sum every master's.  Returns the
+    solve's result."""
     with monkeypatch.context() as patch:
-        patch.setattr(lp_module._Simplex, "add_inequality", record)
-        res = solve_norm_augmented(lp, radius, M)
-    assert len(added) == res.cuts
-    if added:
-        warm = added[-1][1]
-        master = cold_master(lp, radius, np.array([g for g, _ in added]))
-        cold = solve_lp(master)
-        assert_master_certified(master, warm)
-        assert_master_certified(master, cold)
-        scale = max(1.0, abs(cold.objective_value))
-        assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
-    return res
-
-
-@pytest.mark.usefixtures("no_polish")
-class TestWarmMaster:
-    @pytest.mark.parametrize("seed", [2, 3, 8])
-    def test_final_master_matches_cold_solve(self, seed, monkeypatch):
-        # every cut is added to one live simplex; re-solving the final
-        # master from scratch must give the same certified optimum
-        added = []
-        add = lp_module._Simplex.add_inequality
-
-        def record(self, g, h):
-            sol = add(self, g, h)
-            added.append((np.array(g), sol))
-            return sol
-
-        monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
-        lp, M = robust_day(seed)
-        res = solve_norm_augmented(lp, 0.5, M)
-        assert res.status is NormAugmentedStatus.OPTIMAL
-        assert len(added) == res.cuts >= 5
-        cut_rows = np.array([g[:-1] for g, _ in added])
-        assert np.all(np.array([g[-1] for g, _ in added]) == -1.0)
-        warm = added[-1][1]
-        master = cold_master(lp, 0.5, cut_rows)
-        cold = solve_lp(master)
-        assert_master_certified(master, warm)
-        assert_master_certified(master, cold)
-        scale = max(1.0, abs(cold.objective_value))
-        assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
-
-    @pytest.mark.parametrize("radius", [0.5, 2.0])
-    def test_seeded_days_match_cold_solves(self, radius, monkeypatch):
-        # the dual simplex re-optimizes every cut: over a seeded sweep of
-        # small days the final warm master is the cold one
-        rng = np.random.default_rng(20241018)
-        cuts = 0
-        for k in range(10):
-            sc = random_scenario(rng, horizon_steps=6, max_vehicles=3, scenario_id=f"d{k}")
-            lp, var_index = scheduling_lp(sc)
-            res = assert_warm_master_matches_cold(lp, totals_map(sc, var_index), radius,
-                                                  monkeypatch)
-            assert res.status is NormAugmentedStatus.OPTIMAL
-            cuts += res.cuts
-        assert cuts >= 100
-
-    def test_counts_repeat_exactly(self):
-        lp, M = robust_day(8)
-        first = solve_norm_augmented(lp, 0.5, M)
-        second = solve_norm_augmented(lp, 0.5, M)
-        assert (first.cuts, first.stats) == (second.cuts, second.stats)
-        assert np.array_equal(first.x, second.x)
-        # pinned: a change here means the pivot sequence changed
-        assert (first.cuts, first.stats.pivots) == (39, 52)
-
-    def test_counters_pinned(self, monkeypatch):
-        # a cut refactors only when the pivot count since the last
-        # refactorization reaches _REFACTOR_EVERY, counted across cuts, or
-        # when its certificate fails; the first master makes three (its
-        # starting basis, after phase one and after phase two, which pivots
-        # on this day: a phase two without pivots keeps the fresh inverse).
-        # This day's cuts make 47 dual pivots in all, so none refactors.
-        per_cut = []
-        add = lp_module._Simplex.add_inequality
-
-        def record(self, g, h):
-            before = (self.stats.refactorizations, self.stats.dual_pivots)
-            sol = add(self, g, h)
-            per_cut.append((self.stats.refactorizations - before[0],
-                            self.stats.dual_pivots - before[1]))
-            return sol
-
-        monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
-        lp, M = robust_day(8)
-        res = solve_norm_augmented(lp, 0.5, M)
-        assert len(per_cut) == res.cuts
-        assert res.stats.dual_pivots == sum(dual for _, dual in per_cut) < lp_module._REFACTOR_EVERY
-        assert all(refactors == 0 for refactors, _ in per_cut)
-        # every pivot of this day moves its entering column and takes a
-        # nonzero dual step, so no run of degenerate pivots switches the
-        # simplex to Bland's rule
-        assert res.cuts == 39
-        assert res.stats == SolveStats(pivots=52, phase_one_pivots=4, dual_pivots=47,
-                                       zero_dual_steps=0, degenerate_pivots=0,
-                                       bland_switches=0, refactorizations=3)
-
-    def test_cuts_refactor_on_the_pivot_schedule(self, monkeypatch):
-        # one master grown by 122 cuts: the refactorization count holds still
-        # until _REFACTOR_EVERY pivots have passed since the last one, across
-        # cuts, and every master is certified at the optimum of a cold solve
-        # of the same rows
-        masters = []
-        add = lp_module._Simplex.add_inequality
-
-        def record(self, g, h):
-            if not masters:
-                masters.append((self.stats.pivots, self.stats.refactorizations))
-            sol = add(self, g, h)
-            masters.append((np.array(g[:-1]), sol, self.stats.pivots,
-                            self.stats.refactorizations))
-            return sol
-
-        monkeypatch.setattr(lp_module._Simplex, "add_inequality", record)
-        lp, M = robust_day(39)
-        res = solve_norm_augmented(lp, 2.0, M)
-        monkeypatch.undo()
-        (first_pivots, first_refactors), *cuts = masters
-        assert len(cuts) == res.cuts
-        every = lp_module._REFACTOR_EVERY
-        for k, (_, warm, pivots, refactors) in enumerate(cuts):
-            assert refactors == first_refactors + (pivots - first_pivots) // every
-            master = cold_master(lp, 2.0, np.array([g for g, *_ in cuts[: k + 1]]))
+        masters = record_masters(patch)
+        res = solve_norm_augmented(lp, radius, M, start=start)
+    assert res.stats == sum((sol.stats for _, sol in masters), SolveStats())
+    grown = masters[len(masters) - res.cuts:]
+    assert len(grown) == res.cuts and len(masters) <= res.cuts + 1
+    if grown:
+        cut_rows = grown[-1][0].G[lp.G.shape[0]:, :-1]
+        for k, (program, warm) in enumerate(grown, 1):
+            if not (every or k == res.cuts):
+                continue
+            master = cold_master(lp, radius, cut_rows[:k])
+            assert np.array_equal(program.G, master.G) and np.array_equal(program.h, master.h)
             cold = solve_lp(master)
             assert_master_certified(master, warm)
             assert_master_certified(master, cold)
             scale = max(1.0, abs(cold.objective_value))
             assert abs(warm.objective_value - cold.objective_value) <= GAP_REL_TOL * scale
+    return res
+
+
+@pytest.mark.usefixtures("no_polish")
+class TestWarmMaster:
+    """The masters the cuts grow.  Each is solved anew, with every cut so
+    far stacked under the LP's rows, from the loop's start: warm where the
+    caller passes the least-cost start, cold from the slack basis where it
+    passes none."""
+
+    @pytest.mark.parametrize("seed", [2, 3, 8])
+    def test_final_master_matches_cold_solve(self, seed, monkeypatch):
+        # every master, the final one too, warm-started from the least-cost
+        # start, is certified at the optimum of a cold solve of its rows
+        lp, M, start = robust_day(seed)
+        res = assert_masters_match_cold(lp, M, 0.5, monkeypatch, start=start)
         assert res.status is NormAugmentedStatus.OPTIMAL
-        # pinned: three refactorizations over 210 dual pivots, 19 of which
-        # take a zero dual step though every entering column moves
-        assert res.cuts == 122
-        assert res.stats == SolveStats(pivots=222, phase_one_pivots=6, dual_pivots=210,
-                                       zero_dual_steps=19, degenerate_pivots=0,
-                                       bland_switches=0, refactorizations=6)
+        assert res.cuts >= 5
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_seeded_days_match_cold_solves(self, radius, monkeypatch):
+        # over a seeded sweep of small days, each final warm-started master
+        # is the cold one
+        rng = np.random.default_rng(20241018)
+        cuts = 0
+        for k in range(10):
+            sc = random_scenario(rng, horizon_steps=6, max_vehicles=3, scenario_id=f"d{k}")
+            lp, var_index = scheduling_lp(sc)
+            res = assert_masters_match_cold(lp, totals_map(sc, var_index), radius, monkeypatch,
+                                            start=least_cost_start(sc, var_index), every=False)
+            assert res.status is NormAugmentedStatus.OPTIMAL
+            cuts += res.cuts
+        assert cuts >= 100
+
+    def test_counts_repeat_exactly(self):
+        lp, M, _ = robust_day(8)
+        first = solve_norm_augmented(lp, 0.5, M)
+        second = solve_norm_augmented(lp, 0.5, M)
+        assert (first.cuts, first.stats) == (second.cuts, second.stats)
+        assert np.array_equal(first.x, second.x)
+        # pinned: a change here means the pivot sequence changed
+        assert (first.cuts, first.stats.pivots) == (39, 697)
+
+    def test_counters_pinned(self, monkeypatch):
+        # each master refactors its basis at its start, after a phase one,
+        # every _REFACTOR_EVERY pivots and after a phase two that pivots.
+        # Every cut row starts violated, so every grown master of this day
+        # runs phase one, pivots in both phases and makes one degenerate
+        # pivot, too few to switch the simplex to Bland's rule
+        lp, M, _ = robust_day(8)
+        with monkeypatch.context() as patch:
+            masters = record_masters(patch)
+            res = solve_norm_augmented(lp, 0.5, M)
+        assert len(masters) == res.cuts + 1
+        assert all((sol.stats.refactorizations, sol.stats.degenerate_pivots) == (3, 1)
+                   and sol.stats.phase_one_pivots for _, sol in masters[1:])
+        assert res.cuts == 39
+        assert res.stats == SolveStats(pivots=697, phase_one_pivots=199, degenerate_pivots=39,
+                                       bland_switches=0, refactorizations=120)
 
     def test_pivots_count_every_master(self):
-        # each violated cut needs at least one dual pivot to bring its slack
-        # back to its bound, and the cold first master needs some too
-        lp, M = robust_day(8)
+        # each grown master's phase one takes at least one pivot to lift tau
+        # to its violated cuts, and the cold first master needs some too
+        lp, M, _ = robust_day(8)
         res = solve_norm_augmented(lp, 0.5, M)
         assert res.stats.pivots > res.cuts
         plain = solve_norm_augmented(lp, 0.0, M)
@@ -348,11 +297,15 @@ class TestWarmMaster:
     def test_master_failing_after_a_cut_is_a_numerical_failure(self, monkeypatch):
         # tau can rise to meet any cut, so a grown master that raises
         # Infeasible is a solver failure, not an infeasible day
-        def infeasible(self, g, h):
-            raise Infeasible(None)
+        lp, M, _ = robust_day(8)
+        solve = lp_module._Simplex.solve
 
-        monkeypatch.setattr(lp_module._Simplex, "add_inequality", infeasible)
-        lp, M = robust_day(8)
+        def infeasible(self, start=None):
+            if self.lp.G.shape[0] > lp.G.shape[0]:  # a grown master
+                raise Infeasible(1.0)
+            return solve(self, start)
+
+        monkeypatch.setattr(lp_module._Simplex, "solve", infeasible)
         with pytest.raises(NumericalFailure, match="infeasible after 1 cuts"):
             solve_norm_augmented(lp, 0.5, M)
 
@@ -505,6 +458,31 @@ class TestCertify:
             assert abs(lower - upper) <= 1e-15 * max(1.0, abs(upper)), k
 
 
+NEW_FACE_POLISH = """
+import numpy as np
+from evsched.nominal import scheduling_lp
+from evsched.robust import totals_map
+from evsched.solver import socp
+from evsched.synth import random_scenario
+sc = random_scenario(np.random.default_rng(39), horizon_steps=6, max_vehicles=3,
+                     scenario_id="day39")
+lp, var_index = scheduling_lp(sc)
+faces, calls = [], []
+real_face = socp._face
+
+def record(*args):
+    face = real_face(*args)
+    faces.append(face.tobytes())
+    return face
+
+socp._face = record
+socp._polish = lambda lp, w, M, sol, face: calls.append(face.tobytes())
+res = socp.solve_norm_augmented(lp, 2.0, totals_map(sc, var_index))
+print(int(res.polished), res.cuts, int(calls[0] == faces[0]), len(calls),
+      sum(a != b for a, b in zip(faces, faces[1:])), len(faces))
+"""
+
+
 class TestPolish:
     @pytest.mark.parametrize("radius", [0.5, 2.0])
     def test_full_size_days_certify_at_the_first_master(self, radius):
@@ -534,27 +512,16 @@ class TestPolish:
             assert polished.objective <= kelley.objective + tol
             assert polished.lower_bound >= kelley.lower_bound - tol
 
-    def test_polish_runs_only_on_a_new_face(self, monkeypatch):
+    def test_polish_runs_only_on_a_new_face(self):
         # a polish that always fails is tried at the first master and then
-        # only where the master's face has changed
-        faces = []
-        real_face = socp_module._face
-
-        def record(*args):
-            face = real_face(*args)
-            faces.append(face.tobytes())
-            return face
-
-        calls = []
-        monkeypatch.setattr(socp_module, "_face", record)
-        monkeypatch.setattr(socp_module, "_polish", lambda lp, w, M, sol, face:
-                            calls.append(face.tobytes()))
-        lp, M = robust_day(39)
-        res = socp_module.solve_norm_augmented(lp, 2.0, M)
-        assert not res.polished and res.cuts == 122
-        assert calls[0] == faces[0]
-        assert len(calls) == 1 + sum(a != b for a, b in zip(faces, faces[1:]))
-        assert 1 < len(calls) < len(faces)
+        # only where the master's face has changed; the cut count is exact,
+        # so BLAS on one thread
+        polished, cuts, first, calls, changes, faces = map(
+            int, run_on_one_blas_thread(NEW_FACE_POLISH).split())
+        assert (polished, cuts) == (0, 122)
+        assert first == 1  # the first master's face
+        assert calls == 1 + changes
+        assert 1 < calls < faces
 
     def test_weight_zero_never_polishes(self, monkeypatch):
         def refuse(*args):
