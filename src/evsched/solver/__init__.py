@@ -1,7 +1,6 @@
 """Generic optimization kernels: LP solver and norm cutting planes."""
 
 from .lp import (
-    DUALITY_GAP_TOL,
     FEASIBILITY_TOL,
     BasisStart,
     Infeasible,
@@ -9,17 +8,16 @@ from .lp import (
     LpSolution,
     NumericalFailure,
     SolveStats,
+    certify,
     solve_lp,
 )
 from .socp import (
     NormAugmentedResult,
     NormAugmentedStatus,
-    certify,
     solve_norm_augmented,
 )
 
 __all__ = [
-    "DUALITY_GAP_TOL",
     "FEASIBILITY_TOL",
     "BasisStart",
     "Infeasible",
@@ -27,9 +25,9 @@ __all__ = [
     "LpSolution",
     "NumericalFailure",
     "SolveStats",
+    "certify",
     "solve_lp",
     "NormAugmentedResult",
     "NormAugmentedStatus",
-    "certify",
     "solve_norm_augmented",
 ]

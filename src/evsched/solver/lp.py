@@ -3,7 +3,7 @@
 Solves
 
     min  c . x
-    s.t. G x <= h,  E x = b,  lo <= x <= up   (lo finite, up may be inf)
+    s.t. G x <= h,  E x = b,  lo <= x <= up   (lo and up finite)
 
 with a two-phase bounded-variable simplex.  Inequalities get slack
 columns, infeasible starting rows get artificial columns, and phase one
@@ -14,8 +14,8 @@ still basic there is pivoted out by the ratio test like any fixed basic
 column.  A caller that knows a good starting point can pass it with the
 basic column of each row it covers (`BasisStart`); the default start rests
 every column at its lower bound; a start whose row multipliers certify it
-needs no simplex (`socp.solve_norm_augmented`).  Pricing is Dantzig (most
-negative reduced cost, ties to the lowest column index).
+needs no simplex (`solve_lp`).  Pricing is Dantzig (most negative reduced
+cost, ties to the lowest column index).
 
 The pivot loop keeps the iteration budget, refactors the basis inverse
 every _REFACTOR_EVERY pivots and, after _BLAND_AFTER degenerate pivots in a
@@ -25,11 +25,12 @@ cycling.  The ratio test breaks ties by the largest pivot magnitude, then
 the lowest column index.  Every pivot sequence is a pure function of the
 instance, so results are bit-reproducible.
 
-Every solution carries a dual certificate (multipliers for G and E; the
-active bounds' multipliers follow from the reduced costs) and the solver
-re-checks primal residuals, the duality gap, the signs of the inequality
-multipliers and stationarity before returning it; if certification fails
-at tolerance it raises NumericalFailure instead of mislabeling the result.
+Every solution carries its row multipliers, and the solver accepts it
+only where `certify` passes on them: x's residual at most FEASIBILITY_TOL,
+and the closed-form lower bound within GAP_ABS_TOL / GAP_REL_TOL of c . x.
+The bound holds for any multipliers, with the box taking up the reduced
+costs, so it needs no sign or stationarity test; a basis that fails it
+raises NumericalFailure instead of mislabeling the result.
 """
 
 from __future__ import annotations
@@ -40,10 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Certification thresholds (see LpSolution): absolute on residuals,
-# relative on the duality gap.
+# Certification thresholds: absolute on residuals; the gap between the
+# bounds passes at max(GAP_ABS_TOL, GAP_REL_TOL * max(1, |upper|)).  Tight
+# gap tolerances keep the cutting-plane loop's iterate close to the true
+# minimizer, not just its objective value.
 FEASIBILITY_TOL = 1e-8
-DUALITY_GAP_TOL = 1e-7
+GAP_ABS_TOL = 1e-9
+GAP_REL_TOL = 1e-10
 
 _DUAL_TOL = 1e-9  # reduced-cost optimality threshold
 _PIVOT_TOL = 1e-9  # smallest acceptable pivot magnitude
@@ -66,12 +70,12 @@ class Infeasible(RuntimeError):
         self.shortfall = shortfall
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LinearProgram:
-    """Standard-form LP; G/h and E/b may be omitted, bounds default to
-    [0, +inf).  Lower bounds must be finite; an upper bound may be +inf.
-    c may be empty: a program with no variables has the empty vector as
-    its only point."""
+    """Standard-form LP; G/h and E/b may be omitted, lower bounds default to
+    0.  Every bound must be finite, so each column has a box.  c may be
+    empty: a program with no variables has the empty vector as its only
+    point."""
 
     c: np.ndarray
     G: np.ndarray | None = None
@@ -79,7 +83,7 @@ class LinearProgram:
     E: np.ndarray | None = None
     b: np.ndarray | None = None
     lo: np.ndarray | None = None
-    up: np.ndarray | None = None
+    up: np.ndarray
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -112,20 +116,13 @@ class LinearProgram:
             if self.lo is None
             else np.atleast_1d(np.asarray(self.lo, dtype=float))
         )
-        up = (
-            np.full(n, np.inf)
-            if self.up is None
-            else np.atleast_1d(np.asarray(self.up, dtype=float))
-        )
+        up = np.atleast_1d(np.asarray(self.up, dtype=float))
         if lo.shape != (n,) or up.shape != (n,):
             raise ValueError("bounds must have length n")
-        for name, arr in (("c", c), ("G", G), ("h", h), ("E", E), ("b", b)):
+        for name, arr in (("c", c), ("G", G), ("h", h), ("E", E), ("b", b),
+                          ("lo", lo), ("up", up)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if np.isnan(lo).any() or np.isnan(up).any():
-            raise ValueError("bounds must not be NaN")
-        if not np.isfinite(lo).all():
-            raise ValueError("lower bounds must be finite")
         if (lo > up).any():
             raise ValueError("lo must be <= up elementwise")
         object.__setattr__(self, "lo", lo)
@@ -140,11 +137,11 @@ class LinearProgram:
 class LpSolution:
     """A certified optimum (infeasibility raises Infeasible instead):
 
-    dual_ineq  multipliers for G x <= h (nonnegative up to tolerance)
+    dual_ineq  multipliers for G x <= h (`certify` clips them at 0)
     dual_eq    multipliers for E x = b
 
-    which `socp.certify` turns into a lower bound that meets
-    objective_value at tolerance; `stats` counts the simplex's work.
+    which `certify` turns into a lower bound that meets objective_value at
+    tolerance; `stats` counts the simplex's work.
     """
 
     x: np.ndarray
@@ -175,7 +172,8 @@ class BasisStart(NamedTuple):
     column basic in row r, or -1 where the row starts with its slack or an
     artificial.  Rows are E's, then G's.  The named columns must form a
     nonsingular basis together with the unit columns of the other rows;
-    `duals`, the row multipliers or None, are for `socp.certify` alone."""
+    `duals`, the row multipliers or None, are for `solve_lp`'s `certify`
+    of the start alone."""
 
     x: np.ndarray
     basic: np.ndarray
@@ -279,9 +277,8 @@ class _Simplex:
 
     # -- primal simplex ----------------------------------------------------
 
-    def reduced_costs(self, c_work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = c_work[self.basis] @ self.B_inv
-        return y, c_work - y @ self.A
+    def reduced_costs(self, c_work: np.ndarray) -> np.ndarray:
+        return c_work - (c_work[self.basis] @ self.B_inv) @ self.A
 
     def choose_entering(self, d: np.ndarray, bland: bool) -> int:
         viol = _PRICE_SIGN[self.state] * d
@@ -342,14 +339,13 @@ class _Simplex:
         self.B_inv[rows] -= w[rows, None] * pivot_row
         self.B_inv[row] = pivot_row
 
-    def run_phase(self, c_work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def run_phase(self, c_work: np.ndarray):
         """Primal simplex on the costs `c_work` from a primal feasible
-        basis, until no column prices out; returns that last pricing, the
-        (y, d) of `reduced_costs`, with the basic values written back.  The
-        module docstring gives the budget, Bland and refactorization policy
-        it applies.  Raises NumericalFailure when the entering column can
-        move without end: the programs this module solves are bounded
-        below, so an unbounded ray is a fault."""
+        basis, until no column prices out, with the basic values written
+        back.  The module docstring gives the budget, Bland and
+        refactorization policy it applies.  Raises NumericalFailure when the
+        entering column can move without end: every column has a finite
+        box, so an unbounded ray is a fault."""
         stats = self.stats
         bland = False
         stall = 0
@@ -359,12 +355,11 @@ class _Simplex:
                     f"iteration limit {self.max_iter} exceeded (m={self.m}, "
                     f"n={self.n_total})"
                 )
-            priced = self.reduced_costs(c_work)
-            d = priced[1]
+            d = self.reduced_costs(c_work)
             j = self.choose_entering(d, bland)
             if j < 0:
                 self.values[self.basis] = self.xB
-                return priced
+                return
             # an eligible column moves against the sign of its reduced cost
             direction = 1.0 if d[j] < 0 else -1.0
             w = self.B_inv @ self.A[:, j]
@@ -391,11 +386,10 @@ class _Simplex:
         """Phase one from `start`, then phase two and the certificate."""
         self.build_initial_basis(start)
         self.phase_one()
-        priced = self.run_phase(self.cost)
-        if self.stats.pivots != self.factored_at:  # else the inverse is fresh,
-            self.refactorize()  # and phase two's last pricing was made on it
-            priced = None
-        return self._certify(priced)
+        self.run_phase(self.cost)
+        if self.stats.pivots != self.factored_at:
+            self.refactorize()
+        return self._certify()
 
     def phase_one(self):
         """Minimize the artificial sum from the current basis, and set the
@@ -422,59 +416,77 @@ class _Simplex:
             raise Infeasible(float(artificials.sum()))
         self.up[self.art_start :] = 0.0
 
-    # -- certification ------------------------------------------------------
-
-    def _certify(self, priced=None) -> LpSolution:
-        """The solution at the current basis with its dual certificate, or
-        NumericalFailure when that certificate fails: a primal residual
-        above FEASIBILITY_TOL, a duality gap above DUALITY_GAP_TOL relative, an
-        inequality multiplier below zero or a structural column whose
-        reduced cost no active bound's multiplier absorbs (a [0, inf)
-        column priced below zero), the last two beyond _DUAL_TOL relative.
-        The gap alone misses those two: a tight row or a column at its
-        bound adds nothing to it whatever the multiplier's sign.  `priced`
-        is the reduced_costs of self.cost at the current basis and inverse,
-        when the caller has them, or None."""
+    def _certify(self) -> LpSolution:
+        """The solution at the current basis, accepted where `certify` passes
+        on x, clipped to its box, and the multipliers y = c_B B^-1."""
         lp = self.lp
-        n = self.n_struct
-        x = np.clip(self.values[:n], lp.lo, lp.up)
-        # every row, from the program's own coefficients
-        m_eq = self.m_eq
-        row_resid = self.A[:, :n] @ x - self.rhs
-        row_resid[:m_eq] = np.abs(row_resid[:m_eq])
-        resid = float(row_resid.max(initial=0.0))
-
-        y, d = priced or self.reduced_costs(self.cost)
-        lam = -y[m_eq:]
-        nu = -y[:m_eq]
-        d_struct = d[:n]
-        fin_up = np.isfinite(lp.up)
-        mu_lo = np.maximum(d_struct, 0.0)
-        mu_up = np.where(fin_up, np.maximum(-d_struct, 0.0), 0.0)
-
-        primal = float(lp.c @ x)
-        dual = 0.0
-        dual -= float(lam @ self.rhs[m_eq:])
-        dual -= float(nu @ self.rhs[:m_eq])
-        dual += float(mu_lo @ lp.lo)
-        dual -= float(mu_up[fin_up] @ lp.up[fin_up])
-        gap = primal - dual
-
-        scale = max(1.0, abs(primal))
-        sign = float(lam.min(initial=0.0))
-        stationarity = float(np.abs(d_struct - mu_lo + mu_up).max(initial=0.0))
-        # written so that a NaN residual, gap or multiplier fails certification
-        if not (resid <= FEASIBILITY_TOL and abs(gap) <= DUALITY_GAP_TOL * scale
-                and sign >= -_DUAL_TOL * scale and stationarity <= _DUAL_TOL * scale):
-            raise NumericalFailure(
-                f"certification failed: residual={resid:.3e}, gap={gap:.3e}, "
-                f"least multiplier={sign:.3e}, stationarity={stationarity:.3e}")
-        return LpSolution(x=x, objective_value=primal, dual_ineq=lam, dual_eq=nu,
-                          stats=self.stats)
+        c_B = self.cost[self.basis]
+        y = c_B @ self.B_inv
+        # one step of iterative refinement: on a master grown by many nearly
+        # parallel cuts, y from the inverse alone leaves basic reduced costs
+        # near 1e-11, which tau's box makes a gap above GAP_ABS_TOL
+        y += (c_B - y @ self.A[:, self.basis]) @ self.B_inv
+        return _certified(lp, np.clip(self.values[: self.n_struct], lp.lo, lp.up),
+                          -y[self.m_eq :], -y[: self.m_eq], self.stats)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP and certify the result (see module docstring).  Raises
-    Infeasible when no point meets it, and NumericalFailure on an unbounded
-    ray or a certificate that fails at tolerance."""
-    return _Simplex(lp).solve()
+def certify(lp: LinearProgram, M: np.ndarray, r: float, x: np.ndarray,
+            lam: np.ndarray, nu: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
+    """Bounds on  min c.x + r ||M x||  over the LP's feasible set, from a
+    point x and multipliers alone: (upper, lower, residual).
+
+    upper = c.x + r ||M x|| bounds the minimum from above once x is feasible,
+    and residual is x's worst violation of the LP's rows and bounds.  Any
+    lam >= 0 (for G x <= h), any nu (for E x = b) and any ||u|| <= 1 give
+
+        lower = -h.lam - b.nu + sum_j min(d_j lo_j, d_j up_j),
+        d = c + r M^T u + G^T lam + E^T nu,
+
+    by Cauchy-Schwarz (r ||M x|| >= r u.M x), weak duality, and the box
+    taking up d (Ben-Tal & Nemirovski 2001 for the ball counterpart).  A
+    negative lam is clipped to 0 and a long u scaled to unit length.  It
+    needs no solver state, and a NaN anywhere makes a bound NaN, which no
+    gap test passes."""
+    lam = np.maximum(lam, 0.0)
+    u = u / np.maximum(1.0, np.linalg.norm(u))
+    d = lp.c + r * (u @ M) + lam @ lp.G + nu @ lp.E
+    lower = float(d @ np.where(d >= 0.0, lp.lo, lp.up) - lam @ lp.h - nu @ lp.b)
+    upper = float(lp.c @ x + r * np.linalg.norm(M @ x))
+    residual = np.concatenate([lp.G @ x - lp.h, np.abs(lp.E @ x - lp.b),
+                               lp.lo - x, x - lp.up]).max(initial=0.0)
+    return upper, lower, float(residual)
+
+
+def _converged(best_upper: float, lower: float) -> bool:
+    # written so that a NaN or infinite bound never converges
+    tol = max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper)))
+    return best_upper - lower <= tol < math.inf
+
+
+def _certified(lp: LinearProgram, x: np.ndarray, lam: np.ndarray, nu: np.ndarray,
+               stats: SolveStats) -> LpSolution:
+    """x with the row multipliers (lam for G, nu for E) as the optimum of
+    `lp`, where `certify` passes on them; NumericalFailure where it does not."""
+    upper, lower, residual = certify(lp, np.empty((0, lp.num_vars)), 0.0, x, lam, nu,
+                                     np.empty(0))
+    # written so that a NaN residual or bound fails
+    if not (residual <= FEASIBILITY_TOL and _converged(upper, lower)):
+        raise NumericalFailure(
+            f"certification failed: residual={residual:.3e}, gap={upper - lower:.3e}")
+    return LpSolution(x=x, objective_value=upper, dual_ineq=lam, dual_eq=nu, stats=stats)
+
+
+def solve_lp(lp: LinearProgram, start: BasisStart | None = None) -> LpSolution:
+    """Solve an LP and certify the result (see module docstring), from
+    `start` if given.  A start whose row multipliers `start.duals` certify
+    it is returned as it is, with no simplex built; otherwise the simplex
+    runs from it.  Raises Infeasible when no point meets the program, and
+    NumericalFailure on an unbounded ray or a certificate that fails at
+    tolerance."""
+    if start is not None and start.duals is not None:
+        nu, lam = np.split(start.duals, [lp.E.shape[0]])
+        try:
+            return _certified(lp, start.x, lam, nu, SolveStats())
+        except NumericalFailure:
+            pass  # not optimal, or not at tolerance: the simplex pivots from it
+    return _Simplex(lp).solve(start)

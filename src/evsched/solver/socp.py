@@ -11,12 +11,8 @@ evaluating the true objective at the master optimum gives an upper bound,
 and the loop stops once the best upper bound meets the lower bound at
 tolerance.  The returned x is the best master optimum or a polished point.
 
-`certify` bounds the program from a point x and multipliers alone, with no
-solver state: the upper bound c.x + weight ||M x||, x's worst residual, and
-the closed-form lower bound that any lam >= 0, any nu and any ||u|| <= 1
-give (Cauchy-Schwarz, then weak duality, with the box taking up the reduced
-costs; Ben-Tal & Nemirovski 2001 for the ball counterpart).  A NaN, or an
-infinite upper bound under a negative reduced cost, makes it fail closed.
+`certify` (`lp.py`, the LP's own acceptance test) bounds the program from
+a point x and multipliers alone.
 
 Before cutting, the loop polishes the master's face, as OSQP polishes a QP
 (Stellato et al. 2020): it guesses the active set from the master, solves
@@ -36,13 +32,20 @@ master, before any polish.  On the seed-1 pool of the robust-price
 benchmark, and on every day of `synth.random_batch(5, 30)` at radius 0.5
 and 2, the polish certifies the first master, before any cut.
 
-The first master starts from the caller's starting basis, if any, with
-tau resting at 0; where `certify` passes on the start's row multipliers
-it is optimal (tau's reduced cost is the weight) and no simplex is built.
-Each cut makes a new master, the LP with every cut so far stacked under
-its rows, which a simplex solves from the same start, each cut row
-starting with its slack or an artificial.  The result's `stats` sums the
-SolveStats of every master (all 0 where none is built).
+Every master is solved by `solve_lp`.  The first starts from the
+caller's starting basis, if any, with tau resting at 0; where `certify`
+passes on the start's row multipliers it is optimal (tau's reduced cost is
+the weight) and no simplex is built.  Each cut makes a new master, the LP
+with every cut so far stacked under its rows, which a simplex solves from
+the same start, each cut row starting with its slack or an artificial.
+The result's `stats` sums the SolveStats of every master (all 0 where none
+is built).
+
+Tau's box is [0, reach], reach = || |M| max(|lo|, |up|) ||, the most
+||M x|| can be over the LP's box, or the largest float where that
+overflows.  Tau at a master optimum is the largest cut value u_k . M x, at
+most ||M x||, so the cap keeps every optimum; it gives every master a
+finite box, which `certify` needs to accept it.
 
 An infeasible LP raises Infeasible from the first master.  Tau can rise to
 meet any cut, so Infeasible from a grown master is a NumericalFailure.
@@ -62,14 +65,9 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import (FEASIBILITY_TOL, BasisStart, Infeasible, LinearProgram, LpSolution,
-                 NumericalFailure, SolveStats, _Simplex)
+from .lp import (FEASIBILITY_TOL, GAP_ABS_TOL, GAP_REL_TOL, BasisStart, Infeasible,
+                 LinearProgram, LpSolution, NumericalFailure, _converged, certify, solve_lp)
 
-# Convergence is checked as best_upper - lower <= max(abs, rel * |best_upper|).
-# Tight defaults keep the returned iterate close to the true minimizer, not
-# just its objective value.
-GAP_ABS_TOL = 1e-9
-GAP_REL_TOL = 1e-10
 MAX_CUTS = 200
 # The face of a master optimum: its LP rows whose multiplier is above this,
 # and its columns at a bound whose reduced cost is beyond it.
@@ -103,8 +101,11 @@ class NormAugmentedResult:
     certificate: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _augmented(lp: LinearProgram, weight: float) -> LinearProgram:
-    """The LP with the epigraph column tau appended at cost `weight`."""
+def _augmented(lp: LinearProgram, weight: float, M: np.ndarray) -> LinearProgram:
+    """The LP with the epigraph column tau appended at cost `weight`, in
+    [0, the reach of ||M x|| over the LP's box]."""
+    with np.errstate(over="ignore"):  # an overflow caps tau at the largest float
+        reach = float(np.linalg.norm(np.abs(M) @ np.maximum(np.abs(lp.lo), np.abs(lp.up))))
     return LinearProgram(
         c=np.append(lp.c, weight),
         G=np.hstack([lp.G, np.zeros((lp.G.shape[0], 1))]),
@@ -112,7 +113,7 @@ def _augmented(lp: LinearProgram, weight: float) -> LinearProgram:
         E=np.hstack([lp.E, np.zeros((lp.E.shape[0], 1))]),
         b=lp.b,
         lo=np.concatenate([lp.lo, [0.0]]),
-        up=np.concatenate([lp.up, [np.inf]]),
+        up=np.concatenate([lp.up, [min(reach, np.finfo(float).max)]]),
     )
 
 
@@ -133,12 +134,10 @@ def solve_norm_augmented(
 
     # At weight 0 tau would cost nothing, so the master is the LP itself;
     # otherwise tau starts nonbasic at 0.
-    master_lp = _augmented(lp, weight) if weight else lp
+    master_lp = _augmented(lp, weight, M) if weight else lp
     if weight and start is not None:
         start = BasisStart(np.append(start.x, 0.0), start.basic, start.duals)
-    sol = _certified_start(lp, master_lp, start)
-    if sol is None:
-        sol = _Simplex(master_lp).solve(start)
+    sol = solve_lp(master_lp, start)
     stats = sol.stats
     dirs = np.empty((MAX_CUTS, M.shape[0]))
     best_obj = math.inf  # the least upper bound, at the master vertex best_x
@@ -186,7 +185,7 @@ def solve_norm_augmented(
         grown_start = None if start is None else BasisStart(
             start.x, np.append(start.basic, np.full(k + 1, -1)))
         try:
-            sol = _Simplex(grown).solve(grown_start)
+            sol = solve_lp(grown, grown_start)
         except Infeasible as exc:  # tau can rise to meet any cut
             raise NumericalFailure(f"master infeasible after {k + 1} cuts") from exc
         stats += sol.stats
@@ -196,45 +195,6 @@ def solve_norm_augmented(
         x=best_x, objective=best_obj, lower_bound=lower,
         gap=float(best_obj - lower), cuts=k, stats=stats, polished=False,
         certificate=certificate or _master_certificate(lp, weight, sol, dirs[:k]))
-
-
-def certify(lp: LinearProgram, M: np.ndarray, r: float, x: np.ndarray,
-            lam: np.ndarray, nu: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
-    """Bounds on  min c.x + r ||M x||  over the LP's feasible set, from a
-    point x and multipliers alone: (upper, lower, residual).
-
-    upper = c.x + r ||M x|| bounds the minimum from above once x is feasible,
-    and residual is x's worst violation of the LP's rows and bounds.  Any
-    lam >= 0 (for G x <= h), any nu (for E x = b) and any ||u|| <= 1 give
-
-        lower = -h.lam - b.nu + sum_j min(d_j lo_j, d_j up_j),
-        d = c + r M^T u + G^T lam + E^T nu,
-
-    by Cauchy-Schwarz (r ||M x|| >= r u.M x), weak duality, and the box
-    taking up d.  A negative lam is clipped to 0 and a long u scaled to unit
-    length.  A NaN anywhere, or an infinite up_j with d_j < 0, makes a
-    bound NaN or infinite, which no gap test passes."""
-    lam = np.maximum(lam, 0.0)
-    u = u / np.maximum(1.0, np.linalg.norm(u))
-    d = lp.c + r * (u @ M) + lam @ lp.G + nu @ lp.E
-    lower = float(d @ np.where(d >= 0.0, lp.lo, lp.up) - lam @ lp.h - nu @ lp.b)
-    upper = float(lp.c @ x + r * np.linalg.norm(M @ x))
-    residual = np.concatenate([lp.G @ x - lp.h, np.abs(lp.E @ x - lp.b),
-                               lp.lo - x, x - lp.up]).max(initial=0.0)
-    return upper, lower, float(residual)
-
-
-def _certified_start(lp: LinearProgram, master_lp: LinearProgram,
-                     start: BasisStart | None) -> LpSolution | None:
-    """`start` as the optimum of `master_lp`, the LP with or without tau,
-    where `certify` passes on its multipliers for `lp` at the loop's tolerances."""
-    if start is not None and start.duals is not None:
-        nu, lam = np.split(start.duals, [lp.E.shape[0]])
-        upper, lower, residual = certify(lp, np.empty((0, lp.num_vars)), 0.0,
-                                         start.x[: lp.num_vars], lam, nu, np.empty(0))
-        if residual <= FEASIBILITY_TOL and _converged(upper, lower):
-            return LpSolution(start.x, float(master_lp.c @ start.x), lam, nu, SolveStats())
-    return None
 
 
 def _master_certificate(lp: LinearProgram, weight: float, sol: LpSolution,
@@ -391,12 +351,6 @@ def _evaluate(lp: LinearProgram, weight: float, M: np.ndarray,
     if not math.isfinite(objective):
         raise NumericalFailure(f"objective {objective} at an LP-feasible point")
     return objective, nv, v
-
-
-def _converged(best_upper: float, lower: float) -> bool:
-    # written so that a NaN or infinite bound never converges
-    tol = max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(best_upper)))
-    return best_upper - lower <= tol < math.inf
 
 
 def _repeats(dirs: np.ndarray, u: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ would fail the benchmark.  This test fails first.
 import numpy as np
 
 import evsched.sim
+import evsched.solver.lp
 import evsched.solver.socp
 from evsched import Method, Scenario, Schedule, occupancy_from_windows, validate_schedule
 from evsched.ingest import save_scenario
@@ -52,6 +53,11 @@ def test_benchmark_harness_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(evsched.solver.socp, "MAX_CUTS", 0)
     result = solve_norm_augmented(lp, 0.5, totals_map(sc, var_index))
     assert result.status.value == "cut-limit"
+
+    # check.py reads the gap pair from socp, which must be the LP's own, so
+    # that the gate and the solver's acceptance test share one tolerance
+    assert evsched.solver.socp.GAP_ABS_TOL is evsched.solver.lp.GAP_ABS_TOL
+    assert evsched.solver.socp.GAP_REL_TOL is evsched.solver.lp.GAP_REL_TOL
 
     # perfbench/workloads.py wraps these two to capture and time each day
     assert callable(evsched.sim.optimized_schedule)

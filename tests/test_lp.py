@@ -8,9 +8,10 @@ import pytest
 
 from evsched import Method, solve
 from evsched.nominal import scheduling_lp
-from evsched.solver import (Infeasible, LinearProgram, NumericalFailure, SolveStats, certify,
-                            solve_lp)
+from evsched.solver import (FEASIBILITY_TOL, Infeasible, LinearProgram, NumericalFailure,
+                            SolveStats, certify, solve_lp)
 from evsched.solver import lp as lp_module
+from evsched.solver.lp import GAP_ABS_TOL, GAP_REL_TOL, _converged
 from evsched.synth import random_scenario
 
 from conftest import make_scenario
@@ -59,17 +60,16 @@ def bounds(lp, sol):
 
 def assert_certified(lp, sol):
     upper, lower, residual = bounds(lp, sol)
-    assert residual <= 1e-8
+    assert residual <= FEASIBILITY_TOL
     assert upper == sol.objective_value
-    scale = max(1.0, abs(sol.objective_value))
-    assert abs(upper - lower) <= 1e-7 * scale
-    # weak duality
-    assert lower <= sol.objective_value + 1e-7 * scale
+    assert _converged(upper, lower)
+    # weak duality, up to what x's residual can be worth
+    assert lower <= sol.objective_value + 1e-7 * max(1.0, abs(sol.objective_value))
 
 
 class TestExamples:
     def test_bound_active(self):
-        lp = LinearProgram(c=[1.0], lo=[3.0], up=[np.inf])
+        lp = LinearProgram(c=[1.0], lo=[3.0], up=[10.0])
         sol = solve_lp(lp)
         assert_certified(lp, sol)
         assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
@@ -88,20 +88,20 @@ class TestExamples:
 
     def test_infeasible_bounds_vs_row(self):
         lp = LinearProgram(c=[1.0], G=[[-1.0], [1.0]], h=[-1.0, 0.0],
-                           lo=[-5.0], up=[np.inf])
+                           lo=[-5.0], up=[5.0])
         with pytest.raises(Infeasible) as err:
             solve_lp(lp)
         # x <= 0 leaves x >= 1 short by 1 at best
         assert err.value.shortfall == pytest.approx(1.0)
 
     def test_unbounded(self):
-        # every program evsched builds is bounded, so a ray is a fault
-        lp = LinearProgram(c=[-1.0], G=[[-1.0]], h=[0.0])
-        with pytest.raises(NumericalFailure, match="unbounded ray: column 0"):
-            solve_lp(lp)
+        # a column without an upper bound could make a program unbounded;
+        # every column must have a finite box, so none is built
+        with pytest.raises(ValueError, match="up must be finite"):
+            LinearProgram(c=[-1.0], G=[[-1.0]], h=[0.0], up=[np.inf])
 
     def test_equality_system(self):
-        lp = LinearProgram(c=[1.0, 2.0], E=[[1.0, 1.0]], b=[4.0], lo=[0, 0])
+        lp = LinearProgram(c=[1.0, 2.0], E=[[1.0, 1.0]], b=[4.0], lo=[0, 0], up=[6, 6])
         sol = solve_lp(lp)
         assert_certified(lp, sol)
         assert sol.x == pytest.approx([4.0, 0.0], abs=1e-9)
@@ -122,7 +122,7 @@ class TestConstraintFree:
 
     @pytest.mark.parametrize("c, lo, up, objective", [
         ([1.0, -2.0], [0.0, 0.0], [3.0, 4.0], -8.0),
-        ([0.0, 1.0], [-3.0, 1.0], [2.0, np.inf], 1.0),
+        ([0.0, 1.0], [-3.0, 1.0], [2.0, 4.0], 1.0),
         ([-1.0, 0.5], [-1.0, -2.0], [1.0, 2.0], -2.0),
     ])
     def test_optimal(self, c, lo, up, objective):
@@ -138,9 +138,10 @@ class TestConstraintFree:
         ([0.0, -1.0], [0.0, 0.0], [1.0, np.inf]),
     ])
     def test_unbounded(self, c, lo, up):
-        # the last column has no upper bound and a negative cost: a ray
-        with pytest.raises(NumericalFailure, match=f"unbounded ray: column {len(c) - 1}"):
-            solve_lp(LinearProgram(c=c, lo=lo, up=up))
+        # the last column has no upper bound and a negative cost, which would
+        # be a ray: the program is refused
+        with pytest.raises(ValueError, match="up must be finite"):
+            LinearProgram(c=c, lo=lo, up=up)
 
 
 class TestNoVariables:
@@ -154,7 +155,7 @@ class TestNoVariables:
         {"G": np.zeros((1, 0)), "h": [1.0], "E": np.zeros((2, 0)), "b": [0.0, 0.0]},
     ])
     def test_optimal_at_the_empty_point(self, rows):
-        lp = LinearProgram(c=np.zeros(0), **rows)
+        lp = LinearProgram(c=np.zeros(0), up=np.zeros(0), **rows)
         sol = solve_lp(lp)
         assert_certified(lp, sol)
         assert sol.x.shape == (0,)
@@ -162,14 +163,14 @@ class TestNoVariables:
         assert sol.stats.pivots == 0
 
     def test_violated_row_is_infeasible(self):
-        lp = LinearProgram(c=[], G=np.zeros((1, 0)), h=[-1.0])
+        lp = LinearProgram(c=[], G=np.zeros((1, 0)), h=[-1.0], up=[])
         with pytest.raises(Infeasible) as err:
             solve_lp(lp)
         assert err.value.shortfall == 1.0
 
     def test_two_dimensional_cost_rejected(self):
         with pytest.raises(ValueError, match="c must be a vector"):
-            LinearProgram(c=[[1.0, 2.0]])
+            LinearProgram(c=[[1.0, 2.0]], up=[1.0, 1.0])
 
 
 class TestPhaseOneTolerance:
@@ -242,34 +243,45 @@ class TestRandomized:
         assert a.stats == b.stats
 
 
+def random_box_lp(rng):
+    """A random program with a finite box on every column, feasible by
+    construction about 60% of the time."""
+    n = int(rng.integers(1, 10))
+    mG = int(rng.integers(0, 6))
+    mE = int(rng.integers(0, min(n, 3)))
+    G = rng.normal(0, 1, (mG, n)) if mG else None
+    E = rng.normal(0, 1, (mE, n)) if mE else None
+    lo = np.where(rng.random(n) < 0.7, rng.uniform(-2, 0, n), -5.0)
+    up = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 4, n), 8.0)
+    if rng.random() < 0.6:
+        x0 = np.clip(rng.uniform(-1, 2, n), lo, up)
+        h = G @ x0 + rng.uniform(0, 1.5, mG) if mG else None
+        b = E @ x0 if mE else None
+    else:
+        h = rng.normal(0, 2, mG) if mG else None
+        b = rng.normal(0, 2, mE) if mE else None
+    return LinearProgram(c=rng.normal(0, 1, n), G=G, h=h, E=E, b=b, lo=lo, up=up)
+
+
+def highs(lp, c=None):
+    """scipy HiGHS on `lp`, with the costs `c` in place of its own if given."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rows = lambda mat, rhs: (mat, rhs) if mat.shape[0] else (None, None)  # noqa: E731
+    (G, h), (E, b) = rows(lp.G, lp.h), rows(lp.E, lp.b)
+    return linprog(lp.c if c is None else c, A_ub=G, b_ub=h, A_eq=E, b_eq=b,
+                   bounds=list(zip(lp.lo, lp.up)), method="highs")
+
+
 class TestCrossCheck:
     def test_against_scipy_highs(self):
         """Differential check against an unrelated LP implementation, on
-        random programs with finite lower bounds: HiGHS's optimum, its
-        infeasible verdict, or its unbounded one as a ray the simplex
-        refuses."""
-        linprog = pytest.importorskip("scipy.optimize").linprog
+        random programs with finite boxes: HiGHS's optimum, or its
+        infeasible verdict."""
         rng = np.random.default_rng(777)
-        outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        outcomes = {"optimal": 0, "infeasible": 0}
         for _ in range(300):
-            n = int(rng.integers(1, 10))
-            mG = int(rng.integers(0, 6))
-            mE = int(rng.integers(0, min(n, 3)))
-            G = rng.normal(0, 1, (mG, n)) if mG else None
-            E = rng.normal(0, 1, (mE, n)) if mE else None
-            lo = np.where(rng.random(n) < 0.7, rng.uniform(-2, 0, n), -5.0)
-            up = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 4, n), np.inf)
-            if rng.random() < 0.6:
-                x0 = np.clip(rng.uniform(-1, 2, n), lo, up)
-                h = G @ x0 + rng.uniform(0, 1.5, mG) if mG else None
-                b = E @ x0 if mE else None
-            else:
-                h = rng.normal(0, 2, mG) if mG else None
-                b = rng.normal(0, 2, mE) if mE else None
-            lp = LinearProgram(c=rng.normal(0, 1, n), G=G, h=h, E=E, b=b,
-                               lo=lo, up=up)
-            ref = linprog(lp.c, A_ub=G, b_ub=h, A_eq=E, b_eq=b,
-                          bounds=list(zip(lo, up)), method="highs")
+            lp = random_box_lp(rng)
+            ref = highs(lp)
             if ref.status == 0:
                 outcomes["optimal"] += 1
                 mine = solve_lp(lp)
@@ -277,21 +289,44 @@ class TestCrossCheck:
                     ref.fun, rel=1e-7, abs=1e-8
                 )
                 continue
-            assert ref.status in (2, 3)
-            # HiGHS presolve may report infeasible for unbounded
-            # instances (and vice versa), so settle it with an
-            # explicit feasibility probe.
-            probe = linprog(np.zeros(n), A_ub=G, b_ub=h, A_eq=E, b_eq=b,
-                            bounds=list(zip(lo, up)), method="highs")
-            if probe.status == 0:
-                outcomes["unbounded"] += 1
-                with pytest.raises(NumericalFailure, match="unbounded ray"):
-                    solve_lp(lp)
-            else:
-                outcomes["infeasible"] += 1
-                with pytest.raises(Infeasible):
-                    solve_lp(lp)
+            assert ref.status == 2  # a box rules out an unbounded verdict
+            outcomes["infeasible"] += 1
+            with pytest.raises(Infeasible):
+                solve_lp(lp)
         assert all(outcomes.values())
+
+    def test_certify_is_sound_against_scipy_highs(self):
+        """`certify`'s lower bound, at any multipliers (lam of either sign,
+        any nu, u of any length), never lies above the least c.x + r u.M x,
+        with u scaled to unit length, which HiGHS finds: a lower bound on
+        c.x + r ||M x||.  At `solve_lp`'s optimum `certify` passes, and its
+        bounds hold HiGHS's optimum within the gap pair."""
+        rng = np.random.default_rng(778)
+        checked = 0
+        for _ in range(300):
+            lp = random_box_lp(rng)
+            n, mG, mE = lp.num_vars, lp.G.shape[0], lp.E.shape[0]
+            M = rng.normal(0, 1, (int(rng.integers(1, 4)), n))
+            r = float(rng.uniform(0, 2))
+            u = rng.normal(0, 1, M.shape[0]) * rng.choice([0.1, 1.0, 10.0])
+            lam = rng.normal(0, 1, mG)
+            nu = rng.normal(0, 1, mE)
+            x = rng.uniform(lp.lo, lp.up)
+            lower = certify(lp, M, r, x, lam, nu, u)[1]
+            unit = u / max(1.0, float(np.linalg.norm(u)))
+            ref = highs(lp, lp.c + r * (unit @ M))
+            if ref.status != 0:
+                assert ref.status == 2
+                continue
+            checked += 1
+            assert lower <= ref.fun + 1e-9 * max(1.0, abs(ref.fun))
+            sol = solve_lp(lp)
+            assert_certified(lp, sol)
+            plain = highs(lp)
+            upper, lower, _ = bounds(lp, sol)
+            tol = max(GAP_ABS_TOL, GAP_REL_TOL * max(1.0, abs(plain.fun)))
+            assert lower - tol <= plain.fun <= upper + tol
+        assert checked >= 100
 
 
 class TestDegeneracy:
@@ -333,7 +368,7 @@ class TestDegeneracy:
             [0.0, 0.0, 1.0, 0.0],
         ])
         h = np.array([0.0, 0.0, 1.0])
-        lp = LinearProgram(c=c, G=G, h=h, lo=np.zeros(4))
+        lp = LinearProgram(c=c, G=G, h=h, lo=np.zeros(4), up=np.full(4, 10.0))
         sol = solve_lp(lp)
         assert_certified(lp, sol)
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
@@ -370,7 +405,7 @@ class TestNonFinite:
     def test_nan_bound_rejected(self, field):
         parts = self.finite_parts()
         parts[field] = [np.nan, 1.0]
-        with pytest.raises(ValueError, match="bounds must not be NaN"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             LinearProgram(**parts)
 
     def test_nan_rhs_no_longer_reaches_the_ratio_test(self):
@@ -385,40 +420,42 @@ class TestNonFinite:
     ], ids=["plus-inf", "minus-inf", "minus-inf-to-finite"])
     def test_infinite_lower_bound_rejected(self, lo, up):
         # lo = up = +inf would put the objective at inf, where the
-        # certificate's gap tolerance DUALITY_GAP_TOL * |objective| is infinite too
-        with pytest.raises(ValueError, match="lower bounds must be finite"):
+        # certificate's gap tolerance GAP_REL_TOL * |objective| is infinite too
+        with pytest.raises(ValueError, match="lo must be finite"):
             LinearProgram(c=[1.0], lo=lo, up=up)
 
-    def test_infinite_bounds_allowed(self):
-        # an infinite upper bound stays valid: slacks and tau have one
-        lp = LinearProgram(c=[1.0, -1.0], G=[[1.0, 1.0]], h=[3.0],
-                           lo=[-1.0, -5.0], up=[np.inf, 2.0])
-        sol = solve_lp(lp)
-        assert_certified(lp, sol)
-        assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
+    def test_infinite_upper_bound_rejected(self):
+        # a column at its lower bound with a negative reduced cost would make
+        # `certify`'s bound -inf there, so every column needs a finite box
+        with pytest.raises(ValueError, match="up must be finite"):
+            LinearProgram(c=[1.0, -1.0], G=[[1.0, 1.0]], h=[3.0],
+                          lo=[-1.0, -5.0], up=[np.inf, 2.0])
 
 
 class TestCertificate:
-    """A basis whose gap is zero is still not optimal when a multiplier has
-    the wrong sign: the certificate must check the signs too."""
+    """A basis whose complementary slackness holds is still not optimal
+    when a multiplier has the wrong sign or a reduced cost points into the
+    box: `certify` clips the one and lets the box take up the other, so its
+    bound falls short of the objective by what they are worth."""
 
     def test_wrong_sign_row_multiplier_fails(self):
-        # x = 1 starts basic in the tight row x <= 1, so the gap is zero,
-        # but the row's multiplier is -1: the optimum is x = 0
+        # x = 1 starts basic in the tight row x <= 1, but the row's
+        # multiplier is -1; clipped to 0, it leaves the bound at x's lower
+        # bound, 0, a gap of 1: the optimum is x = 0
         lp = LinearProgram(c=[1.0], G=[[1.0]], h=[1.0], lo=[0.0], up=[5.0])
         simplex = lp_module._Simplex(lp)
         simplex.build_initial_basis(lp_module.BasisStart(np.array([1.0]), np.array([0])))
-        with pytest.raises(NumericalFailure, match="least multiplier=-1"):
+        with pytest.raises(NumericalFailure, match=r"gap=1\.000e\+00"):
             simplex._certify()
         assert solve_lp(lp).objective_value == 0.0
 
-    def test_column_priced_below_zero_at_an_infinite_bound_fails(self):
-        # x in [0, inf) rests at 0 with reduced cost -1, which no bound's
-        # multiplier absorbs; the gap is zero, the optimum is x = 1
-        lp = LinearProgram(c=[-1.0], G=[[1.0]], h=[1.0], lo=[0.0])
+    def test_column_priced_below_zero_at_its_lower_bound_fails(self):
+        # x in [0, 5] rests at 0 with reduced cost -1, so the box puts the
+        # bound at -1 * 5, a gap of 5: the optimum is x = 1
+        lp = LinearProgram(c=[-1.0], G=[[1.0]], h=[1.0], lo=[0.0], up=[5.0])
         simplex = lp_module._Simplex(lp)
         simplex.build_initial_basis()
-        with pytest.raises(NumericalFailure, match="stationarity=1"):
+        with pytest.raises(NumericalFailure, match=r"gap=5\.000e\+00"):
             simplex._certify()
         assert solve_lp(lp).objective_value == -1.0
 

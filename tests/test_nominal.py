@@ -9,7 +9,6 @@ import pytest
 import evsched.nominal as nominal_module
 import evsched.robust as robust_module
 import evsched.solver.lp as lp_module
-import evsched.solver.socp as socp_module
 from evsched import (
     InfeasibleScenario,
     Method,
@@ -240,7 +239,7 @@ class TestFeasibilityDecision:
         def failing(simplex, start):
             raise NumericalFailure("certification failed: injected")
 
-        monkeypatch.setattr(socp_module._Simplex, "solve", failing)
+        monkeypatch.setattr(lp_module._Simplex, "solve", failing)
         # vehicle 1 finds 2 of its 5 kW left at its one step, so the start
         # leaves it short and the simplex runs, though the day is feasible
         sc = make_scenario([(1, 2), (1, 1)], [5.0, 5.0], [1.0, 2.0], socket=7.0, capacity=7.0)

@@ -159,6 +159,21 @@ class TestSolve:
         with pytest.raises(NumericalFailure, match="objective inf"):
             solve(sc, Method.ROBUST_PRICE, radius=1e308)
 
+    @pytest.mark.parametrize("big", [1e300, 1.7e308])
+    def test_huge_station_outcomes_pinned(self, big):
+        # tau's box is the reach of ||M x|| over the LP's box, whose norm
+        # overflows here, so tau is capped at the largest float.  The cap
+        # must not move these outcomes: the robust day at r=0.5 is
+        # certified, and at r=2 the certificate weighs a rounding error
+        # against the huge box and fails closed
+        sc = make_scenario([(1, 2), (1, 2)], [5.0, 5.0], [2.0, 1.0], socket=big,
+                           capacity=big)
+        assert solve(sc).objective == 10.0
+        result = solve(sc, Method.ROBUST_PRICE, radius=0.5)
+        assert (result.objective, result.polished) == (15.0, True)
+        with pytest.raises(NumericalFailure, match="certification failed"):
+            solve(sc, Method.ROBUST_PRICE, radius=2.0)
+
     def test_huge_radius_converges_without_a_warning(self):
         # a dual ratio past the float range is a breakpoint at infinity,
         # not an overflow warning (an error under the suite's filters)

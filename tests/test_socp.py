@@ -7,8 +7,6 @@ certificate (`solve_norm_augmented` below checks it); the tests that exist
 for the cuts decline the polish (`no_polish`).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -46,7 +44,7 @@ def segment_scan_oracle(weight, total=6.0, steps=60001):
 
 
 def segment_lp():
-    return LinearProgram(c=[1.0, 1.0], E=[[1.0, 1.0]], b=[6.0], lo=[0.0, 0.0])
+    return LinearProgram(c=[1.0, 1.0], E=[[1.0, 1.0]], b=[6.0], lo=[0.0, 0.0], up=[6.0, 6.0])
 
 
 class TestWorkedInstances:
@@ -121,7 +119,8 @@ class TestCertificates:
 
     def test_zero_norm_at_the_master_optimum_stops_the_loop(self, monkeypatch):
         # no supporting hyperplane separates M x = 0, so even with the
-        # bounds kept apart the loop stops there without a cut
+        # bounds kept apart the loop stops there without a cut.  The simplex
+        # accepts the master by `lp._converged`, which the patch leaves alone
         monkeypatch.setattr(socp_module, "_converged", lambda upper, lower: False)
         lp = LinearProgram(c=[1.0], G=[[-1.0]], h=[0.0], lo=[0.0], up=[5.0])
         res = solve_norm_augmented(lp, 2.0, np.eye(1))
@@ -156,10 +155,10 @@ def robust_day(seed):
     return lp, totals_map(sc, var_index), least_cost_start(sc, var_index)
 
 
-def cold_master(lp, weight, cut_rows):
+def cold_master(lp, M, weight, cut_rows):
     """The master with the cuts u_k . (M x) <= tau stacked as rows
     [cut_rows | -1] <= 0, built from scratch."""
-    master = _augmented(lp, weight)
+    master = _augmented(lp, weight, M)
     cuts = np.hstack([cut_rows, -np.ones((cut_rows.shape[0], 1))])
     return LinearProgram(c=master.c, G=np.vstack([master.G, cuts]),
                          h=np.append(master.h, np.zeros(cut_rows.shape[0])),
@@ -168,22 +167,12 @@ def cold_master(lp, weight, cut_rows):
 
 def assert_master_certified(master, sol):
     """`certify` at the master solution's multipliers, with no norm term:
-    its point meets `master`, and the bound meets its objective.
-
-    Tau, the last column, has no upper bound, so a reduced cost of tau that
-    rounds below zero would make the bound -inf.  Each cut row reads
-    u_k . M x - tau <= 0, so tau at a master optimum is at most the largest
-    cut's |u_k M| . max(|lo|, |up|).  Capped there, tau keeps every optimum,
-    and a reduced cost that rounds below zero lowers the bound by no more
-    than itself times the cap."""
-    cuts = master.G[master.G[:, -1] == -1.0, :-1]
-    reach = np.maximum(np.abs(master.lo), np.abs(master.up))[:-1]
-    cap = float((np.abs(cuts) @ reach).max(initial=0.0))
-    master = dataclasses.replace(master, up=np.append(master.up[:-1], cap))
+    its point meets `master`, and the bound meets its objective at the
+    loop's tolerances."""
     upper, lower, residual = certify(master, np.zeros((0, master.num_vars)), 0.0, sol.x,
                                      sol.dual_ineq, sol.dual_eq, np.zeros(0))
     assert residual <= FEASIBILITY_TOL
-    assert abs(upper - lower) <= lp_module.DUALITY_GAP_TOL * max(1.0, abs(sol.objective_value))
+    assert _converged(upper, lower)
 
 
 def record_masters(patch):
@@ -218,7 +207,7 @@ def assert_masters_match_cold(lp, M, radius, monkeypatch, start=None, every=True
         for k, (program, warm) in enumerate(grown, 1):
             if not (every or k == res.cuts):
                 continue
-            master = cold_master(lp, radius, cut_rows[:k])
+            master = cold_master(lp, M, radius, cut_rows[:k])
             assert np.array_equal(program.G, master.G) and np.array_equal(program.h, master.h)
             cold = solve_lp(master)
             assert_master_certified(master, warm)
@@ -405,7 +394,8 @@ class TestCertify:
 
     def test_negative_multiplier_is_clipped(self):
         # min x0 + x1 s.t. x0 + x1 >= 2 (as -x0 - x1 <= -2): lam = 1 certifies
-        lp = LinearProgram(c=[1.0, 1.0], G=[[-1.0, -1.0], [1.0, 0.0]], h=[-2.0, 5.0])
+        lp = LinearProgram(c=[1.0, 1.0], G=[[-1.0, -1.0], [1.0, 0.0]], h=[-2.0, 5.0],
+                           up=[5.0, 5.0])
         x = np.array([2.0, 0.0])
         ok = certify(lp, np.eye(2), 0.0, x, np.array([1.0, 0.0]), np.zeros(0), np.zeros(2))
         clipped = certify(lp, np.eye(2), 0.0, x, np.array([1.0, -3.0]), np.zeros(0),
@@ -423,16 +413,20 @@ class TestCertify:
         assert self.passes(long)
 
     def test_infinite_upper_bound_with_negative_reduced_cost_fails(self):
-        # min -x0 + x1 s.t. x0 + x1 <= 4, x >= 0 (no upper bounds): lam = 1
-        # certifies -4; lam = 0 leaves d0 = -1 against up = inf
-        lp = LinearProgram(c=[-1.0, 1.0], G=[[1.0, 1.0]], h=[4.0])
+        # a negative reduced cost against an infinite upper bound would make
+        # the bound -inf, so such a program is refused when it is built
+        with pytest.raises(ValueError, match="up must be finite"):
+            LinearProgram(c=[-1.0, 1.0], G=[[1.0, 1.0]], h=[4.0], up=[np.inf, np.inf])
+        # min -x0 + x1 s.t. x0 + x1 <= 4, x in [0, 5]: lam = 1 certifies -4;
+        # lam = 0 leaves d0 = -1 against up = 5, a valid bound of -5
+        lp = LinearProgram(c=[-1.0, 1.0], G=[[1.0, 1.0]], h=[4.0], up=[5.0, 5.0])
         x = np.array([4.0, 0.0])
         good = certify(lp, np.zeros((1, 2)), 0.0, x, np.array([1.0]), np.zeros(0),
                        np.zeros(1))
         assert good == (-4.0, -4.0, 0.0)
         bad = certify(lp, np.zeros((1, 2)), 0.0, x, np.array([0.0]), np.zeros(0),
                       np.zeros(1))
-        assert bad[1] == -np.inf and not self.passes(bad)
+        assert bad[1] == -5.0 and not self.passes(bad)
 
     def test_infeasible_point_reports_its_residual(self):
         lp = segment_lp()

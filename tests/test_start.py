@@ -8,8 +8,7 @@ from evsched.model import COST_REL_TOL
 from evsched.nominal import least_cost_start, schedule_from_x, scheduling_lp
 from evsched.robust import totals_map
 from evsched.solver import (FEASIBILITY_TOL, BasisStart, LinearProgram, SolveStats, certify,
-                            solve_norm_augmented)
-from evsched.solver import socp as socp_module
+                            solve_lp, solve_norm_augmented)
 from evsched.solver.lp import _Simplex
 from evsched.synth import random_batch, random_scenario
 
@@ -181,7 +180,7 @@ class TestPotentials:
         lp, var_index = scheduling_lp(sc)
         M = totals_map(sc, var_index)
         start = least_cost_start(sc, var_index)
-        assert socp_module._certified_start(lp, lp, start) is not None
+        assert solve_lp(lp, start).stats == SolveStats()  # certified, no simplex
         lazy = solve_norm_augmented(lp, 0.5, M, start=start)
         eager = solve_norm_augmented(lp, 0.5, M, start=start._replace(duals=None))
         assert lazy.cuts == eager.cuts >= 5
