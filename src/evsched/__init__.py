@@ -8,7 +8,7 @@ baseline.
 
 __version__ = "0.1.0"
 
-from .baseline import FcfsResult, fcfs_schedule, fcfs_with_report
+from .baseline import FcfsResult, fcfs_with_report
 from .model import (
     CostBreakdown,
     Method,
@@ -39,7 +39,6 @@ __all__ = [
     "occupancy_from_windows",
     "validate_schedule",
     "FcfsResult",
-    "fcfs_schedule",
     "fcfs_with_report",
     "FeasibilityReport",
     "InfeasibleScenario",

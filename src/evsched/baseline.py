@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Method, Scenario, Schedule, greedy_fill
+from .model import FEAS_TOL, Method, Scenario, Schedule, greedy_fill
 
 
 @dataclass
@@ -24,7 +24,7 @@ class FcfsResult:
 
     @property
     def fully_served(self) -> bool:
-        return bool((self.shortfall <= 1e-12).all())
+        return bool((self.shortfall <= FEAS_TOL).all())
 
 
 def fcfs_with_report(scenario: Scenario) -> FcfsResult:
@@ -46,7 +46,3 @@ def fcfs_with_report(scenario: Scenario) -> FcfsResult:
         allocation=x, method=Method.FCFS, scenario_id=scenario.scenario_id
     )
     return FcfsResult(schedule=schedule, shortfall=np.maximum(np.array(remaining), 0.0))
-
-
-def fcfs_schedule(scenario: Scenario) -> Schedule:
-    return fcfs_with_report(scenario).schedule

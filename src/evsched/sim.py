@@ -100,14 +100,13 @@ def compare_scenario(scenario: Scenario, config: RunConfig) -> ComparisonRow:
     invalid options, or on a robust-load load that overflows, propagates."""
     fcfs = fcfs_with_report(scenario)
     trivial = evaluate_cost(fcfs.schedule, scenario).total_cost
-    shortfall = bool((fcfs.shortfall > FEAS_TOL).any())
     row = ComparisonRow(
         scenario_id=scenario.scenario_id,
         num_vehicles=scenario.num_vehicles,
         trivial_cost=trivial,
         optimized_cost=None,
         saving_pct=None,
-        fcfs_shortfall=shortfall,
+        fcfs_shortfall=not fcfs.fully_served,
     )
     try:
         schedule = optimized_schedule(scenario, config)

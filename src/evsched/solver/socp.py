@@ -32,33 +32,29 @@ master, before any polish.  On the seed-1 pool of the robust-price
 benchmark, and on every day of `synth.random_batch(5, 30)` at radius 0.5
 and 2, the polish certifies the first master, before any cut.
 
-Every master is solved by `solve_lp`.  The first starts from the
-caller's starting basis, if any, with tau resting at 0; where `certify`
-passes on the start's row multipliers it is optimal (tau's reduced cost is
-the weight) and no simplex is built.  Each cut makes a new master, the LP
-with every cut so far stacked under its rows, which a simplex solves from
-the same start, each cut row starting with its slack or an artificial.
-The result's `stats` sums the SolveStats of every master (all 0 where none
-is built).
-
-Tau's box is [0, reach], reach = || |M| max(|lo|, |up|) ||, the most
-||M x|| can be over the LP's box, or the largest float where that
-overflows.  Tau at a master optimum is the largest cut value u_k . M x, at
-most ||M x||, so the cap keeps every optimum; it gives every master a
-finite box, which `certify` needs to accept it.
+The first master is the LP itself, solved by `solve_lp` from the caller's
+start, as nominal is: it drops the norm term, so its optimum is a lower
+bound, and at weight 0 it is both bounds at once, so the loop stops there
+with a zero gap.  Each cut makes a new master (`_master`): the LP with the
+epigraph column tau appended at cost `weight` in [0, reach], reach =
+|| |M| max(|lo|, |up|) || (the most ||M x|| can be over the LP's box, or
+the largest float where that is infinite), and one row u_k . (M x) - tau <= 0
+per cut so far.  `solve_lp` solves it from the same start, tau resting at 0
+and each cut row starting with its slack or an artificial.  Tau at a master
+optimum is the largest cut value u_k . M x, at most ||M x||, so the cap
+keeps every optimum; it gives every master a finite box, which `certify`
+needs to accept it.  The result's `stats` sums the SolveStats of every
+master (all 0 where none is built).
 
 An infeasible LP raises Infeasible from the first master.  Tau can rise to
 meet any cut, so Infeasible from a grown master is a NumericalFailure.
 
-At weight 0 the master is the LP itself, without tau: its optimum is both
-bounds at once, so the loop stops at its first iterate with a zero gap.
 Short of the tolerance, the loop stops where Kelley's cut repeats an earlier
 direction, and where M x = 0 at the master optimum, which no cut separates.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -101,20 +97,27 @@ class NormAugmentedResult:
     certificate: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _augmented(lp: LinearProgram, weight: float, M: np.ndarray) -> LinearProgram:
-    """The LP with the epigraph column tau appended at cost `weight`, in
-    [0, the reach of ||M x|| over the LP's box]."""
-    with np.errstate(over="ignore"):  # an overflow caps tau at the largest float
-        reach = float(np.linalg.norm(np.abs(M) @ np.maximum(np.abs(lp.lo), np.abs(lp.up))))
-    return LinearProgram(
+def _master(lp: LinearProgram, weight: float, M: np.ndarray, dirs: np.ndarray,
+            start: BasisStart | None) -> tuple[LinearProgram, BasisStart | None]:
+    """The master after the cuts `dirs`: the LP with tau appended at cost
+    `weight` in [0, reach], and one row [u_k . M, -1] x <= 0 per cut, with
+    its start: `start` with tau at rest 0 and each cut row on its slack or
+    an artificial."""
+    with np.errstate(over="ignore"):  # a reach past the float range is infinite
+        reach = math.hypot(*np.abs(M) @ np.maximum(np.abs(lp.lo), np.abs(lp.up)))
+    k = dirs.shape[0]
+    master = LinearProgram(
         c=np.append(lp.c, weight),
-        G=np.hstack([lp.G, np.zeros((lp.G.shape[0], 1))]),
-        h=lp.h,
+        G=np.block([[lp.G, np.zeros((lp.G.shape[0], 1))], [dirs @ M, np.full((k, 1), -1.0)]]),
+        h=np.append(lp.h, np.zeros(k)),
         E=np.hstack([lp.E, np.zeros((lp.E.shape[0], 1))]),
         b=lp.b,
-        lo=np.concatenate([lp.lo, [0.0]]),
-        up=np.concatenate([lp.up, [min(reach, np.finfo(float).max)]]),
+        lo=np.append(lp.lo, 0.0),
+        up=np.append(lp.up, min(reach, np.finfo(float).max)),
     )
+    if start is not None:
+        start = BasisStart(np.append(start.x, 0.0), np.append(start.basic, np.full(k, -1)))
+    return master, start
 
 
 def solve_norm_augmented(
@@ -132,12 +135,7 @@ def solve_norm_augmented(
             f"norm_map has {M.shape[1]} columns, expected {lp.num_vars}"
         )
 
-    # At weight 0 tau would cost nothing, so the master is the LP itself;
-    # otherwise tau starts nonbasic at 0.
-    master_lp = _augmented(lp, weight, M) if weight else lp
-    if weight and start is not None:
-        start = BasisStart(np.append(start.x, 0.0), start.basic, start.duals)
-    sol = solve_lp(master_lp, start)
+    sol = solve_lp(lp, start)  # the first master, the LP itself
     stats = sol.stats
     dirs = np.empty((MAX_CUTS, M.shape[0]))
     best_obj = math.inf  # the least upper bound, at the master vertex best_x
@@ -179,13 +177,8 @@ def solve_norm_augmented(
         if _repeats(dirs[:k], u):
             break  # duplicate support direction: the master cannot improve
         dirs[k] = u
-        cuts = np.hstack([dirs[: k + 1] @ M, np.full((k + 1, 1), -1.0)])
-        grown = dataclasses.replace(master_lp, G=np.vstack([master_lp.G, cuts]),
-                                    h=np.append(master_lp.h, np.zeros(k + 1)))
-        grown_start = None if start is None else BasisStart(
-            start.x, np.append(start.basic, np.full(k + 1, -1)))
         try:
-            sol = solve_lp(grown, grown_start)
+            sol = solve_lp(*_master(lp, weight, M, dirs[: k + 1], start))
         except Infeasible as exc:  # tau can rise to meet any cut
             raise NumericalFailure(f"master infeasible after {k + 1} cuts") from exc
         stats += sol.stats

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evsched import evaluate_cost, fcfs_schedule, fcfs_with_report, validate_schedule
+from evsched import evaluate_cost, fcfs_with_report, validate_schedule
 from evsched.model import ViolationKind
 from evsched.synth import random_batch, random_scenario
 
@@ -14,7 +14,7 @@ class TestHandTraces:
     def test_single_vehicle_front_loads(self):
         # min(7,10,300)=7, then min(7,3,300)=3, then min(7,0,300)=0
         sc = make_scenario([(1, 3)], [10.0], [1.0, 1.0, 1.0], socket=7.0)
-        schedule = fcfs_schedule(sc)
+        schedule = fcfs_with_report(sc).schedule
         assert schedule.allocation[:, 0] == pytest.approx([7.0, 3.0, 0.0])
 
     def test_capacity_contention_in_arrival_order(self):
@@ -28,7 +28,7 @@ class TestHandTraces:
 
     def test_empty_scenario(self):
         sc = make_scenario([], [], [1.0, 1.0])
-        schedule = fcfs_schedule(sc)
+        schedule = fcfs_with_report(sc).schedule
         assert schedule.allocation.shape == (2, 0)
 
     def test_zero_demand_vehicle(self):
@@ -42,14 +42,14 @@ class TestHandTraces:
         # shared step 2 the earlier arrival is served first.
         sc = make_scenario([(2, 2), (1, 2)], [7.0, 14.0], [1.0, 1.0],
                            socket=7.0, capacity=10.0)
-        schedule = fcfs_schedule(sc)
+        schedule = fcfs_with_report(sc).schedule
         # step 2: v2 (arrived step 1) takes 7, leaving 3 for the new arrival
         assert schedule.allocation[1] == pytest.approx([3.0, 7.0])
 
     def test_tie_broken_by_index(self):
         sc = make_scenario([(1, 1), (1, 1)], [7.0, 7.0], [1.0],
                            socket=7.0, capacity=10.0)
-        schedule = fcfs_schedule(sc)
+        schedule = fcfs_with_report(sc).schedule
         assert schedule.allocation[0] == pytest.approx([7.0, 3.0])
 
 
@@ -59,7 +59,7 @@ class TestProperties:
         for _ in range(40):
             sc = random_scenario(rng, horizon_steps=int(rng.integers(1, 10)),
                                  max_vehicles=8)
-            report = validate_schedule(fcfs_schedule(sc), sc)
+            report = validate_schedule(fcfs_with_report(sc).schedule, sc)
             kinds = {v.kind for v in report.violations}
             assert kinds <= {ViolationKind.DEMAND_SHORTFALL}
 
@@ -67,7 +67,7 @@ class TestProperties:
         rng = np.random.default_rng(32)
         for _ in range(40):
             sc = random_scenario(rng, horizon_steps=6, max_vehicles=6)
-            delivered = fcfs_schedule(sc).allocation.sum(axis=0)
+            delivered = fcfs_with_report(sc).schedule.allocation.sum(axis=0)
             assert (delivered <= sc.load + 1e-8).all()
 
     def test_greedy_within_each_step(self):
@@ -75,7 +75,7 @@ class TestProperties:
         rng = np.random.default_rng(33)
         for _ in range(20):
             sc = random_scenario(rng, horizon_steps=5, max_vehicles=5)
-            x = fcfs_schedule(sc).allocation
+            x = fcfs_with_report(sc).schedule.allocation
             arrivals = {
                 i: sc.window(i)[0] if sc.window(i) else sc.horizon_steps + 1
                 for i in range(sc.num_vehicles)
@@ -98,7 +98,7 @@ class TestProperties:
             n = int(rng.integers(1, 5))
             sc = random_scenario(rng, horizon_steps=6, num_vehicles=n,
                                  capacity=7.0 * n + 1.0)
-            x = fcfs_schedule(sc).allocation
+            x = fcfs_with_report(sc).schedule.allocation
             for i in range(n):
                 window = np.flatnonzero(sc.occupancy[:, i])
                 remaining = sc.load[i]

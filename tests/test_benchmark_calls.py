@@ -59,6 +59,10 @@ def test_benchmark_harness_calls(tmp_path, monkeypatch):
     assert evsched.solver.socp.GAP_ABS_TOL is evsched.solver.lp.GAP_ABS_TOL
     assert evsched.solver.socp.GAP_REL_TOL is evsched.solver.lp.GAP_REL_TOL
 
+    # perfbench/spans.py wraps solve_lp where socp looks it up, and counts
+    # every master's LP solve there, the first master's too
+    assert evsched.solver.socp.solve_lp is evsched.solver.lp.solve_lp
+
     # perfbench/workloads.py wraps these two to capture and time each day
     assert callable(evsched.sim.optimized_schedule)
     assert callable(evsched.sim.compare_scenario)

@@ -161,11 +161,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("big", [1e300, 1.7e308])
     def test_huge_station_outcomes_pinned(self, big):
-        # tau's box is the reach of ||M x|| over the LP's box, whose norm
-        # overflows here, so tau is capped at the largest float.  The cap
-        # must not move these outcomes: the robust day at r=0.5 is
-        # certified, and at r=2 the certificate weighs a rounding error
-        # against the huge box and fails closed
+        # the first master is the LP itself, with no tau; the robust day at
+        # r=0.5 is certified there.  At r=2 the polish declines it, and a
+        # grown master's certificate weighs a rounding error against the
+        # huge box and fails closed
         sc = make_scenario([(1, 2), (1, 2)], [5.0, 5.0], [2.0, 1.0], socket=big,
                            capacity=big)
         assert solve(sc).objective == 10.0
@@ -274,6 +273,37 @@ def test_full_size_day_counts_pinned_at_radius_2():
     counts = tuple(map(int, run_on_one_blas_thread(FULL_SIZE_TOTALS, "2").split()))
     # pinned: cuts, pivots, cut-limit days, polished days, NumericalFailures
     assert counts == (0, 52, 0, 30, 0)
+
+
+# Solves the full-size pool at the radius given and prints the LinearPrograms
+# built, counted after the days are drawn (the generator's feasibility check
+# builds LPs too), the cuts and the days the polish certified.
+FULL_SIZE_LP_BUILDS = """
+import sys
+from evsched import Method, solve
+from evsched.solver import LinearProgram
+from evsched.synth import random_batch
+days = random_batch(5, 30)
+built = 0
+post_init = LinearProgram.__post_init__
+
+def count(self):
+    global built
+    built += 1
+    post_init(self)
+
+LinearProgram.__post_init__ = count
+results = [solve(sc, Method.ROBUST_PRICE, radius=float(sys.argv[1])) for sc in days]
+print(built, sum(r.cuts for r in results), sum(r.polished for r in results))
+"""
+
+
+@pytest.mark.parametrize("radius", ["0.5", "2"])
+def test_polished_day_builds_one_lp(radius):
+    # a day the polish certifies at its first master, the LP itself, builds
+    # no epigraph master: one LinearProgram a day
+    counts = tuple(map(int, run_on_one_blas_thread(FULL_SIZE_LP_BUILDS, radius).split()))
+    assert counts == (30, 0, 30)
 
 
 # Solves random_batch(seed, 100) by the method, radius and load scale given

@@ -68,6 +68,18 @@ class TestCompareScenario:
         row = compare_scenario(sc, RunConfig())
         assert row.fcfs_shortfall
 
+    def test_tiny_shortfall_agrees_with_fully_served(self):
+        # both vehicles arrive at step 1 and the first takes its whole 5 kWh
+        # there, leaving the second 1e-10 short, inside FEAS_TOL: FCFS and
+        # the comparison row both count it served
+        sc = make_scenario([(1, 2), (1, 1)], [5.0, 1e-10], [1.0, 1.0],
+                           socket=7.0, capacity=5.0)
+        fcfs = fcfs_with_report(sc)
+        assert fcfs.shortfall.tolist() == [0.0, 1e-10]
+        row = compare_scenario(sc, RunConfig())
+        assert fcfs.fully_served and not row.fcfs_shortfall
+        assert row.comparable
+
     def test_robust_method(self):
         rng = np.random.default_rng(50)
         sc = random_scenario(rng, horizon_steps=4, max_vehicles=3)

@@ -24,7 +24,7 @@ from evsched.solver import (
 )
 from evsched.solver import lp as lp_module
 from evsched.solver import socp as socp_module
-from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL, _augmented, _converged
+from evsched.solver.socp import GAP_ABS_TOL, GAP_REL_TOL, _converged, _master
 from evsched.synth import random_batch, random_scenario
 
 from conftest import certifying, make_scenario, run_on_one_blas_thread
@@ -158,11 +158,24 @@ def robust_day(seed):
 def cold_master(lp, M, weight, cut_rows):
     """The master with the cuts u_k . (M x) <= tau stacked as rows
     [cut_rows | -1] <= 0, built from scratch."""
-    master = _augmented(lp, weight, M)
+    master = _master(lp, weight, M, np.empty((0, M.shape[0])), None)[0]
     cuts = np.hstack([cut_rows, -np.ones((cut_rows.shape[0], 1))])
     return LinearProgram(c=master.c, G=np.vstack([master.G, cuts]),
                          h=np.append(master.h, np.zeros(cut_rows.shape[0])),
                          E=master.E, b=master.b, lo=master.lo, up=master.up)
+
+
+@pytest.mark.parametrize("big, cap", [(1e300, 2.8284271247461903e300),
+                                      (1.7e308, np.finfo(float).max)])
+def test_tau_is_capped_at_the_reach(big, cap):
+    # the reach || |M| max(|lo|, |up|) || is 2 sqrt(2) big: a float at 1e300,
+    # though squaring its entries overflows, and past the float range at
+    # 1.7e308, where the cap is the largest float
+    sc = make_scenario([(1, 2), (1, 2)], [5.0, 5.0], [2.0, 1.0], socket=big, capacity=big)
+    lp, var_index = scheduling_lp(sc)
+    M = totals_map(sc, var_index)
+    master, _ = _master(lp, 0.5, M, np.empty((0, M.shape[0])), None)
+    assert master.up[-1] == cap
 
 
 def assert_master_certified(master, sol):
