@@ -26,11 +26,10 @@ bounds whose multiplier has the wrong sign leave it (`_polish`).  When
 `certify`, at the Newton multipliers and u = M x / ||M x||, passes at
 FEASIBILITY_TOL and the loop's gap tolerances, the loop returns the
 polished point with `polished` set and the cuts made so far; otherwise it
-takes Kelley's cut, and tries again only at a master whose face differs
-from the last one that failed.  At weight 0 the loop stops at its first
-master, before any polish.  On the seed-1 pool of the robust-price
-benchmark, and on every day of `synth.random_batch(5, 30)` at radius 0.5
-and 2, the polish certifies the first master, before any cut.
+takes Kelley's cut, and tries again at every master.  At weight 0 the loop
+stops at its first master, before any polish.  On the seed-1 pool of the
+robust-price benchmark, and on every day of `synth.random_batch(5, 30)` at
+radius 0.5 and 2, the polish certifies the first master, before any cut.
 
 The first master is the LP itself, solved by `solve_lp` from the caller's
 start, as nominal is: it drops the norm term, so its optimum is a lower
@@ -62,7 +61,8 @@ from enum import Enum
 import numpy as np
 
 from .lp import (FEASIBILITY_TOL, GAP_ABS_TOL, GAP_REL_TOL, BasisStart, Infeasible,
-                 LinearProgram, LpSolution, NumericalFailure, _converged, certify, solve_lp)
+                 LinearProgram, LpSolution, NumericalFailure, SolveStats, _converged, certify,
+                 solve_lp)
 
 MAX_CUTS = 200
 # The face of a master optimum: its LP rows whose multiplier is above this,
@@ -143,7 +143,6 @@ def solve_norm_augmented(
     # master's bound is `certify`'s at its multipliers, and the loop keeps the
     # greatest with the certificate that gave it (None: the current master's)
     lower, certificate = float(sol.objective_value), None
-    tried = None  # the face of the last polish
 
     for k in range(MAX_CUTS + 1):
         x = sol.x[: lp.num_vars]
@@ -158,17 +157,14 @@ def solve_norm_augmented(
         converged = _converged(best_obj, lower)
         if converged:
             break
-        face = _face(lp, M, sol, dirs[:k])
-        if face.tobytes() != tried:
-            tried = face.tobytes()
-            with np.errstate(all="ignore"):  # a value that overflows fails `certify`
-                polish = _polish(lp, weight, M, sol, face)
-            if polish is not None:
-                x, upper, bound, certificate = polish
-                return NormAugmentedResult(
-                    status=NormAugmentedStatus.OPTIMAL, x=x, objective=upper,
-                    lower_bound=bound, gap=upper - bound, cuts=k, stats=stats,
-                    polished=True, certificate=certificate)
+        with np.errstate(all="ignore"):  # a value that overflows fails `certify`
+            polish = _polish(lp, weight, M, sol, _face(lp, M, sol, dirs[:k]))
+        if polish is not None:
+            x, upper, bound, certificate = polish
+            return NormAugmentedResult(
+                status=NormAugmentedStatus.OPTIMAL, x=x, objective=upper,
+                lower_bound=bound, gap=upper - bound, cuts=k, stats=stats,
+                polished=True, certificate=certificate)
         if k == MAX_CUTS:
             break
         if nv == 0.0:
@@ -227,20 +223,18 @@ def _polish(lp: LinearProgram, weight: float, M: np.ndarray, sol: LpSolution,
     column out of its box, or break a row outside the face, stops where it
     first would, and that column or row joins the face.  Once Newton has
     converged on a face, the rows and bounds whose multiplier has the wrong
-    sign leave it; the polish gives up when there are none, or when a face
-    recurs there without a lower objective.  Each KKT system carries a
-    proximal regularization of _KKT_REG, which keeps it nonsingular (the
-    face's rows may be dependent, and its Hessian
+    sign leave it; the polish gives up when there are none.  _NEWTON_STEPS
+    bounds the whole polish, however many faces it visits.  Each KKT system
+    carries a proximal regularization of _KKT_REG, which keeps it
+    nonsingular (the face's rows may be dependent, and its Hessian
     weight / ||M x|| M^T (I - u u^T) M has rank below that of M) and leaves
-    its fixed points exact."""
+    its fixed points exact.  `face` is updated in place."""
     c, G, h, E, b, lo, up = lp.c, lp.G, lp.h, lp.E, lp.b, lp.lo, lp.up
     n, m, m_eq = lp.num_vars, G.shape[0], E.shape[0]
-    face = face.copy()
     rows, fix_lo, fix_up = np.split(face, [m, m + n])  # views into `face`
     x = sol.x[:n]
     lam = np.where(rows, sol.dual_ineq[:m], 0.0)
     nu = sol.dual_eq
-    seen = {}  # the faces releases have made, with the objective there
     new_face = True
     for _ in range(_NEWTON_STEPS):
         if new_face:
@@ -326,9 +320,8 @@ def _polish(lp: LinearProgram, weight: float, M: np.ndarray, sol: LpSolution,
         leave = np.concatenate([rows & (lam < -_FACE_TOL), fix_lo & (d < -_FACE_TOL),
                                 fix_up & (d > _FACE_TOL)])
         face &= ~leave
-        if not leave.any() or seen.get(face.tobytes(), math.inf) <= f:
+        if not leave.any():
             return None
-        seen[face.tobytes()] = f
         new_face = True
     return None
 

@@ -1,10 +1,16 @@
-"""The package's only runtime dependency is numpy."""
+"""The package's imports: its only runtime dependency is numpy, and the
+annotations of every type it exports resolve."""
 
+import dataclasses
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
+import pytest
+
 import evsched
+import evsched.solver
 
 IMPORT_ALL = """
 import sys
@@ -42,3 +48,16 @@ def test_the_cli_loads_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", IMPORT_CLI], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": src}, timeout=120)
     assert out.stdout.split() == []
+
+
+RESULT_TYPES = [obj for package in (evsched, evsched.solver)
+                for obj in map(package.__dict__.get, package.__all__)
+                if isinstance(obj, type)
+                and (dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"))]
+
+
+@pytest.mark.parametrize("result_type", RESULT_TYPES, ids=lambda t: t.__name__)
+def test_exported_result_types_resolve_their_annotations(result_type):
+    # the modules postpone annotations, so a name used only in one and
+    # never imported fails here and nowhere else
+    assert typing.get_type_hints(result_type)

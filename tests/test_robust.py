@@ -332,14 +332,38 @@ print(sum(r.cuts > 0 for r in results), sum(r.cuts for r in results),
 
 
 @pytest.mark.parametrize("args, counts", [
-    # one day in each robust-price batch converges on Kelley's cuts alone,
-    # where the polish declines every face it meets: after 20 cuts in the
-    # first, after 13 in the half-hour batch
-    (("2", "100", "24", "1", "robust-price", "0.1", "1"), (4, 23, 787, 0, 99, 0, 0)),
+    # the polish certifies every day in the end, at the master where it
+    # first succeeds: after 15 cuts on one day of the first batch, after 4
+    # on one of the half-hour batch
+    (("2", "100", "24", "1", "robust-price", "0.1", "1"), (4, 18, 645, 0, 100, 0, 0)),
     (("1", "100", "24", "1", "robust-load", "0.5", "1.2"), (2, 4, 270, 0, 84, 0, 16)),
-    (("3", "20", "48", "0.5", "robust-price", "0.1", "1"), (2, 15, 1065, 0, 19, 0, 0)),
+    (("3", "20", "48", "0.5", "robust-price", "0.1", "1"), (2, 6, 355, 0, 20, 0, 0)),
 ])
 def test_cut_traffic_pinned(args, counts):
     # the few days the polish does not certify at the first master are the
     # cutting-plane loop's whole traffic; exact counts, so BLAS on one thread
     assert tuple(map(int, run_on_one_blas_thread(CUT_TRAFFIC, *args).split())) == counts
+
+
+# Solves random_batch(1, 30) at robust-price r=0.1 with the polish's KKT
+# regularization at each value given, and prints the days solved and the
+# days the polish certified at each.
+KKT_REG_SWEEP = """
+import sys
+from evsched import Method, solve
+from evsched.solver import socp
+from evsched.synth import random_batch
+days = random_batch(1, 30)
+for reg in sys.argv[1:]:
+    socp._KKT_REG = float(reg)
+    results = [solve(sc, Method.ROBUST_PRICE, radius=0.1) for sc in days]
+    print(len(results), sum(r.polished for r in results))
+"""
+
+
+def test_polish_certifies_every_day_across_the_kkt_regularization():
+    # whether a day ends polished does not ride on _KKT_REG: two decades on
+    # either side of it, the polish still certifies every day, at whichever
+    # master it first succeeds; exact, so BLAS on one thread
+    out = run_on_one_blas_thread(KKT_REG_SWEEP, "1e-9", "1e-5")
+    assert [tuple(map(int, line.split())) for line in out.splitlines()] == [(30, 30)] * 2
